@@ -242,7 +242,7 @@ def _index_payload(rep) -> dict:
 
 # -- commands ----------------------------------------------------------
 
-def cmd_index(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_index(cfg: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
     if cfg["kind"] == "subspace-paths":
         pair = _build_pair(cfg)
@@ -280,7 +280,7 @@ def cmd_index(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_geometric_parity(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_geometric_parity(cfg: dict, out_dir: Path) -> int:
     if cfg["kind"] != "linear-family":
         raise ConfigError("geometric-parity expects kind linear-family")
     t0 = time.perf_counter()
@@ -298,7 +298,7 @@ def cmd_geometric_parity(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_verify_theorem(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_verify_theorem(cfg: dict, out_dir: Path) -> int:
     if cfg["kind"] != "linear-family":
         raise ConfigError("verify-theorem expects kind linear-family")
     t0 = time.perf_counter()
@@ -308,7 +308,7 @@ def cmd_verify_theorem(cfg: dict, out_dir: Path, threads: int) -> int:
     rep = verify_index_theorem(
         fam, lams, tau=cfg["tau"], N=cfg["N"],
         stability=cfg["stability"], track_sigma=cfg["track_sigma"],
-        threads=threads, rtol=cfg["rtol"], atol=cfg["atol"])
+        rtol=cfg["rtol"], atol=cfg["atol"])
     result = {
         "parity": rep.lhs,
         "z2_index": rep.rhs,
@@ -336,7 +336,7 @@ def cmd_verify_theorem(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_bifurcate(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_bifurcate(cfg: dict, out_dir: Path) -> int:
     if cfg["kind"] != "nonlinear-family":
         raise ConfigError("bifurcate expects kind nonlinear-family")
     t0 = time.perf_counter()
@@ -370,7 +370,7 @@ def cmd_bifurcate(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_maslov(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_maslov(cfg: dict, out_dir: Path) -> int:
     if cfg["kind"] != "lagrangian-paths":
         raise ConfigError("maslov expects kind lagrangian-paths")
     t0 = time.perf_counter()
@@ -525,7 +525,7 @@ DEMOS = {
 }
 
 
-def cmd_demo(name: str | None, out_dir: Path | None, threads: int,
+def cmd_demo(name: str | None, out_dir: Path | None,
              list_only: bool = False) -> int:
     if list_only or name is None:
         for key in sorted(DEMOS):
@@ -538,10 +538,10 @@ def cmd_demo(name: str | None, out_dir: Path | None, threads: int,
     cfg = resolve_config(entry["config"], origin=f"demo:{name}")
     target = (out_dir or Path("hetindex-out")) / name
     log.info("running demo %s (%s)", name, entry["command"])
-    return _COMMANDS[entry["command"]](cfg, target, threads)
+    return _COMMANDS[entry["command"]](cfg, target)
 
 
-def cmd_selftest(seed: int, out_dir: Path | None, threads: int) -> int:
+def cmd_selftest(seed: int, out_dir: Path | None) -> int:
     results = run_all(seed=seed)
     for res in results:
         print(res.summary())
@@ -578,8 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default hetindex-out)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized suites (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for sweeps; 0 = auto")
 
     for name in ("index", "geometric-parity", "verify-theorem",
                  "bifurcate", "maslov"):
@@ -612,15 +610,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             out = Path(args.out) if args.out else None
-            return cmd_selftest(args.seed, out, args.threads)
+            return cmd_selftest(args.seed, out)
         if args.command == "demo":
             out = Path(args.out) if args.out else None
-            return cmd_demo(args.name, out, args.threads,
-                            list_only=args.list_demos)
+            return cmd_demo(args.name, out, list_only=args.list_demos)
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(
             cfg.get("out") or "hetindex-out")
-        return _COMMANDS[args.command](cfg, out, args.threads)
+        return _COMMANDS[args.command](cfg, out)
     except (InvalidInput, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -61,6 +61,7 @@ _DEFAULT_ATOL = 1e-12
 _LEG = 2.0          # re-orthonormalization interval for frame transport
 _SEED_MARGIN = 5.0  # extra horizon beyond the furthest requested instant
 _ESCALATION_CAP = 8
+_MAX_DEPTH = 20     # halvings of one interval in midpoint refinement
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,45 @@ class HypothesisReport:
     min_gap: float
     lambdas_checked: int
     note: str = "sampled, not uniform"
+
+
+# -- midpoint refinement -----------------------------------------------
+
+def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
+            max_depth: int, depths: list | None = None):
+    """Breadth-first midpoint refinement of a sampled parameter grid.
+
+    Each round tests only the intervals the previous round made (all of
+    them in the first round).  Interval i is halved when its depth is
+    below ``max_depth``, its midpoint lies strictly inside it (it may
+    not at floating-point resolution) and ``split(samples[i],
+    samples[i + 1])`` holds.  One call ``sample_mids(mids, lefts)``
+    samples all midpoints of a round, ``lefts`` holding the sample at
+    each midpoint's left neighbour.  ``depths`` gives the halvings that
+    made each input interval (default all zero).
+
+    Refines the lists in place and returns ``(ts, samples, depths)``.
+    """
+    if depths is None:
+        depths = [0] * (len(ts) - 1)
+    fresh = range(len(ts) - 1)
+    while True:
+        cut = {}
+        for i in fresh:
+            tm = 0.5 * (ts[i] + ts[i + 1])
+            if (depths[i] < max_depth and ts[i] < tm < ts[i + 1]
+                    and split(samples[i], samples[i + 1])):
+                cut[i] = tm
+        if not cut:
+            return ts, samples, depths
+        mids = sample_mids(list(cut.values()), [samples[i] for i in cut])
+        # right to left, so the indices still to come stay valid
+        for (i, tm), s in reversed(list(zip(cut.items(), mids))):
+            ts.insert(i + 1, tm)
+            samples.insert(i + 1, s)
+            depths[i:i + 1] = [depths[i] + 1] * 2
+        fresh = [i + rank + half for rank, i in enumerate(cut)
+                 for half in (0, 1)]
 
 
 # -- integration core --------------------------------------------------
@@ -394,36 +434,46 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     ------
     DimensionMismatch
         If the spectral dimensions contradict the declared k.
+    GapTooLarge
+        If consecutive frames are still 0.5 apart in gap after five
+        rounds of midpoints.
     """
     grid = np.asarray(grid, dtype=float)
-    far = grid[-1] if which == "stable" else grid[0]
-    seed, t0, limits = _seed(fam, lam, which, far)
+    stable = which == "stable"
+    seed, t0, limits = _seed(fam, lam, which, grid[-1] if stable else grid[0])
     _check_declared_dims(fam, limits)
+    t_end = grid[0] if stable else grid[-1]
+
+    def sample(ts, lefts=None):
+        # one transport from the seed to the far end of the grid; the
+        # leg points depend on the ends only, so each round's frames
+        # come from the same integration steps
+        _, raw = _transport_frame(fam, lam, seed, t0, t_end, rtol, atol,
+                                  collect=ts[::-1] if stable else ts)
+        on = [orthonormalize(b) for b in raw]
+        return on[::-1] if stable else on
+
+    def too_wide(a, b):
+        # gap taken in the direction of travel
+        return (gap_distance(b, a) if stable else gap_distance(a, b)) > 0.4
 
     # the requested grid is a floor, not a contract: where the subspace
     # turns faster than the spacing resolves, collect at midpoints too,
-    # so the alignment chain below stays within its gap budget
-    work = grid
-    for _ in range(6):
-        targets = list(work[::-1] if which == "stable" else work)
-        _, raw = _transport_frame(fam, lam, seed, t0, targets[-1], rtol,
-                                  atol, collect=targets)
-        on = [orthonormalize(b) for b in raw]
-        bad = [i for i in range(len(on) - 1)
-               if gap_distance(on[i], on[i + 1]) > 0.4]
-        if not bad:
-            break
-        mids = [(targets[i] + targets[i + 1]) / 2.0 for i in bad]
-        work = np.unique(np.concatenate([work, mids]))
+    # so the alignment chain below stays within its gap budget; at most
+    # five rounds of midpoints, one transport each
+    pts = list(grid)
+    pts, on, _ = _bisect(pts, sample(pts), too_wide, sample, max_depth=5)
 
-    frames = [on[0]]
-    for block in on[1:]:
+    travel = on[::-1] if stable else on
+    frames = [travel[0]]
+    for block in travel[1:]:
         frames.append(align_frame(frames[-1], block))
-    if which == "stable":
+    if stable:
         frames.reverse()
 
     sampler = lambda s: subspace_at(fam, lam, which, s, rtol, atol)
-    return SubspacePath(grid=work, frames=tuple(frames), sampler=sampler)
+    return SubspacePath(grid=np.asarray(pts), frames=tuple(frames),
+                        sampler=sampler)
 
 
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
@@ -434,22 +484,18 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
     Midpoints are inserted wherever consecutive samples are more than
     0.4 apart in gap, so a coarse grid over a fast rotation does not
     abort the chain.
+
+    Raises
+    ------
+    GapTooLarge
+        If samples still jump after 20 halvings of an interval, as a
+        discontinuous subspace does.
     """
     pts = [float(t) for t in np.asarray(grid, dtype=float)]
-    raw = [sampler(t) for t in pts]
-    for _ in range(6):
-        inserted = False
-        i = 0
-        while i < len(pts) - 1:
-            if gap_distance(raw[i], raw[i + 1]) > 0.4:
-                tm = 0.5 * (pts[i] + pts[i + 1])
-                pts.insert(i + 1, tm)
-                raw.insert(i + 1, sampler(tm))
-                inserted = True
-            else:
-                i += 1
-        if not inserted:
-            break
+    pts, raw, _ = _bisect(
+        pts, [sampler(t) for t in pts],
+        lambda a, b: gap_distance(a, b) > 0.4,
+        lambda ts, lefts: [sampler(t) for t in ts], _MAX_DEPTH)
     frames = [raw[0]]
     for f in raw[1:]:
         frames.append(align_frame(frames[-1], f))
@@ -516,8 +562,9 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
 
 # -- hypothesis checks -------------------------------------------------
 
-def check_A1_A3(fam: LinearFamily, samples: int = 101) -> HypothesisReport:
-    """Sampled check of the limit hypotheses over lambda in [0, 1].
+def check_A1_A3(fam: LinearFamily, samples: int = 101,
+                lam_range: tuple = (0.0, 1.0)) -> HypothesisReport:
+    """Sampled check of the limit hypotheses over lambda in ``lam_range``.
 
     At each sampled lambda the limits must stabilize, both must be
     hyperbolic, and the limit dimensions must match the declared k:
@@ -526,7 +573,7 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101) -> HypothesisReport:
     """
     violations = []
     min_gap = np.inf
-    for lam in np.linspace(0.0, 1.0, samples):
+    for lam in np.linspace(*lam_range, samples):
         try:
             limits = asymptotic_limits(fam, lam)
         except NotStabilized as exc:

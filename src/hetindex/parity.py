@@ -21,8 +21,6 @@ end families plus a limit-subspace term.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,14 +74,6 @@ __all__ = [
     "verify_index_theorem",
     "decomposition_check",
 ]
-
-
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 # -- finite-dimensional parity -----------------------------------------
@@ -352,7 +342,6 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
                     localize_tol: float = 1e-3,
                     stability: bool = True,
                     track_sigma: bool = False,
-                    threads: int = 1,
                     rtol: float = 1e-9, atol: float = 1e-12) -> ParityReport:
     """Parity of the operator path over a lambda-grid.
 
@@ -393,7 +382,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
             sig = _sigma_min_estimate(spla.splu(M), M.shape[0])
         return s, sig, M if i in (0, len(lams) - 1) else None
 
-    results = _parallel_map(factor, list(range(len(lams))), threads)
+    results = [factor(i) for i in range(len(lams))]
     signs = np.array([r[0] for r in results], dtype=int)
     sigma = (np.array([r[1] if r[1] is not None else np.nan
                        for r in results])
@@ -422,11 +411,11 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     if stability:
         rerun_tau = operator_parity(fam, lams, 2.0 * tau, 2 * N,
                                     kernel_rel_tol, localize_tol,
-                                    stability=False, threads=threads,
+                                    stability=False,
                                     rtol=rtol, atol=atol)
         rerun_N = operator_parity(fam, lams, tau, 2 * N,
                                   kernel_rel_tol, localize_tol,
-                                  stability=False, threads=threads,
+                                  stability=False,
                                   rtol=rtol, atol=atol)
         stable_tau = rerun_tau.value == value
         stable_N = rerun_N.value == value
@@ -524,7 +513,6 @@ def verify_index_theorem(fam: LinearFamily,
                          hypothesis_samples: int = 101,
                          stability: bool = True,
                          track_sigma: bool = False,
-                         threads: int = 1,
                          rtol: float = 1e-9,
                          atol: float = 1e-12) -> TheoremReport:
     """Check parity(A_lambda) against the boundary-subspace Z2-index.
@@ -534,17 +522,18 @@ def verify_index_theorem(fam: LinearFamily,
     HypothesisFailure
         If the sampled limit hypotheses fail (names the assumption).
     """
-    hyp = check_A1_A3(fam, hypothesis_samples)
+    if lams is None:
+        lams = np.linspace(0.0, 1.0, 201)
+    lams = np.asarray(lams, dtype=float)
+    hyp = check_A1_A3(fam, hypothesis_samples, (lams[0], lams[-1]))
     if not hyp.ok:
         lam_bad, tag, msg = hyp.violations[0]
         raise HypothesisFailure(
             f"assumption ({tag}) fails at lambda={lam_bad:.4g}: {msg}",
             assumption=tag,
         )
-    if lams is None:
-        lams = np.linspace(0.0, 1.0, 201)
     parity = operator_parity(fam, lams, tau, N, stability=stability,
-                             track_sigma=track_sigma, threads=threads,
+                             track_sigma=track_sigma,
                              rtol=rtol, atol=atol)
     index = z2_index(boundary_pair_over_lambda(fam, lams, rtol=rtol,
                                                atol=atol))

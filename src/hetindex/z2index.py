@@ -35,8 +35,10 @@ from .errors import (
     TailNotTransversal,
 )
 from .flow import (
+    _MAX_DEPTH,
     LinearFamily,
     SubspacePath,
+    _bisect,
     asymptotic_limits,
     invariant_subspace_path,
     subspace_at,
@@ -64,7 +66,6 @@ __all__ = [
 ]
 
 _GAP_REFINE = 0.2
-_MAX_DEPTH = 20
 
 
 def _chain_interp(F0: Frame, F1: Frame, s: float) -> Frame:
@@ -187,34 +188,10 @@ class ClosedLoop:
 
 # -- core refinement pipeline ------------------------------------------
 
-def _interval_refine(ts, Vf, Wf, depths, trigger, v_sample, w_sample,
-                     max_depth):
-    """Bisect triggered intervals in place; returns max depth used."""
-    i = 0
-    while i < len(ts) - 1:
-        if depths[i] < max_depth and trigger(i):
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            if tm <= ts[i] or tm >= ts[i + 1]:
-                i += 1     # interval at floating-point resolution
-                continue
-            ts.insert(i + 1, tm)
-            Vf.insert(i + 1, v_sample(tm, i))
-            Wf.insert(i + 1, w_sample(tm, i))
-            d = depths[i] + 1
-            depths[i:i + 1] = [d, d]
-        else:
-            i += 1
-    return max(depths) if depths else 0
-
-
-def _trace(ts, Vf, Wf, eps_trans):
-    dets = np.empty(len(ts))
-    signs = []
-    for i in range(len(ts)):
-        M = pair_matrix(Vf[i], Wf[i])
-        dets[i] = np.linalg.det(M)
-        signs.append(det_sign(M, eps_trans))
-    return dets, signs
+def _traced(v: Frame, w: Frame, eps_trans: float) -> tuple:
+    """A chained grid sample (v, w) with det M and its sign."""
+    M = pair_matrix(v, w)
+    return v, w, np.linalg.det(M), det_sign(M, eps_trans)
 
 
 def _sign_crossings(ts, signs) -> tuple:
@@ -237,70 +214,45 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float, max_depth: int):
     first frames keep the input orientation.
     """
     ts = list(map(float, pair.grid))
-    Vf = list(pair.V.frames)
-    Wf = list(pair.W.frames)
+    pts = list(zip(pair.V.frames, pair.W.frames))
     depths = [0] * (len(ts) - 1)
     vs, ws = pair.V.sampler, pair.W.sampler
     can_refine = vs is not None and ws is not None
-    depth_used = 0
 
     if can_refine:
         # span refinement: no orientation needed, raw samples suffice
-        def too_wide(i):
-            return (
-                gap_distance(Vf[i], Vf[i + 1]) >= _GAP_REFINE
-                or gap_distance(Wf[i], Wf[i + 1]) >= _GAP_REFINE
-            )
+        def too_wide(a, b):
+            return (gap_distance(a[0], b[0]) >= _GAP_REFINE
+                    or gap_distance(a[1], b[1]) >= _GAP_REFINE)
 
-        depth_used = _interval_refine(
-            ts, Vf, Wf, depths, too_wide,
-            lambda tm, i: vs(tm), lambda tm, i: ws(tm), max_depth,
-        )
+        ts, pts, depths = _bisect(
+            ts, pts, too_wide,
+            lambda mids, lefts: [(vs(t), ws(t)) for t in mids], max_depth,
+            depths)
 
     # orientation sweep: chain Procrustes from the left end
-    for i in range(1, len(ts)):
-        Vf[i] = align_frame(Vf[i - 1], Vf[i])
-        Wf[i] = align_frame(Wf[i - 1], Wf[i])
-
-    dets, signs = _trace(ts, Vf, Wf, eps_trans)
+    chain = [_traced(*pts[0], eps_trans)]
+    for v, w in pts[1:]:
+        prev = chain[-1]
+        chain.append(_traced(align_frame(prev[0], v),
+                             align_frame(prev[1], w), eps_trans))
 
     if can_refine:
-        # crossing localization: bisect clean sign flips
-        def flips(i):
-            return (
-                signs[i] != DEGENERATE
-                and signs[i + 1] != DEGENERATE
-                and signs[i] != signs[i + 1]
-            )
+        # crossing localization: bisect clean sign flips, chaining each
+        # midpoint to its left neighbour
+        def flips(a, b):
+            return DEGENERATE not in (a[3], b[3]) and a[3] != b[3]
 
-        def insert_v(tm, i):
-            return align_frame(Vf[i], vs(tm))
+        def sample(mids, lefts):
+            return [_traced(align_frame(left[0], vs(t)),
+                            align_frame(left[1], ws(t)), eps_trans)
+                    for t, left in zip(mids, lefts)]
 
-        def insert_w(tm, i):
-            return align_frame(Wf[i], ws(tm))
+        ts, chain, depths = _bisect(ts, chain, flips, sample, max_depth,
+                                    depths)
 
-        i = 0
-        while i < len(ts) - 1:
-            if depths[i] < max_depth and flips(i):
-                tm = 0.5 * (ts[i] + ts[i + 1])
-                if tm <= ts[i] or tm >= ts[i + 1]:
-                    i += 1
-                    continue
-                fv = insert_v(tm, i)
-                fw = insert_w(tm, i)
-                M = pair_matrix(fv, fw)
-                ts.insert(i + 1, tm)
-                Vf.insert(i + 1, fv)
-                Wf.insert(i + 1, fw)
-                dets = np.insert(dets, i + 1, np.linalg.det(M))
-                signs.insert(i + 1, det_sign(M, eps_trans))
-                d = depths[i] + 1
-                depths[i:i + 1] = [d, d]
-                depth_used = max(depth_used, d)
-            else:
-                i += 1
-
-    return np.asarray(ts), dets, signs, depth_used
+    _, _, dets, signs = zip(*chain)
+    return np.asarray(ts), np.asarray(dets), list(signs), max(depths)
 
 
 def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6,
@@ -443,25 +395,6 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
 
 # -- loop closure and orientability ------------------------------------
 
-def _geodesic(F0: Frame, F1: Frame) -> Callable[[float], Frame]:
-    """Grassmann geodesic s in [0, 1] from span(F0) to span(F1)."""
-    A, B = F0.columns, F1.columns
-    U, sig, Vt = np.linalg.svd(A.T @ B)
-    sig = np.clip(sig, -1.0, 1.0)
-    theta = np.arccos(sig)
-    A0 = A @ U
-    B0 = B @ Vt.T
-    G = B0 - A0 * sig
-    norms = np.linalg.norm(G, axis=0)
-    G = np.divide(G, norms, out=np.zeros_like(G), where=norms > 1e-12)
-
-    def at(s: float) -> Frame:
-        cols = A0 * np.cos(s * theta) + G * np.sin(s * theta)
-        return orthonormalize(cols)
-
-    return at
-
-
 def _chart_segment(w_ref: Frame, F0: Frame,
                    F1: Frame) -> Callable[[float], Frame]:
     """Path s in [0, 1] from span(F0) to span(F1) through planes
@@ -493,41 +426,17 @@ def _chart_segment(w_ref: Frame, F0: Frame,
     return at
 
 
-def _refine_by_gap(sampler: Callable[[float], Frame],
-                   params: np.ndarray, max_gap: float = 0.3,
-                   rounds: int = 12) -> np.ndarray:
-    """Insert midpoints until consecutive subspaces are max_gap-close."""
-    pts = [float(t) for t in params]
-    frames = [sampler(t) for t in pts]
-    for _ in range(rounds):
-        inserted = False
-        i = 0
-        while i < len(pts) - 1:
-            if gap_distance(frames[i], frames[i + 1]) > max_gap:
-                tm = 0.5 * (pts[i] + pts[i + 1])
-                pts.insert(i + 1, tm)
-                frames.insert(i + 1, sampler(tm))
-                inserted = True
-            else:
-                i += 1
-        if not inserted:
-            break
-    return np.asarray(pts)
-
-
-def _sign_constant_along(v_ext: Callable[[float], Frame],
-                         w_ext: Callable[[float], Frame],
-                         params: np.ndarray, eps_trans: float) -> bool:
-    """Transported det sign of the pair is defined and constant."""
-    v = v_ext(params[0])
-    w = w_ext(params[0])
+def _sign_constant_along(frames: Sequence[tuple],
+                         eps_trans: float) -> bool:
+    """Transported det sign of sampled (v, w) pairs is defined and constant."""
+    v, w = frames[0]
     s0 = det_sign(pair_matrix(v, w), eps_trans)
     if s0 == DEGENERATE:
         return False
-    for t in params[1:]:
+    for v_next, w_next in frames[1:]:
         try:
-            v = align_frame(v, v_ext(t))
-            w = align_frame(w, w_ext(t))
+            v = align_frame(v, v_next)
+            w = align_frame(w, w_next)
         except GapTooLarge:
             return False
         if det_sign(pair_matrix(v, w), eps_trans) != s0:
@@ -549,7 +458,7 @@ def _interp_frame(path: SubspacePath, t: float) -> Frame:
     if j >= len(grid):
         return path.frames[-1]
     s = (t - grid[j - 1]) / (grid[j] - grid[j - 1])
-    return _geodesic(path.frames[j - 1], path.frames[j])(s)
+    return _chain_interp(path.frames[j - 1], path.frames[j], s)
 
 
 def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
@@ -619,15 +528,21 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
         def w_ext(t: float) -> Frame:
             return w_at(2.0 - t)
 
-        ext = _refine_by_gap(v_ext, np.unique(np.concatenate([
+        def sample(ts, lefts=None):
+            return [(v_ext(t), w_ext(t)) for t in ts]
+
+        params = list(map(float, np.unique(np.concatenate([
             np.linspace(1.0, 2.0, max(m, 41)),
             1.0 + eps * np.linspace(0.0, 1.0, 17),
             2.0 - eps * np.linspace(0.0, 1.0, 17),
-        ])))
-        ok = _sign_constant_along(v_ext, w_ext, ext, eps_trans)
-        if ok:
+        ]))))
+        ext, frames, _ = _bisect(
+            params, sample(params),
+            lambda p, q: gap_distance(p[0], q[0]) > 0.3, sample, _MAX_DEPTH)
+        if _sign_constant_along(frames, eps_trans):
+            ext = np.asarray(ext)
+            v_frames, w_frames = zip(*frames)
             loop_grid = np.concatenate([norm_grid, ext[1:]])
-            loop_frames = list(V.frames) + [v_ext(t) for t in ext[1:]]
 
             def loop_sampler(t: float, _eps=eps) -> Frame:
                 if t <= 1.0:
@@ -635,10 +550,9 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
                 return v_ext(t)
 
             v_loop = SubspacePath(grid=loop_grid,
-                                  frames=tuple(loop_frames),
+                                  frames=V.frames + v_frames[1:],
                                   sampler=loop_sampler)
-            w_tilde = SubspacePath(grid=ext,
-                                   frames=tuple(w_ext(t) for t in ext),
+            w_tilde = SubspacePath(grid=ext, frames=w_frames,
                                    sampler=w_ext)
             return ClosedLoop(v_loop=v_loop, w_tilde=w_tilde, epsilon=eps)
         eps *= 0.5

@@ -19,7 +19,7 @@ from hetindex import cli as climod
 PACKAGE_ROOT = str(Path(hetindex.__file__).resolve().parent.parent)
 
 
-def run_cli(args, tmp_path, env_extra=None):
+def run_cli(args, tmp_path, env_extra=None, timeout=None):
     """Run ``python -m hetindex.cli`` in ``tmp_path``.
 
     The commands write ``hetindex-out/`` relative to the working directory,
@@ -36,6 +36,7 @@ def run_cli(args, tmp_path, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "hetindex.cli", *args],
         capture_output=True, text=True, cwd=tmp_path, env=env,
+        timeout=timeout,
     )
 
 
@@ -175,6 +176,20 @@ def test_malformed_expression_exits_2(tmp_path):
     res = run_cli(["index", "--config", cfg], tmp_path)
     assert res.returncode == 2, res.stderr
     assert "offset" in res.stderr
+
+
+def test_jumping_subspace_exits_2(tmp_path):
+    # V jumps at t = 0.5; refinement must give up and the chain refuse
+    # the jump, within the timeout instead of refining forever
+    cfg = write_config(tmp_path, {
+        "kind": "subspace-paths",
+        "V": [["1"], ["atan(1e20*(t-0.5))"]],
+        "W": [["0"], ["1"]],
+        "samples": 11,
+    })
+    res = run_cli(["index", "--config", cfg], tmp_path, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "gap" in res.stderr
 
 
 def test_missing_config_file_exits_2(tmp_path):

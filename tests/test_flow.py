@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from hetindex import (
+    GapTooLarge,
     InvalidInput,
     LinearFamily,
     NotStabilized,
@@ -149,6 +150,16 @@ def test_path_from_sampler_refines_coarse_grid():
     assert len(path.grid) > 5
     for i in range(len(path.frames) - 1):
         assert gap_distance(path.frames[i], path.frames[i + 1]) <= 0.4
+
+
+def test_path_from_sampler_rejects_jump():
+    # the subspace jumps at t = 0.5: halving never closes the gap, so the
+    # depth cap must end the refinement and the chain refuse the jump
+    def jump(t):
+        return orthonormalize(np.array([[1.0], [np.arctan(1e20 * (t - 0.5))]]))
+
+    with pytest.raises(GapTooLarge):
+        path_from_sampler(jump, np.linspace(0.0, 1.0, 11))
 
 
 def test_check_hypotheses_poschl_teller():

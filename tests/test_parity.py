@@ -188,6 +188,18 @@ def test_verify_index_theorem_rejects_bad_hypotheses():
                              tau=4.0, N=100)
 
 
+def test_verify_index_theorem_checks_the_swept_range():
+    # hyperbolicity is lost at lambda = 1.5, outside [0, 1] but inside
+    # the sweep; the check must sample the sweep, not the unit interval
+    fam = LinearFamily.from_matrix_expr(
+        parse_matrix([["lambda - 1.5", "sech(t)"], ["0", "1"]]), k=1)
+    with pytest.raises(HypothesisFailure) as info:
+        verify_index_theorem(fam, lams=np.linspace(0.0, 2.0, 21),
+                             tau=4.0, N=100)
+    assert info.value.assumption == "A1"
+    assert "lambda=1.5:" in str(info.value)
+
+
 def test_decomposition_poschl_teller():
     rep = decomposition_check(poschl_teller_family(),
                               lams=np.linspace(0.0, 1.0, 21), samples=51)

@@ -56,6 +56,11 @@ def test_short_arc_index_zero():
 def test_index_on_coarse_grid():
     rep = z2_index(make_pair(rotating, fixed_vertical, 0.0, np.pi, points=7))
     assert rep.value == 1
+    # exact refinement output, recorded before the refinement loops
+    # were merged into one helper; it must not move
+    assert len(rep.grid) == 25
+    assert rep.refinement_depth == 1
+    assert rep.crossings == (np.pi / 2,)
 
 
 def test_symmetry_of_pair():
@@ -118,6 +123,7 @@ def test_unbounded_rejects_degenerate_tail():
 def test_close_loop_structure():
     pair = make_pair(rotating, fixed_vertical, 0.0, np.pi / 4)
     loop = close_loop(pair)
+    assert len(loop.v_loop.grid) == 232    # pinned, as above
     assert loop.v_loop.grid[0] == 0.0
     assert loop.v_loop.grid[-1] == 2.0
     assert gap_distance(loop.v_loop.frames[0], loop.v_loop.frames[-1]) < 1e-8
@@ -142,4 +148,8 @@ def test_orientability_rejects_open_path():
 def test_geometric_parity_poschl_teller():
     fam = poschl_teller_family()
     assert geometric_parity(fam, 0.0, samples=81).value == 0
-    assert geometric_parity(fam, 1.0, samples=81).value == 1
+    rep = geometric_parity(fam, 1.0, samples=81)
+    assert rep.value == 1
+    assert len(rep.grid) == 98             # pinned, as above
+    assert rep.refinement_depth == 16
+    assert rep.crossings == (0.24655532836914062,)
