@@ -14,7 +14,7 @@ module never solves the nonlinear boundary-value problem itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -358,7 +358,9 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
         batched=lambda lam, t: lf.evaluate_many(
             a + np.asarray(lam, float) * (b - a), t),
     )
-    hyp = check_A1_A3(scaled, hypothesis_samples)
+    # the check samples the rescaled [0, 1]; report the caller's range
+    hyp = replace(check_A1_A3(scaled, hypothesis_samples),
+                  lam_range=(float(a), float(b)))
     if not hyp.ok:
         lam_bad, tag, msg = hyp.violations[0]
         raise HypothesisFailure(

@@ -222,6 +222,7 @@ def _hypotheses_payload(hyp) -> dict:
         "ok": hyp.ok,
         "min_gap": hyp.min_gap,
         "lambdas_checked": hyp.lambdas_checked,
+        "lam_range": list(hyp.lam_range),
         "note": hyp.note,
         "violations": [
             {"lambda": lam, "assumption": tag, "message": msg}

@@ -191,7 +191,8 @@ class SubspacePath:
 class HypothesisReport:
     """Outcome of the sampled hypothesis checks for a family.
 
-    ``violations`` holds (lambda, tag, message) triples; ``note``
+    ``violations`` holds (lambda, tag, message) triples; ``lam_range``
+    is the interval the ``lambdas_checked`` samples cover; ``note``
     records that the check samples a lambda-grid and cannot certify
     uniformity.
     """
@@ -200,6 +201,7 @@ class HypothesisReport:
     violations: tuple
     min_gap: float
     lambdas_checked: int
+    lam_range: tuple
     note: str = "sampled, not uniform"
 
 
@@ -598,4 +600,5 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
         violations=tuple(violations),
         min_gap=float(min_gap) if np.isfinite(min_gap) else float("nan"),
         lambdas_checked=samples,
+        lam_range=(float(lam_range[0]), float(lam_range[1])),
     )

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateEndpoint,
@@ -176,6 +177,22 @@ def _assemble(template, n: int, N: int, h: float, S_mid: np.ndarray,
     return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
 
 
+def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
+               b_u: Sequence[Frame], b_s: Sequence[Frame]):
+    """Yield the operator at each of ``lams``, boundary rows from b_u, b_s.
+
+    S is evaluated at all lambdas and midpoints in one call; the sparse
+    matrices are assembled one at a time.
+    """
+    h = 2.0 * tau / N
+    mids = -tau + h * (np.arange(N) + 0.5)
+    S_all = fam.evaluate_many(np.asarray(lams, dtype=float)[:, None],
+                              mids[None, :])
+    template = _operator_template(fam.n, fam.k, N)
+    for S, bu, bs in zip(S_all, b_u, b_s):
+        yield _assemble(template, fam.n, N, h, S, bu.columns.T, bs.columns.T)
+
+
 def discretize(fam: LinearFamily, lam: float, tau: float, N: int,
                boundary: tuple[Frame, Frame] | None = None
                ) -> DiscretizedOperator:
@@ -185,7 +202,6 @@ def discretize(fam: LinearFamily, lam: float, tau: float, N: int,
     lambda-sweep must to keep them aligned; otherwise they are computed
     here.
     """
-    n, k = fam.n, fam.k
     if boundary is None:
         e_u = subspace_at(fam, lam, "unstable", -tau)
         e_s = subspace_at(fam, lam, "stable", tau)
@@ -193,31 +209,24 @@ def discretize(fam: LinearFamily, lam: float, tau: float, N: int,
         e_u, e_s = boundary
     b_u = orthogonal_complement(e_u)
     b_s = orthogonal_complement(e_s)
-    h = 2.0 * tau / N
-    mids = -tau + h * (np.arange(N) + 0.5)
-    S_mid = fam.evaluate_many(lam, mids)
-    M = _assemble(_operator_template(n, k, N), n, N, h, S_mid,
-                  b_u.columns.T, b_s.columns.T)
+    M, = _operators(fam, [lam], tau, N, [b_u], [b_s])
     return DiscretizedOperator(lam=lam, tau=tau, N=N, matrix=M,
                                e_u=e_u, e_s=e_s, b_u=b_u, b_s=b_s)
 
 
 def _perm_parity(p: np.ndarray) -> int:
+    """Sign of the permutation i -> p[i], (-1)^(n - #cycles).
+
+    The cycles are the weakly connected components of the graph with
+    one edge i -> p[i], held as a CSR matrix with one entry per row.
+    """
     p = np.asarray(p)
-    seen = np.zeros(len(p), dtype=bool)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    n = len(p)
+    graph = sp.csr_matrix((np.ones(n, dtype=np.int8), p, np.arange(n + 1)),
+                          shape=(n, n))
+    cycles = csgraph.connected_components(graph, connection="weak",
+                                          return_labels=False)
+    return -1 if (n - cycles) % 2 else 1
 
 
 def sparse_det_sign(M: sp.spmatrix) -> int:
@@ -321,7 +330,10 @@ class ParityReport:
 
     ``flips`` holds the localized sign-change instants lambda*;
     stability flags record whether re-runs at (2 tau, 2 N) and
-    (tau, 2 N) reproduced the value (None when not attempted).
+    (tau, 2 N) reproduced the value (None when not attempted).  The
+    value depends on the two endpoint signs only, so a re-run signs
+    just its two endpoint operators, over boundary frames aligned
+    along the whole lambda-grid.
     """
 
     value: int
@@ -361,68 +373,47 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     if lams is None:
         lams = np.linspace(0.0, 1.0, 201)
     lams = np.asarray(lams, dtype=float)
-    n, k = fam.n, fam.k
+    frames = _boundary_frames(fam, lams, tau, rtol, atol)
+    b_u, b_s = frames[2:]
 
-    e_u = subspaces_over_lambda(fam, lams, "unstable", -tau, rtol, atol)
-    e_s = subspaces_over_lambda(fam, lams, "stable", tau, rtol, atol)
-    b_u = _aligned_complements(e_u)
-    b_s = _aligned_complements(e_s)
-
-    h = 2.0 * tau / N
-    mids = -tau + h * (np.arange(N) + 0.5)
-    S_all = fam.evaluate_many(lams[:, None], mids[None, :])
-    template = _operator_template(n, k, N)
-
-    def factor(i: int):
-        M = _assemble(template, n, N, h, S_all[i],
-                      b_u[i].columns.T, b_s[i].columns.T)
+    def factor(i: int, M: sp.csc_matrix):
         s = sparse_det_sign(M)
         sig = None
         if track_sigma and s != 0:
             sig = _sigma_min_estimate(spla.splu(M), M.shape[0])
         return s, sig, M if i in (0, len(lams) - 1) else None
 
-    results = [factor(i) for i in range(len(lams))]
+    results = [factor(i, M) for i, M in
+               enumerate(_operators(fam, lams, tau, N, b_u, b_s))]
     signs = np.array([r[0] for r in results], dtype=int)
     sigma = (np.array([r[1] if r[1] is not None else np.nan
                        for r in results])
              if track_sigma else None)
 
-    end_dims = []
-    for i in (0, len(lams) - 1):
-        op = DiscretizedOperator(lam=float(lams[i]), tau=tau, N=N,
-                                 matrix=results[i][2], e_u=e_u[i],
-                                 e_s=e_s[i], b_u=b_u[i], b_s=b_s[i])
-        end_dims.append(kernel_dimension(op, rel_tol=kernel_rel_tol).dim)
-    if end_dims[0] != 0 or end_dims[-1] != 0:
-        raise DegenerateEndpoint(
-            f"endpoint operator kernel dims {tuple(end_dims)}; the path "
-            "must start and end at invertible operators"
-        )
-    if signs[0] == 0 or signs[-1] == 0:
-        raise DegenerateEndpoint("endpoint determinant sign is zero")
-
+    end_dims = _check_endpoints(lams, tau, N, frames,
+                                (results[0][2], results[-1][2]),
+                                (signs[0], signs[-1]), kernel_rel_tol)
     value = 0 if signs[0] == signs[-1] else 1
 
-    flips = _localize_flips(fam, lams, signs, tau, N, template, h, n,
-                            e_u, e_s, b_u, b_s, localize_tol, rtol, atol)
+    flips = _localize_flips(fam, lams, signs, tau, N, frames,
+                            localize_tol, rtol, atol)
 
     stable_tau = stable_N = None
     if stability:
-        rerun_tau = operator_parity(fam, lams, 2.0 * tau, 2 * N,
-                                    kernel_rel_tol, localize_tol,
-                                    stability=False,
-                                    rtol=rtol, atol=atol)
-        rerun_N = operator_parity(fam, lams, tau, 2 * N,
-                                  kernel_rel_tol, localize_tol,
-                                  stability=False,
-                                  rtol=rtol, atol=atol)
-        stable_tau = rerun_tau.value == value
-        stable_N = rerun_N.value == value
+        # the (tau, 2N) re-run has the same frames: they depend on tau,
+        # rtol and atol, not on N
+        value_tau = _endpoint_value(
+            fam, lams, 2.0 * tau, 2 * N,
+            _boundary_frames(fam, lams, 2.0 * tau, rtol, atol),
+            kernel_rel_tol)
+        value_N = _endpoint_value(fam, lams, tau, 2 * N, frames,
+                                  kernel_rel_tol)
+        stable_tau = value_tau == value
+        stable_N = value_N == value
         if not (stable_tau and stable_N):
             raise UnstableTruncation(
                 f"parity {value} changed under doubling: "
-                f"2tau -> {rerun_tau.value}, 2N -> {rerun_N.value}"
+                f"2tau -> {value_tau}, 2N -> {value_N}"
             )
 
     return ParityReport(value=value, lams=lams, det_signs=signs,
@@ -440,9 +431,64 @@ def _aligned_complements(frames: list[Frame]) -> list[Frame]:
     return out
 
 
-def _localize_flips(fam, lams, signs, tau, N, template, h, n,
-                    e_u, e_s, b_u, b_s, localize_tol,
+def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
+                     rtol: float, atol: float) -> tuple:
+    """(E^u(-tau), E^s(tau), B_u, B_s) per lambda, each aligned along lams.
+
+    B_u and B_s are the complements whose transposes form the boundary
+    rows.
+    """
+    e_u = subspaces_over_lambda(fam, lams, "unstable", -tau, rtol, atol)
+    e_s = subspaces_over_lambda(fam, lams, "stable", tau, rtol, atol)
+    return e_u, e_s, _aligned_complements(e_u), _aligned_complements(e_s)
+
+
+def _check_endpoints(lams: np.ndarray, tau: float, N: int, frames: tuple,
+                     mats: tuple, signs: tuple,
+                     kernel_rel_tol: float) -> tuple:
+    """Kernel dimensions of the two endpoint operators ``mats``.
+
+    Raises DegenerateEndpoint unless both kernels are trivial and both
+    determinant ``signs`` are nonzero.
+    """
+    e_u, e_s, b_u, b_s = frames
+    dims = []
+    for i, M in zip((0, len(lams) - 1), mats):
+        op = DiscretizedOperator(lam=float(lams[i]), tau=tau, N=N, matrix=M,
+                                 e_u=e_u[i], e_s=e_s[i], b_u=b_u[i],
+                                 b_s=b_s[i])
+        dims.append(kernel_dimension(op, rel_tol=kernel_rel_tol).dim)
+    if dims[0] != 0 or dims[-1] != 0:
+        raise DegenerateEndpoint(
+            f"endpoint operator kernel dims {tuple(dims)}; the path "
+            "must start and end at invertible operators"
+        )
+    if signs[0] == 0 or signs[-1] == 0:
+        raise DegenerateEndpoint("endpoint determinant sign is zero")
+    return tuple(dims)
+
+
+def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
+                    frames: tuple, kernel_rel_tol: float) -> int:
+    """Parity value of the (tau, N) operator path, from its two ends.
+
+    ``frames`` come from ``_boundary_frames`` over all of ``lams``: the
+    last operator's sign depends on that chain of alignments.  Only the
+    two endpoint operators are assembled, checked as in
+    ``operator_parity`` and signed; nothing else enters the value.
+    """
+    b_u, b_s = frames[2:]
+    ends = (0, len(lams) - 1)
+    mats = tuple(_operators(fam, lams[list(ends)], tau, N,
+                            [b_u[i] for i in ends], [b_s[i] for i in ends]))
+    signs = tuple(sparse_det_sign(M) for M in mats)
+    _check_endpoints(lams, tau, N, frames, mats, signs, kernel_rel_tol)
+    return 0 if signs[0] == signs[1] else 1
+
+
+def _localize_flips(fam, lams, signs, tau, N, frames, localize_tol,
                     rtol=1e-9, atol=1e-12) -> list[float]:
+    e_u, e_s, b_u, b_s = frames
     flips = []
     nz = [i for i, s in enumerate(signs) if s != 0]
     for i_zero, s in enumerate(signs):
@@ -463,10 +509,7 @@ def _localize_flips(fam, lams, signs, tau, N, template, h, n,
                 es_lo, subspace_at(fam, mid, "stable", tau, rtol, atol))
             bu_m = align_frame(bu_lo, orthogonal_complement(eu_m))
             bs_m = align_frame(bs_lo, orthogonal_complement(es_m))
-            mids_t = -tau + h * (np.arange(N) + 0.5)
-            M = _assemble(template, n, N, h,
-                          fam.evaluate_many(mid, mids_t),
-                          bu_m.columns.T, bs_m.columns.T)
+            M, = _operators(fam, [mid], tau, N, [bu_m], [bs_m])
             s_mid = sparse_det_sign(M)
             if s_mid == 0 or s_mid == s_lo:
                 lo = mid

@@ -137,6 +137,11 @@ def test_verify_theorem_command(tmp_path):
     assert report["result"]["parity"] == 1
     assert report["result"]["z2_index"] == 1
     assert report["result"]["agree"] is True
+    assert report["result"]["stable_tau_doubling"] is True
+    assert report["result"]["stable_N_doubling"] is True
+    assert report["result"]["endpoint_kernel_dims"] == [0, 0]
+    assert report["result"]["hypotheses"]["lam_range"] == [0.0, 1.0]
+    assert report["config"]["lam_range"] == [0.0, 1.0]
     rows = read_csv_rows(tmp_path / "out")
     assert rows[0] == ["lambda", "detsign", "sigma_min"]
     assert len(rows) == 22
@@ -152,6 +157,17 @@ def test_bifurcate_command(tmp_path):
     assert len(candidates) == 1 and abs(candidates[0] - 0.8) < 0.01
     rows = read_csv_rows(tmp_path / "out")
     assert rows[0] == ["t", "det"]
+
+
+def test_bifurcate_reports_checked_half_range(tmp_path):
+    # the check samples a family rescaled to [0, 1]; the report must
+    # name the configured interval
+    cfg = write_config(tmp_path, {**CUBIC, "lam_range": [0.0, 0.5]})
+    res = run_cli(["bifurcate", "--config", cfg, "--out", "out"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = read_report(tmp_path / "out")
+    assert report["result"]["bifurcates"] is False
+    assert report["result"]["hypotheses"]["lam_range"] == [0.0, 0.5]
 
 
 def test_maslov_command(tmp_path):

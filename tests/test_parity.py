@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hetindex import (
     DegenerateEndpoint,
     HypothesisFailure,
     LinearFamily,
+    UnstableTruncation,
     boundary_pair_over_lambda,
     decomposition_check,
     discretize,
@@ -19,12 +21,27 @@ from hetindex import (
     verify_index_theorem,
     z2_index,
 )
+from hetindex import parity as paritymod
 from hetindex.suites import poschl_teller_family
 
 
 def positive_family():
     return LinearFamily.from_matrix_expr(
         parse_matrix([["0", "1"], ["1 + lambda*sech(t)^2", "0"]]), k=1)
+
+
+def rotating_loop_family():
+    # S^- = R diag(1, -1) R^T with R the rotation by pi*lambda, S^+ =
+    # diag(1, -1): E^u(-tau) turns by pi over [0, 1] and S(1) = S(0).
+    # The aligned B_u frame comes back reversed, so the last operator's
+    # sign depends on the whole chain of alignments (value 1, flip at
+    # lambda = 0.5, where sech(t) e_2 is a kernel solution).
+    wm, wp = "(1 - tanh(t))/2", "(1 + tanh(t))/2"
+    c, s = "cos(6.283185307179586*lambda)", "sin(6.283185307179586*lambda)"
+    return LinearFamily.from_matrix_expr(parse_matrix([
+        [f"{wm}*{c} + {wp}", f"{wm}*{s}"],
+        [f"{wm}*{s}", f"-{wm}*{c} - {wp}"],
+    ]), k=1)
 
 
 # -- finite-dimensional model ------------------------------------------
@@ -73,6 +90,54 @@ def test_sparse_det_sign_matches_dense():
         M = rng.normal(size=(n, n))
         want = int(np.sign(np.linalg.det(M)))
         assert sparse_det_sign(sp.csc_matrix(M)) == want
+
+
+def _perm_parity_reference(p):
+    """Cycle walk: each cycle of even length flips the sign."""
+    seen = np.zeros(len(p), dtype=bool)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 3002, 6002])
+def test_perm_parity_matches_cycle_walk(n):
+    rng = np.random.default_rng(n)
+    perms = [np.arange(n)] + [rng.permutation(n) for _ in range(20)]
+    if n >= 2:
+        swap = np.arange(n)
+        swap[[0, n - 1]] = swap[[n - 1, 0]]
+        perms.append(swap)
+    for p in perms:
+        p = p.astype(np.int32)
+        assert paritymod._perm_parity(p) == _perm_parity_reference(p)
+
+
+def test_perm_parity_on_superlu_permutations():
+    op = discretize(poschl_teller_family(), 0.5, tau=4.0, N=60)
+    lu = spla.splu(op.matrix.tocsc())
+    for p in (lu.perm_r, lu.perm_c):
+        assert sorted(p) == list(range(op.matrix.shape[0]))
+        assert paritymod._perm_parity(p) == _perm_parity_reference(p)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 0.79, 0.81, 0.9, 1.0])
+def test_sparse_det_sign_matches_slogdet_on_operator(lam):
+    # the kernel of the Poschl-Teller operator appears at lambda = 0.8,
+    # where the sign changes; check it on both sides
+    op = discretize(poschl_teller_family(), lam, tau=4.0, N=60)
+    sign, _ = np.linalg.slogdet(op.matrix.toarray())
+    assert sign != 0
+    assert sparse_det_sign(op.matrix) == int(sign)
 
 
 # -- discretized operator ----------------------------------------------
@@ -139,9 +204,44 @@ def test_operator_parity_no_flip():
 
 def test_operator_parity_rejects_degenerate_endpoint():
     fam = poschl_teller_family()
+    lams = np.linspace(0.8, 1.0, 5)
     with pytest.raises(DegenerateEndpoint):
-        operator_parity(fam, lams=np.linspace(0.8, 1.0, 5),
-                        tau=15.0, N=1500, stability=False)
+        operator_parity(fam, lams=lams, tau=15.0, N=1500, stability=False)
+    # the doubling re-runs make the same check
+    frames = paritymod._boundary_frames(fam, lams, 15.0, 1e-9, 1e-12)
+    with pytest.raises(DegenerateEndpoint):
+        paritymod._endpoint_value(fam, lams, 15.0, 3000, frames, 1e-6)
+
+
+@pytest.mark.parametrize("family, lams, tau, N", [
+    (poschl_teller_family, np.linspace(0.0, 1.0, 21), 8.0, 400),
+    (positive_family, np.linspace(0.0, 1.0, 11), 6.0, 200),
+    (rotating_loop_family, np.linspace(0.0, 1.0, 21), 8.0, 400),
+])
+def test_endpoint_value_matches_full_rerun(family, lams, tau, N):
+    fam = family()
+    for t, n in ((2.0 * tau, 2 * N), (tau, 2 * N)):
+        frames = paritymod._boundary_frames(fam, lams, t, 1e-9, 1e-12)
+        want = operator_parity(fam, lams, t, n, stability=False).value
+        assert paritymod._endpoint_value(fam, lams, t, n, frames,
+                                         1e-6) == want
+
+
+def test_unstable_truncation_names_both_doubled_values(monkeypatch):
+    # flip the (2 tau, 2 N) re-run only, so the two values differ
+    real = paritymod._endpoint_value
+    tau = 8.0
+
+    def flipped(fam, lams, t, N, frames, kernel_rel_tol):
+        value = real(fam, lams, t, N, frames, kernel_rel_tol)
+        return 1 - value if t == 2.0 * tau else value
+
+    monkeypatch.setattr(paritymod, "_endpoint_value", flipped)
+    with pytest.raises(UnstableTruncation) as info:
+        operator_parity(poschl_teller_family(),
+                        lams=np.linspace(0.0, 1.0, 21), tau=tau, N=400)
+    assert "parity 1 changed under doubling" in str(info.value)
+    assert "2tau -> 0, 2N -> 1" in str(info.value)
 
 
 def test_operator_parity_tracks_sigma():
@@ -170,6 +270,7 @@ def test_verify_index_theorem_poschl_teller():
     assert rep.agree
     assert rep.lhs == 1 and rep.rhs == 1
     assert rep.hypotheses.ok
+    assert rep.hypotheses.lam_range == (0.0, 1.0)
 
 
 def test_verify_index_theorem_trivial_family():
