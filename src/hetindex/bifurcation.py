@@ -14,7 +14,7 @@ module never solves the nonlinear boundary-value problem itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -233,15 +233,12 @@ def linearize_along(nf: NonlinearFamily, branch: Branch,
     """
     validate_branch(nf, branch, branch_tol=branch_tol)
 
-    def batched(lam, t):
+    def jac(lam, t):
         return nf.jacobian(lam, t, branch.evaluate(lam, t))
 
-    def scalar(lam, t):
-        return batched(float(lam), float(t))
-
-    k = spectral_split(scalar(nf.lam_range[0], -nf.t_max)).v_plus.k
-    return LinearFamily.from_callable(scalar, n=nf.n, k=k,
-                                      t_max=nf.t_max, batched=batched)
+    k = spectral_split(jac(nf.lam_range[0], -nf.t_max)).v_plus.k
+    return LinearFamily.from_callable(jac, n=nf.n, k=k, t_max=nf.t_max,
+                                      batched=jac)
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,9 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
 
     Linearizes along the branch, checks the limit hypotheses, and
     computes the Z2-index of lambda -> (E^s(0), E^u(0)) over
-    ``lam_range`` (the family's own range by default).
+    ``lam_range`` (the family's own range by default) on ``samples``
+    evenly spaced lambdas.  Every lambda of the verdict, the grid of
+    ``index_report`` included, is in the caller's parametrization.
 
     Raises
     ------
@@ -350,33 +349,21 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     a, b = lam_range if lam_range is not None else nf.lam_range
     if not b > a:
         raise InvalidInput("lam_range must be increasing")
-    # internal lambda is rescaled to [0, 1] so the hypothesis sweep and
-    # the index grid share one parametrization
-    scaled = LinearFamily.from_callable(
-        lambda lam, t: lf.evaluate(a + lam * (b - a), t),
-        n=lf.n, k=lf.k, t_max=lf.t_max,
-        batched=lambda lam, t: lf.evaluate_many(
-            a + np.asarray(lam, float) * (b - a), t),
-    )
-    # the check samples the rescaled [0, 1]; report the caller's range
-    hyp = replace(check_A1_A3(scaled, hypothesis_samples),
-                  lam_range=(float(a), float(b)))
+    hyp = check_A1_A3(lf, hypothesis_samples, (a, b))
     if not hyp.ok:
         lam_bad, tag, msg = hyp.violations[0]
         raise HypothesisFailure(
-            f"assumption ({tag}) fails at lambda={a + lam_bad * (b - a):.4g}"
-            f": {msg}",
+            f"assumption ({tag}) fails at lambda={lam_bad:.4g}: {msg}",
             assumption=tag,
         )
-    pair = boundary_pair_over_lambda(scaled, np.linspace(0.0, 1.0, samples),
+    pair = boundary_pair_over_lambda(lf, np.linspace(a, b, samples),
                                      rtol=rtol, atol=atol)
     report = z2_index(pair, eps_trans=eps_trans)
-    candidates = tuple(float(a + c * (b - a)) for c in report.crossings)
     bifurcates = report.value == 1
     note = ("bifurcation from the given branch"
             if bifurcates else "inconclusive")
     return BifurcationVerdict(
         bifurcates=bifurcates, index=report.value,
-        lam_candidates=candidates, hypotheses=hyp, note=note,
+        lam_candidates=report.crossings, hypotheses=hyp, note=note,
         lam_range=(float(a), float(b)), index_report=report,
     )

@@ -359,9 +359,7 @@ def cmd_bifurcate(cfg: dict, out_dir: Path) -> int:
         "lam_range": list(verdict.lam_range),
         "hypotheses": _hypotheses_payload(verdict.hypotheses),
     }
-    a, b = verdict.lam_range
-    lam_grid = a + verdict.index_report.grid * (b - a)
-    rows = list(zip(lam_grid.tolist(),
+    rows = list(zip(verdict.index_report.grid.tolist(),
                     verdict.index_report.det_trace.tolist()))
     _write_outputs(out_dir, "bifurcate", cfg, result,
                    csv_header=("t", "det"), csv_rows=rows,

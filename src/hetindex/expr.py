@@ -381,6 +381,17 @@ def compile_expr(e: Expr, args: Sequence[str]) -> Callable:
     UnboundVariable
         If the expression references a name outside ``args``.
     """
+    raw = _codegen(e, args)
+
+    def run(*values):
+        with np.errstate(all="ignore"):
+            return raw(*values)
+
+    return run
+
+
+def _codegen(e: Expr, args: Sequence[str]) -> Callable:
+    """The numpy lambda behind :func:`compile_expr`; warnings not silenced."""
     names = {name: f"_a{i}" for i, name in enumerate(args)}
     stray = sorted(free_variables(e) - set(names))
     if stray:
@@ -403,13 +414,7 @@ def compile_expr(e: Expr, args: Sequence[str]) -> Callable:
     body = gen(e)
     arglist = ", ".join(names[name] for name in args)
     ns = {f"_f_{fname}": fn for fname, fn in _NUMPY_FUNCS.items()}
-    raw = eval(f"lambda {arglist}: {body}", ns)  # noqa: S307 - own codegen
-
-    def run(*values):
-        with np.errstate(all="ignore"):
-            return raw(*values)
-
-    return run
+    return eval(f"lambda {arglist}: {body}", ns)  # noqa: S307 - own codegen
 
 
 # -- matrices and vectors of expressions -------------------------------
@@ -466,16 +471,21 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
 
     Input arrays broadcast against each other; the matrix axes are
     appended last, so scalar inputs give a plain (rows, cols) matrix.
+    Like :func:`compile_expr`, invalid operations yield nan/inf.
     """
-    fns = [[compile_expr(e, args) for e in row] for row in m.entries]
+    fns = [[_codegen(e, args) for e in row] for row in m.entries]
 
     def run(*values) -> np.ndarray:
-        arrays = [np.asarray(v, dtype=float) for v in values]
-        shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
+        # [()] turns 0-d input into numpy scalars, whose arithmetic is
+        # the same and cheaper than that of 0-d arrays
+        arrays = [np.asarray(v, dtype=float)[()] for v in values]
+        shape = np.broadcast(*arrays).shape if arrays else ()
         out = np.empty(shape + (m.rows, m.cols))
-        for i, row in enumerate(fns):
-            for j, fn in enumerate(row):
-                out[..., i, j] = fn(*arrays)
+        # one errstate per matrix: entering it costs more than a scalar entry
+        with np.errstate(all="ignore"):
+            for i, row in enumerate(fns):
+                for j, fn in enumerate(row):
+                    out[..., i, j] = fn(*arrays)
         return out
 
     return run

@@ -35,7 +35,7 @@ from .expr import MatrixExpr, compile_matrix, eval_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
-    align_frame,
+    align_chain,
     gap_distance,
     orthonormalize,
     spectral_split,
@@ -68,6 +68,13 @@ _MAX_DEPTH = 20     # halvings of one interval in midpoint refinement
 class LinearFamily:
     """Evaluator for a matrix family S(lambda, t).
 
+    One broadcasting evaluator serves both :meth:`evaluate` (one point)
+    and :meth:`evaluate_many` (arrays of lambda and t).  Expression
+    families evaluate through the compiled code of
+    :func:`~hetindex.expr.compile_matrix`; a non-finite entry sends
+    that point through the strict interpreter, so a domain error
+    raises ``DomainError`` while a genuine overflow passes through.
+
     Attributes
     ----------
     n : int
@@ -77,14 +84,15 @@ class LinearFamily:
     t_max : float
         Truncation horizon; limits are read off at +-t_max (escalated
         automatically when the family has not stabilized there).
+    matrix : MatrixExpr or None
+        The expression grid of an expression family.
     """
 
     n: int
     k: int
     t_max: float = 20.0
     matrix: MatrixExpr | None = None
-    _scalar: Callable = field(default=None, repr=False, compare=False)
-    _batched: Callable = field(default=None, repr=False, compare=False)
+    _eval: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
@@ -97,25 +105,39 @@ class LinearFamily:
         """Family from a grid of expressions in (lambda, t)."""
         if m.rows != m.cols:
             raise DimensionMismatch(f"matrix is {m.rows}x{m.cols}, not square")
-        batched = compile_matrix(m, ("lambda", "t"))
-        scalar = lambda lam, t: eval_matrix(m, {"lambda": lam, "t": t})
+        compiled = compile_matrix(m, ("lambda", "t"))
+
+        def checked(lam, t):
+            S = compiled(lam, t)
+            if not np.isfinite(S).all():
+                # nan or inf may hide a domain error: the strict
+                # interpreter raises it and lets a true overflow pass
+                bad = ~np.isfinite(S).all(axis=(-2, -1))
+                for lam_i, t_i in zip(np.broadcast_to(lam, bad.shape)[bad],
+                                      np.broadcast_to(t, bad.shape)[bad]):
+                    eval_matrix(m, {"lambda": float(lam_i), "t": float(t_i)})
+            return S
+
         return LinearFamily(n=m.rows, k=k, t_max=t_max, matrix=m,
-                            _scalar=scalar, _batched=batched)
+                            _eval=checked)
 
     @staticmethod
     def from_callable(f: Callable, n: int, k: int, t_max: float = 20.0,
                       batched: Callable | None = None) -> "LinearFamily":
         """Family from a Python callable (lam, t) -> (n, n) array.
 
-        Pass ``batched`` accepting broadcastable array arguments to keep
-        lambda-sweeps vectorized; otherwise a loop fallback is used.
+        ``batched``, when given, is the family's evaluator: it takes
+        broadcastable array arguments, returns broadcast(lam, t) +
+        (n, n), and ``f`` is never called.  Without it, ``f`` is called
+        once per (lambda, t) point.
         """
-        return LinearFamily(n=n, k=k, t_max=t_max, matrix=None,
-                            _scalar=f, _batched=batched)
+        if batched is None:
+            batched = _pointwise(f, n)
+        return LinearFamily(n=n, k=k, t_max=t_max, _eval=batched)
 
     def evaluate(self, lam: float, t: float) -> np.ndarray:
         """S(lambda, t) as an (n, n) array."""
-        S = np.asarray(self._scalar(lam, t), dtype=float)
+        S = np.asarray(self._eval(lam, t), dtype=float)
         if S.shape != (self.n, self.n):
             raise DimensionMismatch(
                 f"evaluator returned {S.shape}, expected {(self.n, self.n)}"
@@ -124,15 +146,22 @@ class LinearFamily:
 
     def evaluate_many(self, lam, t) -> np.ndarray:
         """Broadcast evaluation, shape broadcast(lam, t) + (n, n)."""
-        if self._batched is not None:
-            out = np.asarray(self._batched(lam, t), dtype=float)
-            return out
+        return np.asarray(self._eval(lam, t), dtype=float)
+
+
+def _pointwise(f: Callable, n: int) -> Callable:
+    """Broadcasting evaluator calling ``f(lam, t)`` once per point."""
+    def run(lam, t):
+        if np.ndim(lam) == 0 and np.ndim(t) == 0:
+            return f(lam, t)
         lam_b, t_b = np.broadcast_arrays(np.asarray(lam, float),
                                          np.asarray(t, float))
-        out = np.empty(lam_b.shape + (self.n, self.n))
+        out = np.empty(lam_b.shape + (n, n))
         for idx in np.ndindex(lam_b.shape):
-            out[idx] = self._scalar(float(lam_b[idx]), float(t_b[idx]))
+            out[idx] = f(float(lam_b[idx]), float(t_b[idx]))
         return out
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -247,17 +276,17 @@ def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
 # -- integration core --------------------------------------------------
 
 def _solve_matrix_ode(rhs: Callable, t0: float, t1: float, y0: np.ndarray,
-                      rtol: float, atol: float) -> np.ndarray:
+                      rtol: float, atol: float, dense_output: bool = False):
+    """RK45 solve of a flattened matrix ODE; the final state is checked."""
     sol = solve_ivp(rhs, (t0, t1), y0.ravel(), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=False)
+                    rtol=rtol, atol=atol, dense_output=dense_output)
     if not sol.success:
         raise IntegrationFailure(
             f"integration {t0} -> {t1} failed: {sol.message}"
         )
-    out = sol.y[:, -1]
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"non-finite state reached at t={t1}")
-    return out
+    return sol
 
 
 def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
@@ -284,7 +313,8 @@ def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
     def rhs(s, y):
         return (fam.evaluate(lam, s) @ y.reshape(n, n)).ravel()
 
-    return _solve_matrix_ode(rhs, tau, t, np.eye(n), rtol, atol).reshape(n, n)
+    sol = _solve_matrix_ode(rhs, tau, t, np.eye(n), rtol, atol)
+    return sol.y[:, -1].reshape(n, n)
 
 
 def asymptotic_limits(fam: LinearFamily, lam: float,
@@ -329,65 +359,6 @@ def _leg_points(t_from: float, t_to: float) -> np.ndarray:
     return np.linspace(t_from, t_to, legs + 1)
 
 
-def _transport_frame(fam: LinearFamily, lam: float, F: Frame,
-                     t_from: float, t_to: float,
-                     rtol: float, atol: float,
-                     collect: Sequence[float] = ()) -> tuple[Frame, list]:
-    """Carry a frame under the flow with per-leg QR and alignment.
-
-    ``collect`` lists instants (ordered in the direction of travel)
-    where raw solution frames are sampled via the integrator's dense
-    evaluation; one solver call per leg regardless of how many samples
-    fall inside it.  Returns the final frame and the raw (n, k) column
-    blocks at the collected instants, travel-ordered.
-    """
-    n, k = F.n, F.k
-    collect = list(collect)
-    if k == 0 or t_from == t_to:
-        return F, [F.columns.copy() for _ in collect]
-    cols = F.columns.copy()
-    samples: list[np.ndarray] = []
-    pts = _leg_points(t_from, t_to)
-    forward = t_to > t_from
-    ci = 0
-    for a, b in zip(pts, pts[1:]):
-        while ci < len(collect) and collect[ci] == a:
-            samples.append(cols.copy())
-            ci += 1
-        inside = []
-        while ci < len(collect) and (
-            (forward and a < collect[ci] <= b)
-            or (not forward and b <= collect[ci] < a)
-        ):
-            inside.append(collect[ci])
-            ci += 1
-
-        def rhs(s, y):
-            return (fam.evaluate(lam, s) @ y.reshape(n, k)).ravel()
-
-        t_eval = list(inside)
-        if not t_eval or t_eval[-1] != b:
-            t_eval.append(b)
-        sol = solve_ivp(rhs, (a, b), cols.ravel(), method="RK45",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success:
-            raise IntegrationFailure(
-                f"integration {a} -> {b} failed: {sol.message}"
-            )
-        if not np.all(np.isfinite(sol.y[:, -1])):
-            raise IntegrationFailure(f"non-finite state reached at t={b}")
-        for j in range(len(inside)):
-            samples.append(sol.y[:, j].reshape(n, k).copy())
-        Y = sol.y[:, -1].reshape(n, k)
-        Q, _ = np.linalg.qr(Y)
-        U, _, Vt = np.linalg.svd(Q.T @ cols)
-        cols = Q @ (U @ Vt)
-    while ci < len(collect):
-        samples.append(cols.copy())
-        ci += 1
-    return Frame(cols), samples
-
-
 def _seed(fam: LinearFamily, lam: float, which: str,
           far: float) -> tuple[Frame, float, AsymptoticLimits]:
     """Seed frame at the attracting end, horizon beyond |far|."""
@@ -415,11 +386,11 @@ def _check_declared_dims(fam: LinearFamily, limits: AsymptoticLimits):
 def subspace_at(fam: LinearFamily, lam: float, which: str, t: float,
                 rtol: float = _DEFAULT_RTOL,
                 atol: float = _DEFAULT_ATOL) -> Frame:
-    """E^s(t) or E^u(t) at a single instant (frame orientation arbitrary)."""
-    seed, t0, limits = _seed(fam, lam, which, t)
-    _check_declared_dims(fam, limits)
-    F, _ = _transport_frame(fam, lam, seed, t0, t, rtol, atol)
-    return F
+    """E^s(t) or E^u(t) at a single instant (frame orientation arbitrary).
+
+    The one-lambda case of :func:`subspaces_over_lambda`.
+    """
+    return subspaces_over_lambda(fam, [lam], which, t, rtol, atol)[0]
 
 
 def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
@@ -450,9 +421,10 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
         # one transport from the seed to the far end of the grid; the
         # leg points depend on the ends only, so each round's frames
         # come from the same integration steps
-        _, raw = _transport_frame(fam, lam, seed, t0, t_end, rtol, atol,
-                                  collect=ts[::-1] if stable else ts)
-        on = [orthonormalize(b) for b in raw]
+        _, raw = _transport_batched(fam, np.array([float(lam)]),
+                                    seed.columns[None], t0, t_end, rtol, atol,
+                                    collect=ts[::-1] if stable else ts)
+        on = [orthonormalize(b[0]) for b in raw]
         return on[::-1] if stable else on
 
     def too_wide(a, b):
@@ -466,10 +438,7 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     pts = list(grid)
     pts, on, _ = _bisect(pts, sample(pts), too_wide, sample, max_depth=5)
 
-    travel = on[::-1] if stable else on
-    frames = [travel[0]]
-    for block in travel[1:]:
-        frames.append(align_frame(frames[-1], block))
+    frames = align_chain(on[::-1] if stable else on)
     if stable:
         frames.reverse()
 
@@ -498,10 +467,7 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
         pts, [sampler(t) for t in pts],
         lambda a, b: gap_distance(a, b) > 0.4,
         lambda ts, lefts: [sampler(t) for t in ts], _MAX_DEPTH)
-    frames = [raw[0]]
-    for f in raw[1:]:
-        frames.append(align_frame(frames[-1], f))
-    return SubspacePath(grid=np.asarray(pts), frames=tuple(frames),
+    return SubspacePath(grid=np.asarray(pts), frames=tuple(align_chain(raw)),
                         sampler=sampler)
 
 
@@ -509,29 +475,61 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
 
 def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
                        t_from: float, t_to: float,
-                       rtol: float, atol: float) -> np.ndarray:
-    """Transport one frame per lambda simultaneously.
+                       rtol: float, atol: float,
+                       collect: Sequence[float] = ()) -> tuple[np.ndarray, list]:
+    """Carry one frame per lambda under the flow, all lambdas at once.
 
     seeds has shape (m, n, k); all m systems ride in one solver call
-    per leg, with batched QR and alignment between legs.  This keeps a
-    201-point lambda sweep at a handful of integrator calls.
+    per leg, with batched QR and Procrustes alignment between legs.
+    This keeps a 201-point lambda sweep at a handful of integrator
+    calls.  ``collect`` lists instants (ordered in the direction of
+    travel) where raw solution frames are read off the leg's dense
+    output.  Returns the final (m, n, k) frames and one raw (m, n, k)
+    block per collected instant, travel-ordered.
     """
     m, n, k = seeds.shape
-    if k == 0 or t_from == t_to:
-        return seeds.copy()
+    collect = list(collect)
     Y = seeds.copy()
+    if k == 0 or t_from == t_to:
+        return Y, [Y.copy() for _ in collect]
+    samples: list[np.ndarray] = []
+    forward = t_to > t_from
+    ci = 0
+    # a lone lambda goes in as a scalar: evaluators, numpy or Python,
+    # run faster on it than on a length-1 array
+    lam_arg = lams[0] if m == 1 else lams
+
+    def rhs(s, y):
+        S = fam.evaluate_many(lam_arg, s)
+        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
+
     pts = _leg_points(t_from, t_to)
     for a, b in zip(pts, pts[1:]):
-        def rhs(s, y):
-            S = fam.evaluate_many(lams, s)
-            return np.einsum("mij,mjk->mik", S, y.reshape(m, n, k)).ravel()
-
-        flat = _solve_matrix_ode(rhs, a, b, Y, rtol, atol)
-        Q, _ = np.linalg.qr(flat.reshape(m, n, k))
+        while ci < len(collect) and collect[ci] == a:
+            samples.append(Y.copy())
+            ci += 1
+        inside = []
+        while ci < len(collect) and (
+            (forward and a < collect[ci] <= b)
+            or (not forward and b <= collect[ci] < a)
+        ):
+            inside.append(collect[ci])
+            ci += 1
+        sol = _solve_matrix_ode(rhs, a, b, Y, rtol, atol,
+                                dense_output=bool(inside))
+        samples.extend(sol.sol(s).reshape(m, n, k) for s in inside)
+        Q, _ = np.linalg.qr(sol.y[:, -1].reshape(m, n, k))
         M = np.einsum("mji,mjk->mik", Q, Y)
         U, _, Vt = np.linalg.svd(M)
         Y = np.einsum("mij,mjk->mik", Q, U @ Vt)
-    return Y
+    samples.extend(Y.copy() for _ in collect[ci:])
+    return Y, samples
+
+
+# The benchmark's tracer (perfbench/tracing.py) also wraps transport
+# under this earlier name; as one object under two names, each call is
+# still counted once.
+_transport_frame = _transport_batched
 
 
 def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
@@ -553,13 +551,9 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
         seeds.append(seed.columns)
         t0 = t0_cur if t0 is None else (max(t0, t0_cur) if t0_cur > 0
                                         else min(t0, t0_cur))
-    seeds = np.asarray(seeds)
-    cols = _transport_batched(fam, lams, seeds, t0, t, rtol, atol)
-    frames = [Frame(c) for c in cols]
-    aligned = [frames[0]]
-    for f in frames[1:]:
-        aligned.append(align_frame(aligned[-1], f))
-    return aligned
+    cols, _ = _transport_batched(fam, lams, np.asarray(seeds), t0, t,
+                                 rtol, atol)
+    return align_chain([Frame(c) for c in cols])
 
 
 # -- hypothesis checks -------------------------------------------------

@@ -14,6 +14,7 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +36,7 @@ __all__ = [
     "pair_matrix",
     "det_sign",
     "align_frame",
+    "align_chain",
     "orthogonal_complement",
 ]
 
@@ -279,6 +281,23 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
         raise GapTooLarge("consecutive frames further than 0.5 in gap metric")
     U, _, Vt = np.linalg.svd(next.columns.T @ prev.columns)
     return Frame(next.columns @ (U @ Vt))
+
+
+def align_chain(frames: Sequence[Frame]) -> list[Frame]:
+    """Align each frame to the previous aligned one; the first is kept.
+
+    The chained frames vary continuously along a sampled path, which
+    determinant-sign tracking over the path requires.
+
+    Raises
+    ------
+    GapTooLarge
+        If two consecutive frames are 0.5 or more apart in gap.
+    """
+    out = [frames[0]]
+    for f in frames[1:]:
+        out.append(align_frame(out[-1], f))
+    return out
 
 
 def orthogonal_complement(V: Frame) -> Frame:

@@ -48,6 +48,7 @@ from .flow import (
 from .linalg import (
     DEGENERATE,
     Frame,
+    align_chain,
     align_frame,
     det_sign,
     orthogonal_complement,
@@ -423,14 +424,6 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
                         sigma_mins=sigma)
 
 
-def _aligned_complements(frames: list[Frame]) -> list[Frame]:
-    comps = [orthogonal_complement(f) for f in frames]
-    out = [comps[0]]
-    for c in comps[1:]:
-        out.append(align_frame(out[-1], c))
-    return out
-
-
 def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
                      rtol: float, atol: float) -> tuple:
     """(E^u(-tau), E^s(tau), B_u, B_s) per lambda, each aligned along lams.
@@ -440,7 +433,9 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
     """
     e_u = subspaces_over_lambda(fam, lams, "unstable", -tau, rtol, atol)
     e_s = subspaces_over_lambda(fam, lams, "stable", tau, rtol, atol)
-    return e_u, e_s, _aligned_complements(e_u), _aligned_complements(e_s)
+    b_u = align_chain([orthogonal_complement(f) for f in e_u])
+    b_s = align_chain([orthogonal_complement(f) for f in e_s])
+    return e_u, e_s, b_u, b_s
 
 
 def _check_endpoints(lams: np.ndarray, tau: float, N: int, frames: tuple,
@@ -629,12 +624,12 @@ def decomposition_check(fam: LinearFamily,
 
     vm_frames = [L.split_plus.v_minus for L in limits]    # V^-(S^+)
     vp_frames = [L.split_minus.v_plus for L in limits]    # V^+(S^-)
-    V = _chained_path(lams, vm_frames,
-                      lambda lam: asymptotic_limits(fam, lam)
-                      .split_plus.v_minus)
-    W = _chained_path(lams, vp_frames,
-                      lambda lam: asymptotic_limits(fam, lam)
-                      .split_minus.v_plus)
+    V = SubspacePath(grid=lams, frames=tuple(align_chain(vm_frames)),
+                     sampler=lambda lam: asymptotic_limits(fam, lam)
+                     .split_plus.v_minus)
+    W = SubspacePath(grid=lams, frames=tuple(align_chain(vp_frames)),
+                     sampler=lambda lam: asymptotic_limits(fam, lam)
+                     .split_minus.v_plus)
     limit_term = z2_index(SubspacePathPair(V=V, W=W))
     if independent and limit_term.value != 0:
         raise InternalMismatch(
@@ -646,11 +641,3 @@ def decomposition_check(fam: LinearFamily,
         limit_term=limit_term, holds=holds,
         limits_lambda_independent=independent,
     )
-
-
-def _chained_path(grid: np.ndarray, frames: list[Frame],
-                  sampler: Callable[[float], Frame]) -> SubspacePath:
-    chained = [frames[0]]
-    for f in frames[1:]:
-        chained.append(align_frame(chained[-1], f))
-    return SubspacePath(grid=grid, frames=tuple(chained), sampler=sampler)

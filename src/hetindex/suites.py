@@ -389,9 +389,8 @@ def _random_connecting_family(rng, n: int, k: int) -> LinearFamily:
         bump = (lam_b / np.cosh(t_b))[..., None, None]
         return Am * w_m + Ap * w_p + C * bump
 
-    return LinearFamily.from_callable(
-        lambda lam, t: batched(lam, t), n=n, k=k, t_max=20.0,
-        batched=batched)
+    return LinearFamily.from_callable(batched, n=n, k=k, t_max=20.0,
+                                      batched=batched)
 
 
 def suite_decomposition(extra_families: int = 20, seed: int = 0,

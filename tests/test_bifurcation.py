@@ -96,6 +96,9 @@ def test_detect_bifurcation_half_range_inconclusive():
     assert verdict.index == 0
     assert verdict.lam_candidates == ()
     assert "inconclusive" in verdict.note
+    # the index grid is in the caller's lambda
+    grid = verdict.index_report.grid
+    assert (grid[0], grid[-1]) == (0.0, 0.5)
 
 
 def test_detect_bifurcation_respects_family_range():

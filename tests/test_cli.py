@@ -194,6 +194,15 @@ def test_malformed_expression_exits_2(tmp_path):
     assert "offset" in res.stderr
 
 
+def test_domain_error_exits_2(tmp_path):
+    # sqrt(lambda - 2) has no real value on the default lambda range
+    S = [["-1", "0"], ["0", "1 + sqrt(lambda - 2)"]]
+    cfg = write_config(tmp_path, {**SMALL_THEOREM, "S": S})
+    res = run_cli(["verify-theorem", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "sqrt of negative value" in res.stderr
+
+
 def test_jumping_subspace_exits_2(tmp_path):
     # V jumps at t = 0.5; refinement must give up and the chain refuse
     # the jump, within the timeout instead of refining forever

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from hetindex import (
+    DomainError,
     GapTooLarge,
     InvalidInput,
     LinearFamily,
@@ -21,6 +22,8 @@ from hetindex import (
     subspace_at,
     subspaces_over_lambda,
 )
+from hetindex.cli import DEMOS
+from hetindex.expr import eval_matrix
 from hetindex.suites import poschl_teller_family
 
 
@@ -43,6 +46,52 @@ def test_evaluate_many_broadcasts():
     out = fam.evaluate_many(lams[:, None], ts[None, :])
     assert out.shape == (3, 7, 2, 2)
     assert np.allclose(out[1, 3], fam.evaluate(0.5, ts[3]))
+
+
+def test_evaluators_equal_strict_interpreter():
+    # the compiled evaluator must reproduce the strict reference exactly,
+    # one point at a time and broadcast, on every demo family
+    rng = np.random.default_rng(7)
+    lams = rng.uniform(-0.5, 1.5, 1000)
+    ts = rng.uniform(-40.0, 40.0, 1000)
+    demos = [d["config"] for d in DEMOS.values()
+             if d["config"]["kind"] == "linear-family"]
+    assert len(demos) == 3
+    for cfg in demos:
+        m = parse_matrix(cfg["S"])
+        fam = LinearFamily.from_matrix_expr(m, k=cfg["k"])
+        strict = np.array([eval_matrix(m, {"lambda": lam, "t": t})
+                           for lam, t in zip(lams, ts)])
+        scalar = np.array([fam.evaluate(lam, t) for lam, t in zip(lams, ts)])
+        assert np.array_equal(scalar, strict)
+        assert np.array_equal(fam.evaluate_many(lams, ts), strict)
+
+
+def sqrt_family():
+    # real only for lambda >= 2, outside every sweep below
+    return LinearFamily.from_matrix_expr(
+        parse_matrix([["-1", "0"], ["0", "1 + sqrt(lambda - 2)"]]), k=1)
+
+
+def test_domain_error_raised_by_batched_evaluation():
+    fam = sqrt_family()
+    with pytest.raises(DomainError) as strict:
+        eval_matrix(fam.matrix, {"lambda": 0.0, "t": -1.0})
+    with pytest.raises(DomainError) as batched:
+        fam.evaluate_many(np.linspace(0.0, 1.0, 5)[:, None],
+                          np.linspace(-1.0, 1.0, 3)[None, :])
+    assert str(batched.value) == str(strict.value)
+    with pytest.raises(DomainError):
+        subspace_at(fam, 0.5, "stable", 0.0)
+
+
+def test_overflow_passes_through_evaluation():
+    # exp overflows to inf without a domain error: no exception, as the
+    # strict interpreter would also return inf
+    fam = LinearFamily.from_matrix_expr(
+        parse_matrix([["exp(t^2)", "0"], ["0", "1"]]), k=1)
+    assert np.isinf(fam.evaluate(0.0, 40.0)[0, 0])
+    assert np.isinf(fam.evaluate_many([0.0, 1.0], 40.0)[:, 0, 0]).all()
 
 
 def test_from_callable_matches_expr():
@@ -140,6 +189,15 @@ def test_subspaces_over_lambda_continuity():
     assert len(frames) == 11
     for a, b in zip(frames, frames[1:]):
         assert gap_distance(a, b) < 0.3
+
+
+@pytest.mark.parametrize("lam,which,t", [
+    (0.3, "stable", 0.0), (0.8, "unstable", -15.0), (1.0, "stable", 15.0)])
+def test_subspace_at_is_the_one_lambda_sweep(lam, which, t):
+    fam = poschl_teller_family()
+    F = subspace_at(fam, lam, which, t)
+    G, = subspaces_over_lambda(fam, [lam], which, t)
+    assert np.array_equal(F.columns, G.columns)
 
 
 def test_path_from_sampler_refines_coarse_grid():
