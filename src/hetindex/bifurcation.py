@@ -327,7 +327,8 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
                        hypothesis_samples: int = 51,
                        eps_trans: float = 1e-6,
                        rtol: float = 1e-9,
-                       atol: float = 1e-12) -> BifurcationVerdict:
+                       atol: float = 1e-12,
+                       branch_tol: float = 1e-6) -> BifurcationVerdict:
     """Bifurcation verdict for a branch of a nonlinear family.
 
     Linearizes along the branch, checks the limit hypotheses, and
@@ -335,6 +336,7 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     ``lam_range`` (the family's own range by default) on ``samples``
     evenly spaced lambdas.  Every lambda of the verdict, the grid of
     ``index_report`` included, is in the caller's parametrization.
+    ``branch_tol`` is the residual bound of :func:`validate_branch`.
 
     Raises
     ------
@@ -345,7 +347,7 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     DegenerateEndpoint
         If an endpoint pair is numerically non-transversal.
     """
-    lf = linearize_along(nf, branch)
+    lf = linearize_along(nf, branch, branch_tol=branch_tol)
     a, b = lam_range if lam_range is not None else nf.lam_range
     if not b > a:
         raise InvalidInput("lam_range must be increasing")

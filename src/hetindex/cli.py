@@ -350,7 +350,8 @@ def cmd_bifurcate(cfg: dict, out_dir: Path) -> int:
     branch = Branch.from_sources(cfg["branch"])
     verdict = detect_bifurcation(
         nf, branch, samples=cfg["lam_samples"],
-        eps_trans=cfg["eps_trans"], rtol=cfg["rtol"], atol=cfg["atol"])
+        eps_trans=cfg["eps_trans"], rtol=cfg["rtol"], atol=cfg["atol"],
+        branch_tol=cfg["branch_tol"])
     result = {
         "bifurcates": verdict.bifurcates,
         "index": verdict.index,

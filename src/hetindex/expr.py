@@ -471,7 +471,9 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
 
     Input arrays broadcast against each other; the matrix axes are
     appended last, so scalar inputs give a plain (rows, cols) matrix.
-    Like :func:`compile_expr`, invalid operations yield nan/inf.
+    A point whose matrix has a nan or inf entry is re-evaluated by the
+    strict :func:`eval_matrix`, so a domain error raises
+    ``DomainError`` while a genuine overflow passes through as inf.
     """
     fns = [[_codegen(e, args) for e in row] for row in m.entries]
 
@@ -486,6 +488,11 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
             for i, row in enumerate(fns):
                 for j, fn in enumerate(row):
                     out[..., i, j] = fn(*arrays)
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out).all(axis=(-2, -1))
+            for idx in map(tuple, np.argwhere(bad)):
+                eval_matrix(m, {name: float(np.broadcast_to(a, shape)[idx])
+                                for name, a in zip(args, arrays)})
         return out
 
     return run

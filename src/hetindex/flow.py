@@ -31,7 +31,7 @@ from .errors import (
     NotHyperbolic,
     NotStabilized,
 )
-from .expr import MatrixExpr, compile_matrix, eval_matrix
+from .expr import MatrixExpr, compile_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
@@ -70,10 +70,9 @@ class LinearFamily:
 
     One broadcasting evaluator serves both :meth:`evaluate` (one point)
     and :meth:`evaluate_many` (arrays of lambda and t).  Expression
-    families evaluate through the compiled code of
-    :func:`~hetindex.expr.compile_matrix`; a non-finite entry sends
-    that point through the strict interpreter, so a domain error
-    raises ``DomainError`` while a genuine overflow passes through.
+    families evaluate through :func:`~hetindex.expr.compile_matrix`,
+    so a domain error raises ``DomainError`` while a genuine overflow
+    passes through.
 
     Attributes
     ----------
@@ -105,21 +104,8 @@ class LinearFamily:
         """Family from a grid of expressions in (lambda, t)."""
         if m.rows != m.cols:
             raise DimensionMismatch(f"matrix is {m.rows}x{m.cols}, not square")
-        compiled = compile_matrix(m, ("lambda", "t"))
-
-        def checked(lam, t):
-            S = compiled(lam, t)
-            if not np.isfinite(S).all():
-                # nan or inf may hide a domain error: the strict
-                # interpreter raises it and lets a true overflow pass
-                bad = ~np.isfinite(S).all(axis=(-2, -1))
-                for lam_i, t_i in zip(np.broadcast_to(lam, bad.shape)[bad],
-                                      np.broadcast_to(t, bad.shape)[bad]):
-                    eval_matrix(m, {"lambda": float(lam_i), "t": float(t_i)})
-            return S
-
         return LinearFamily(n=m.rows, k=k, t_max=t_max, matrix=m,
-                            _eval=checked)
+                            _eval=compile_matrix(m, ("lambda", "t")))
 
     @staticmethod
     def from_callable(f: Callable, n: int, k: int, t_max: float = 20.0,
@@ -271,6 +257,11 @@ def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
             depths[i:i + 1] = [depths[i] + 1] * 2
         fresh = [i + rank + half for rank, i in enumerate(cut)
                  for half in (0, 1)]
+
+
+def _too_wide(a: Frame, b: Frame) -> bool:
+    """Consecutive path samples too far apart to chain safely."""
+    return gap_distance(a, b) > 0.4
 
 
 # -- integration core --------------------------------------------------
@@ -427,16 +418,12 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
         on = [orthonormalize(b[0]) for b in raw]
         return on[::-1] if stable else on
 
-    def too_wide(a, b):
-        # gap taken in the direction of travel
-        return (gap_distance(b, a) if stable else gap_distance(a, b)) > 0.4
-
     # the requested grid is a floor, not a contract: where the subspace
     # turns faster than the spacing resolves, collect at midpoints too,
     # so the alignment chain below stays within its gap budget; at most
     # five rounds of midpoints, one transport each
     pts = list(grid)
-    pts, on, _ = _bisect(pts, sample(pts), too_wide, sample, max_depth=5)
+    pts, on, _ = _bisect(pts, sample(pts), _too_wide, sample, max_depth=5)
 
     frames = align_chain(on[::-1] if stable else on)
     if stable:
@@ -465,7 +452,7 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
     pts = [float(t) for t in np.asarray(grid, dtype=float)]
     pts, raw, _ = _bisect(
         pts, [sampler(t) for t in pts],
-        lambda a, b: gap_distance(a, b) > 0.4,
+        _too_wide,
         lambda ts, lefts: [sampler(t) for t in ts], _MAX_DEPTH)
     return SubspacePath(grid=np.asarray(pts), frames=tuple(align_chain(raw)),
                         sampler=sampler)

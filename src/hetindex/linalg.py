@@ -46,6 +46,8 @@ DEGENERATE = 0
 
 _ORTHO_TOL = 1e-10
 _RANK_TOL = 1e-12
+#: Cosine of the largest principal angle at gap 0.5: sin = 0.5 there.
+_ALIGN_COS = np.sqrt(0.75)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -167,7 +169,7 @@ def gap_distance(U: Frame, V: Frame) -> float:
     """Gap-metric distance ||P_U - P_V|| in operator norm.
 
     Lies in [0, 1]; equals 0 iff the spans coincide, 1 if the
-    dimensions differ.
+    dimensions differ.  Bitwise symmetric in its two arguments.
 
     Raises
     ------
@@ -178,6 +180,8 @@ def gap_distance(U: Frame, V: Frame) -> float:
         raise DimensionMismatch(f"ambient dimensions {U.n} != {V.n}")
     if U.k == V.k == 0:
         return 0.0
+    if U.columns.tobytes() > V.columns.tobytes():
+        U, V = V, U
     return float(np.linalg.norm(U.projector() - V.projector(), 2))
 
 
@@ -262,7 +266,9 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
 
     Orthogonal Procrustes: returns next @ Q where Q is the orthogonal
     polar factor of next^T prev.  Composing aligned steps along a
-    sampled path keeps det of pair matrices continuous.
+    sampled path keeps det of pair matrices continuous.  The same SVD
+    gives the principal-angle cosines (Bjorck & Golub 1973), and the
+    gap is the sine of the largest angle.
 
     Raises
     ------
@@ -277,9 +283,9 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
         )
     if next.k == 0:
         return next
-    if gap_distance(prev, next) >= 0.5:
+    U, cos, Vt = np.linalg.svd(next.columns.T @ prev.columns)
+    if cos[-1] <= _ALIGN_COS:
         raise GapTooLarge("consecutive frames further than 0.5 in gap metric")
-    U, _, Vt = np.linalg.svd(next.columns.T @ prev.columns)
     return Frame(next.columns @ (U @ Vt))
 
 

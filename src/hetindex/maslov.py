@@ -36,6 +36,7 @@ from .flow import SubspacePath, path_from_sampler
 from .linalg import (
     DEGENERATE,
     Frame,
+    align_chain,
     align_frame,
     det_sign,
     orthonormalize,
@@ -233,30 +234,26 @@ def crossing_form(V, W, t0: float, h: float = 1e-5,
                         signature=signature, chart=m)
 
 
-def _pair_smin(vs, ws, t: float) -> float:
-    M = pair_matrix(vs(t), ws(t))
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+def _pair_smin(v: Frame, w: Frame) -> float:
+    return float(np.linalg.svd(pair_matrix(v, w), compute_uv=False)[-1])
 
 
-def _locate_crossings(vs, ws, a: float, b: float, samples: int,
+def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: list, raw_w: list,
                       cross_tol: float) -> list[float]:
-    ts = np.linspace(a, b, samples)
-    g = np.array([_pair_smin(vs, ws, t) for t in ts])
+    """Crossing instants from frames sampled once at the scan instants.
 
-    # oriented det trace for sign-change bisection
-    frames_v = [vs(ts[0])]
-    frames_w = [ws(ts[0])]
-    dets = [np.linalg.det(pair_matrix(frames_v[0], frames_w[0]))]
-    for t in ts[1:]:
-        frames_v.append(align_frame(frames_v[-1], vs(t)))
-        frames_w.append(align_frame(frames_w[-1], ws(t)))
-        dets.append(np.linalg.det(pair_matrix(frames_v[-1], frames_w[-1])))
-    dets = np.array(dets)
+    The raw frames give the sigma_min dip scan; their alignment chains
+    give the oriented det trace for sign-change bisection.
+    """
+    g = np.array([_pair_smin(v, w) for v, w in zip(raw_v, raw_w)])
+    frames_v, frames_w = align_chain(raw_v), align_chain(raw_w)
+    dets = np.array([np.linalg.det(pair_matrix(v, w))
+                     for v, w in zip(frames_v, frames_w)])
 
     found: list[float] = []
     # the dip localizer is only accurate to ~sqrt(eps); a crossing seen
     # by both routes must collapse to one instant
-    dedupe = 1e-6 * max(1.0, abs(b - a))
+    dedupe = 1e-6 * max(1.0, abs(ts[-1] - ts[0]))
 
     def register(t: float):
         for t_known in found:
@@ -284,7 +281,7 @@ def _locate_crossings(vs, ws, a: float, b: float, samples: int,
     for i in range(1, len(ts) - 1):
         if g[i] < 0.1 and g[i] <= g[i - 1] and g[i] <= g[i + 1]:
             res = minimize_scalar(
-                lambda t: _pair_smin(vs, ws, t),
+                lambda t: _pair_smin(vs(t), ws(t)),
                 bounds=(ts[i - 1], ts[i + 1]), method="bounded",
                 options={"xatol": _T_RESOLUTION},
             )
@@ -292,6 +289,15 @@ def _locate_crossings(vs, ws, a: float, b: float, samples: int,
                 register(float(res.x))
 
     return sorted(found)
+
+
+def _interval(V, interval) -> tuple[float, float]:
+    """The given interval, else the grid span of a SubspacePath."""
+    if interval is not None:
+        return interval
+    if isinstance(V, SubspacePath):
+        return float(V.grid[0]), float(V.grid[-1])
+    raise InvalidInput("interval required for callable paths")
 
 
 def crossing_census(V, W, interval: tuple[float, float] | None = None,
@@ -311,19 +317,16 @@ def crossing_census(V, W, interval: tuple[float, float] | None = None,
         If some crossing has a degenerate form; carries the instant.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    if interval is None:
-        if isinstance(V, SubspacePath):
-            interval = (float(V.grid[0]), float(V.grid[-1]))
-        else:
-            raise InvalidInput("interval required for callable paths")
-    a, b = interval
-    for t_end, name in ((a, "left"), (b, "right")):
-        if det_sign(pair_matrix(vs(t_end), ws(t_end)),
+    ts = np.linspace(*_interval(V, interval), samples)
+    raw_v = [vs(t) for t in ts]
+    raw_w = [ws(t) for t in ts]
+    for i, name in ((0, "left"), (-1, "right")):
+        if det_sign(pair_matrix(raw_v[i], raw_w[i]),
                     eps_trans) == DEGENERATE:
             raise DegenerateEndpoint(f"{name} endpoint is a crossing")
 
     out = []
-    for t_star in _locate_crossings(vs, ws, a, b, samples, cross_tol):
+    for t_star in _locate_crossings(vs, ws, ts, raw_v, raw_w, cross_tol):
         try:
             out.append(crossing_form(vs, ws, t_star))
         except DegenerateForm as exc:
@@ -372,12 +375,7 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
     crossing-form signatures.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    if interval is None:
-        if isinstance(V, SubspacePath):
-            interval = (float(V.grid[0]), float(V.grid[-1]))
-        else:
-            raise InvalidInput("interval required for callable paths")
-    a, b = interval
+    a, b = _interval(V, interval)
     grid = np.linspace(a, b, samples)
     pair = SubspacePathPair(
         V=path_from_sampler(vs, grid),

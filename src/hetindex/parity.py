@@ -230,6 +230,20 @@ def _perm_parity(p: np.ndarray) -> int:
     return -1 if (n - cycles) % 2 else 1
 
 
+def _signed_lu(M: sp.spmatrix) -> tuple:
+    """(sign of det M, sparse LU of M) for :func:`sparse_det_sign`."""
+    try:
+        lu = spla.splu(M.tocsc())
+    except RuntimeError:
+        return 0, None
+    diag = lu.U.diagonal()
+    if np.any(diag == 0.0):
+        return 0, lu
+    sign = _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
+    negs = int(np.sum(diag < 0.0))
+    return sign * (-1 if negs % 2 else 1), lu
+
+
 def sparse_det_sign(M: sp.spmatrix) -> int:
     """Sign of det of a sparse matrix via LU pivot signs.
 
@@ -237,16 +251,7 @@ def sparse_det_sign(M: sp.spmatrix) -> int:
     diagonal; returns 0 when a pivot is exactly zero or the
     factorization reports singularity.
     """
-    try:
-        lu = spla.splu(M.tocsc())
-    except RuntimeError:
-        return 0
-    diag = lu.U.diagonal()
-    if np.any(diag == 0.0):
-        return 0
-    sign = _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
-    negs = int(np.sum(diag < 0.0))
-    return sign * (-1 if negs % 2 else 1)
+    return _signed_lu(M)[0]
 
 
 @dataclass(frozen=True)
@@ -378,10 +383,14 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     b_u, b_s = frames[2:]
 
     def factor(i: int, M: sp.csc_matrix):
-        s = sparse_det_sign(M)
         sig = None
-        if track_sigma and s != 0:
-            sig = _sigma_min_estimate(spla.splu(M), M.shape[0])
+        if not track_sigma:
+            # the public route, counted as one LU by perfbench/tracing.py
+            s = sparse_det_sign(M)
+        else:
+            s, lu = _signed_lu(M)      # one LU: sign and sigma_min
+            if s != 0:
+                sig = _sigma_min_estimate(lu, M.shape[0])
         return s, sig, M if i in (0, len(lams) - 1) else None
 
     results = [factor(i, M) for i, M in

@@ -46,6 +46,7 @@ from .flow import (
 from .linalg import (
     DEGENERATE,
     Frame,
+    align_chain,
     align_frame,
     det_sign,
     gap_distance,
@@ -87,27 +88,29 @@ def _chain_interp(F0: Frame, F1: Frame, s: float) -> Frame:
     return orthonormalize(cols)
 
 
+def _frame_at(path: SubspacePath, t: float) -> Frame:
+    """Frame of a chained path at t in its interval: the grid frame
+    within 1e-12 of t, else the chain geodesic between t's neighbours."""
+    grid = path.grid
+    j = int(np.searchsorted(grid, t))
+    for i in (j, j - 1):
+        if 0 <= i < len(grid) and abs(grid[i] - t) <= 1e-12:
+            return path.frames[i]
+    j = min(max(j, 1), len(grid) - 1)
+    s = (t - grid[j - 1]) / (grid[j] - grid[j - 1])
+    return _chain_interp(path.frames[j - 1], path.frames[j],
+                         float(np.clip(s, 0.0, 1.0)))
+
+
 def _on_grid(path: SubspacePath, new_grid: np.ndarray) -> SubspacePath:
     """Resample a chained path onto a finer grid over the same interval."""
     grid = path.grid
     if len(grid) == len(new_grid) and np.allclose(grid, new_grid,
                                                   rtol=0.0, atol=1e-12):
         return path
-    frames = []
-    for t in new_grid:
-        j = int(np.searchsorted(grid, t))
-        if j < len(grid) and abs(grid[j] - t) <= 1e-12:
-            frames.append(path.frames[j])
-            continue
-        if j > 0 and abs(grid[j - 1] - t) <= 1e-12:
-            frames.append(path.frames[j - 1])
-            continue
-        j = min(max(j, 1), len(grid) - 1)
-        s = (t - grid[j - 1]) / (grid[j] - grid[j - 1])
-        frames.append(_chain_interp(path.frames[j - 1], path.frames[j],
-                                    float(np.clip(s, 0.0, 1.0))))
     return SubspacePath(grid=np.asarray(new_grid, dtype=float),
-                        frames=tuple(frames), sampler=path.sampler)
+                        frames=tuple(_frame_at(path, t) for t in new_grid),
+                        sampler=path.sampler)
 
 
 @dataclass(frozen=True)
@@ -231,11 +234,9 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float, max_depth: int):
             depths)
 
     # orientation sweep: chain Procrustes from the left end
-    chain = [_traced(*pts[0], eps_trans)]
-    for v, w in pts[1:]:
-        prev = chain[-1]
-        chain.append(_traced(align_frame(prev[0], v),
-                             align_frame(prev[1], w), eps_trans))
+    v_raw, w_raw = zip(*pts)
+    chain = [_traced(v, w, eps_trans)
+             for v, w in zip(align_chain(v_raw), align_chain(w_raw))]
 
     if can_refine:
         # crossing localization: bisect clean sign flips, chaining each
@@ -429,36 +430,21 @@ def _chart_segment(w_ref: Frame, F0: Frame,
 def _sign_constant_along(frames: Sequence[tuple],
                          eps_trans: float) -> bool:
     """Transported det sign of sampled (v, w) pairs is defined and constant."""
-    v, w = frames[0]
-    s0 = det_sign(pair_matrix(v, w), eps_trans)
-    if s0 == DEGENERATE:
+    v_raw, w_raw = zip(*frames)
+    try:
+        chain = zip(align_chain(v_raw), align_chain(w_raw))
+    except GapTooLarge:
         return False
-    for v_next, w_next in frames[1:]:
-        try:
-            v = align_frame(v, v_next)
-            w = align_frame(w, w_next)
-        except GapTooLarge:
-            return False
-        if det_sign(pair_matrix(v, w), eps_trans) != s0:
-            return False
-    return True
+    signs = (det_sign(pair_matrix(v, w), eps_trans) for v, w in chain)
+    s0 = next(signs)
+    return s0 != DEGENERATE and all(s == s0 for s in signs)
 
 
 def _interp_frame(path: SubspacePath, t: float) -> Frame:
     """Subspace at an off-grid parameter: sampler, else local geodesic."""
     if path.sampler is not None:
         return path.sampler(t)
-    grid = path.grid
-    t = float(np.clip(t, grid[0], grid[-1]))
-    j = int(np.searchsorted(grid, t))
-    if j == 0:
-        return path.frames[0]
-    if t == grid[j - 1]:
-        return path.frames[j - 1]
-    if j >= len(grid):
-        return path.frames[-1]
-    s = (t - grid[j - 1]) / (grid[j] - grid[j - 1])
-    return _chain_interp(path.frames[j - 1], path.frames[j], s)
+    return _frame_at(path, float(np.clip(t, path.grid[0], path.grid[-1])))
 
 
 def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
@@ -582,10 +568,7 @@ def bundle_orientability(loop: ClosedLoop | SubspacePath,
         raise NotClosed(
             f"loop endpoints {gap_distance(first, last):.2e} apart in gap"
         )
-    running = first
-    for f in loop.frames[1:]:
-        running = align_frame(running, f)
-    ret = running.columns.T @ first.columns
+    ret = align_chain(loop.frames)[-1].columns.T @ first.columns
     s = det_sign(ret, eps_trans)
     if s == DEGENERATE:
         raise InternalMismatch("return map of a closed loop is singular")

@@ -203,6 +203,41 @@ def test_domain_error_exits_2(tmp_path):
     assert "sqrt of negative value" in res.stderr
 
 
+def test_domain_error_in_subspace_path_exits_2(tmp_path):
+    # sqrt(t - 2) has no real value on the first two thirds of [0, 3]
+    cfg = write_config(tmp_path, {
+        "kind": "subspace-paths",
+        "V": [["sqrt(t - 2)"], ["1"]],
+        "W": [["1"], ["0"]],
+        "interval": [0.0, 3.0],
+        "samples": 11,
+    })
+    res = run_cli(["index", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "sqrt of negative value" in res.stderr
+
+
+def test_domain_error_in_lagrangian_path_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {**MASLOV, "A": [["sqrt(t)"]]})
+    res = run_cli(["maslov", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "sqrt of negative value" in res.stderr
+
+
+def test_bifurcate_honours_branch_tol(tmp_path):
+    # the branch misses z' = g by 1.5e-5: within 0.01, not within the
+    # default 1e-6
+    loose = {**CUBIC, "branch": ["1e-5*sech(t)", "0"], "lam_samples": 21}
+    cfg = write_config(tmp_path, {**loose, "branch_tol": 0.01})
+    res = run_cli(["bifurcate", "--config", cfg, "--out", "out"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert read_report(tmp_path / "out")["config"]["branch_tol"] == 0.01
+    strict = write_config(tmp_path, loose, name="strict.json")
+    res = run_cli(["bifurcate", "--config", strict], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "exceeds 1e-06" in res.stderr
+
+
 def test_jumping_subspace_exits_2(tmp_path):
     # V jumps at t = 0.5; refinement must give up and the chain refuse
     # the jump, within the timeout instead of refining forever

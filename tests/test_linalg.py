@@ -156,6 +156,45 @@ def test_align_frame_rejects_large_gap():
         align_frame(e1, e2)
 
 
+def _oracle_gap(U, V):
+    """Projector-norm gap ||P_U - P_V||_2, the reference for the kernel."""
+    return float(np.linalg.norm(U.projector() - V.projector(), 2))
+
+
+def _random_pairs(seed, count, spread):
+    """Equal-dimension frame pairs, n <= 6, a random distance apart."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, n + 1))
+        U = orthonormalize(rng.normal(size=(n, k)))
+        step = rng.uniform(0.0, spread) * rng.normal(size=(n, k))
+        yield U, orthonormalize(U.columns + step)
+
+
+def test_gap_distance_is_bitwise_symmetric():
+    for U, V in _random_pairs(1, 20000, 2.0):
+        assert gap_distance(U, V) == gap_distance(V, U)
+
+
+def test_align_frame_rejects_exactly_the_oracle_large_gaps():
+    raised = kept = 0
+    for prev, nxt in _random_pairs(2, 3000, 1.2):
+        gap = _oracle_gap(prev, nxt)
+        if abs(gap - 0.5) <= 1e-12:
+            continue
+        if gap >= 0.5:
+            with pytest.raises(GapTooLarge):
+                align_frame(prev, nxt)
+            raised += 1
+        else:
+            U, _, Vt = np.linalg.svd(nxt.columns.T @ prev.columns)
+            out = align_frame(prev, nxt)
+            assert np.array_equal(out.columns, nxt.columns @ (U @ Vt))
+            kept += 1
+    assert raised > 300 and kept > 300
+
+
 def test_align_frame_rejects_shape_mismatch():
     a = orthonormalize(np.eye(3)[:, :1])
     b = orthonormalize(np.eye(4)[:, :1])

@@ -16,6 +16,7 @@ from hetindex import (
     orthonormalize,
     symplectic_form_matrix,
 )
+from hetindex import maslov as maslovmod
 
 
 def test_symplectic_form_matrix():
@@ -121,3 +122,35 @@ def test_maslov_rejects_endpoint_crossing():
     W = graph_path(lambda t: np.array([[0.0]]))
     with pytest.raises(DegenerateEndpoint):
         maslov_index(V, W, interval=(0.0, 1.0))
+
+
+def test_census_samples_each_scan_instant_once(monkeypatch):
+    # sampler calls: one per scan instant, plus one per brentq and
+    # minimize evaluation and three per crossing form (t0, t0 +- h)
+    calls = {"v": 0, "w": 0, "solver": 0, "form": 0}
+
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    def counting_solver(solve):
+        def run(f, *args, **kwargs):
+            return solve(counted("solver", f), *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(maslovmod, "brentq",
+                        counting_solver(maslovmod.brentq))
+    monkeypatch.setattr(maslovmod, "minimize_scalar",
+                        counting_solver(maslovmod.minimize_scalar))
+    monkeypatch.setattr(maslovmod, "crossing_form",
+                        counted("form", maslovmod.crossing_form))
+    V = counted("v", graph_path(lambda t: np.array([[t ** 3 - t]])))
+    W = counted("w", graph_path(lambda t: np.array([[0.0]])))
+    census = maslovmod.crossing_census(V, W, interval=(-1.5, 1.5),
+                                       samples=101)
+    assert len(census) == 3
+    assert calls["solver"] > 0 and calls["form"] == 3
+    budget = 101 + calls["solver"] + 3 * calls["form"]
+    assert calls["v"] <= budget and calls["w"] <= budget

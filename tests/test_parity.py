@@ -252,6 +252,32 @@ def test_operator_parity_tracks_sigma():
     assert all(s > 0 for s in rep.sigma_mins)
 
 
+def test_track_sigma_factorizes_once_per_operator(monkeypatch):
+    fam = poschl_teller_family()
+    lams = np.linspace(0.0, 1.0, 21)
+    real = spla.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    counts = {}
+    for track in (False, True):
+        calls.clear()
+        rep = operator_parity(fam, lams=lams, tau=8.0, N=400,
+                              stability=False, track_sigma=track)
+        counts[track] = len(calls)
+    assert counts[True] == counts[False]
+
+    # the estimate is the one a fresh factorization of each operator gives
+    b_u, b_s = paritymod._boundary_frames(fam, lams, 8.0, 1e-9, 1e-12)[2:]
+    expect = [paritymod._sigma_min_estimate(real(M), M.shape[0])
+              for M in paritymod._operators(fam, lams, 8.0, 400, b_u, b_s)]
+    assert np.array_equal(rep.sigma_mins, expect)
+
+
 # -- the index theorem -------------------------------------------------
 
 def test_boundary_pair_crossing_location():

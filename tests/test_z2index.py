@@ -17,7 +17,9 @@ from hetindex import (
     z2_index,
     z2_index_unbounded,
 )
+from hetindex.flow import SubspacePath
 from hetindex.suites import poschl_teller_family
+from hetindex.z2index import _interp_frame
 
 
 def line(theta):
@@ -118,6 +120,17 @@ def test_unbounded_rejects_degenerate_tail():
     pair = make_pair(vs, ws, -10.0, 10.0, points=201)
     with pytest.raises(TailNotTransversal):
         z2_index_unbounded(pair, tail_T=5.0)
+
+
+def test_interp_frame_returns_grid_frames_on_the_grid():
+    path = path_from_sampler(rotating, np.linspace(0.0, 1.0, 11))
+    bare = SubspacePath(grid=path.grid, frames=path.frames)
+    for j in range(len(path.grid)):
+        got = _interp_frame(bare, float(path.grid[j]))
+        assert np.array_equal(got.columns, path.frames[j].columns)
+    # off the grid the chain geodesic joins the two neighbours
+    mid = _interp_frame(bare, 0.05)
+    assert gap_distance(mid, rotating(0.05)) < 1e-12
 
 
 def test_close_loop_structure():
