@@ -22,12 +22,11 @@ import numpy as np
 from .errors import (
     BranchResidualTooLarge,
     DimensionMismatch,
-    HypothesisFailure,
     InvalidInput,
     NotHyperbolic,
 )
 from .expr import compile_expr, parse_vector
-from .flow import HypothesisReport, LinearFamily, check_A1_A3
+from .flow import HypothesisReport, LinearFamily, _require_A1_A3
 from .linalg import spectral_split
 from .parity import boundary_pair_over_lambda
 from .z2index import IndexReport, z2_index
@@ -351,13 +350,7 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     a, b = lam_range if lam_range is not None else nf.lam_range
     if not b > a:
         raise InvalidInput("lam_range must be increasing")
-    hyp = check_A1_A3(lf, hypothesis_samples, (a, b))
-    if not hyp.ok:
-        lam_bad, tag, msg = hyp.violations[0]
-        raise HypothesisFailure(
-            f"assumption ({tag}) fails at lambda={lam_bad:.4g}: {msg}",
-            assumption=tag,
-        )
+    hyp = _require_A1_A3(lf, hypothesis_samples, (a, b))
     pair = boundary_pair_over_lambda(lf, np.linspace(a, b, samples),
                                      rtol=rtol, atol=atol)
     report = z2_index(pair, eps_trans=eps_trans)

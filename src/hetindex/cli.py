@@ -256,7 +256,9 @@ def cmd_index(cfg: dict, out_dir: Path) -> int:
             rep = z2_index(pair, eps_trans=cfg["eps_trans"])
         result = _index_payload(rep)
         if cfg["orientability"]:
-            result["orientability"] = bundle_orientability(close_loop(pair))
+            result["orientability"] = bundle_orientability(
+                close_loop(pair, eps_trans=cfg["eps_trans"]),
+                eps_trans=cfg["eps_trans"])
         grid = rep.grid
     elif cfg["kind"] == "linear-family":
         fam = _build_linear_family(cfg)

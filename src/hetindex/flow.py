@@ -26,6 +26,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatch,
+    HypothesisFailure,
     IntegrationFailure,
     InvalidInput,
     NotHyperbolic,
@@ -583,3 +584,16 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
         lambdas_checked=samples,
         lam_range=(float(lam_range[0]), float(lam_range[1])),
     )
+
+
+def _require_A1_A3(fam: LinearFamily, samples: int,
+                   lam_range: tuple) -> HypothesisReport:
+    """:func:`check_A1_A3`, raising HypothesisFailure on its first violation."""
+    hyp = check_A1_A3(fam, samples, lam_range)
+    if not hyp.ok:
+        lam_bad, tag, msg = hyp.violations[0]
+        raise HypothesisFailure(
+            f"assumption ({tag}) fails at lambda={lam_bad:.4g}: {msg}",
+            assumption=tag,
+        )
+    return hyp

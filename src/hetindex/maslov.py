@@ -370,9 +370,9 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
                  cross_tol: float = _CROSS_TOL) -> Mod2Report:
     """Compare the Z2-index with the Maslov index mod 2.
 
-    Both sides are computed independently: the Z2-index from endpoint
-    determinant signs on an aligned frame chain, the Maslov index from
-    crossing-form signatures.
+    Both sides are computed independently from one sampling of each
+    path: the Z2-index from endpoint determinant signs on an aligned
+    frame chain, the Maslov index from crossing-form signatures.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
     a, b = _interval(V, interval)
@@ -382,7 +382,14 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
         W=path_from_sampler(ws, grid),
     )
     rep = z2_index(pair, eps_trans=eps_trans)
-    census = crossing_census(vs, ws, interval=(a, b), samples=samples,
+
+    # the census scans the instants of ``grid``: reuse the frames there
+    def held(P: SubspacePath, sample):
+        at = dict(zip(P.grid.tolist(), P.frames))
+        return lambda t: at[t] if t in at else sample(t)
+
+    census = crossing_census(held(pair.V, vs), held(pair.W, ws),
+                             interval=(a, b), samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
     mas = sum(d.signature for d in census)
     return Mod2Report(

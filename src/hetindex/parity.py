@@ -31,16 +31,17 @@ from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateEndpoint,
-    HypothesisFailure,
     InternalMismatch,
     UnstableTruncation,
 )
 from .flow import (
+    _MAX_DEPTH,
     HypothesisReport,
     LinearFamily,
     SubspacePath,
+    _bisect,
+    _require_A1_A3,
     asymptotic_limits,
-    check_A1_A3,
     path_from_sampler,
     subspace_at,
     subspaces_over_lambda,
@@ -194,25 +195,15 @@ def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
         yield _assemble(template, fam.n, N, h, S, bu.columns.T, bs.columns.T)
 
 
-def discretize(fam: LinearFamily, lam: float, tau: float, N: int,
-               boundary: tuple[Frame, Frame] | None = None
-               ) -> DiscretizedOperator:
+def discretize(fam: LinearFamily, lam: float, tau: float,
+               N: int) -> DiscretizedOperator:
     """Crank-Nicolson discretization of d/dt - S(lambda, .) on [-tau, tau].
 
-    ``boundary`` optionally supplies (E^u(-tau), E^s(tau)) frames, as a
-    lambda-sweep must to keep them aligned; otherwise they are computed
-    here.
+    The boundary frames are those a one-point lambda-sweep would use.
     """
-    if boundary is None:
-        e_u = subspace_at(fam, lam, "unstable", -tau)
-        e_s = subspace_at(fam, lam, "stable", tau)
-    else:
-        e_u, e_s = boundary
-    b_u = orthogonal_complement(e_u)
-    b_s = orthogonal_complement(e_s)
-    M, = _operators(fam, [lam], tau, N, [b_u], [b_s])
-    return DiscretizedOperator(lam=lam, tau=tau, N=N, matrix=M,
-                               e_u=e_u, e_s=e_s, b_u=b_u, b_s=b_s)
+    frames = _boundary_frames(fam, np.array([lam], dtype=float), tau)
+    M, = _operators(fam, [lam], tau, N, *frames[2:])
+    return DiscretizedOperator(lam, tau, N, M, *(f[0] for f in frames))
 
 
 def _perm_parity(p: np.ndarray) -> int:
@@ -330,6 +321,9 @@ def _sigma_min_estimate(lu, size: int, iters: int = 6) -> float:
 
 # -- operator parity over a lambda sweep -------------------------------
 
+_LOCALIZE_TOL = 1e-3   # lambda-width to which a sign flip is bisected
+
+
 @dataclass(frozen=True)
 class ParityReport:
     """Determinant-sign trace of the discretized family over lambda.
@@ -356,8 +350,6 @@ class ParityReport:
 
 def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
                     tau: float = 15.0, N: int = 3000,
-                    kernel_rel_tol: float = 1e-6,
-                    localize_tol: float = 1e-3,
                     stability: bool = True,
                     track_sigma: bool = False,
                     rtol: float = 1e-9, atol: float = 1e-12) -> ParityReport:
@@ -366,7 +358,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     Boundary frames are aligned along lambda before any determinant is
     taken; without that the per-lambda signs are meaningless.  The
     value compares the endpoint signs; interior flips are localized by
-    bisection to ``localize_tol``.
+    bisection to a lambda-interval of width 1e-3.
 
     Raises
     ------
@@ -380,7 +372,6 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
         lams = np.linspace(0.0, 1.0, 201)
     lams = np.asarray(lams, dtype=float)
     frames = _boundary_frames(fam, lams, tau, rtol, atol)
-    b_u, b_s = frames[2:]
 
     def factor(i: int, M: sp.csc_matrix):
         sig = None
@@ -394,7 +385,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
         return s, sig, M if i in (0, len(lams) - 1) else None
 
     results = [factor(i, M) for i, M in
-               enumerate(_operators(fam, lams, tau, N, b_u, b_s))]
+               enumerate(_operators(fam, lams, tau, N, *frames[2:]))]
     signs = np.array([r[0] for r in results], dtype=int)
     sigma = (np.array([r[1] if r[1] is not None else np.nan
                        for r in results])
@@ -402,11 +393,10 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
     end_dims = _check_endpoints(lams, tau, N, frames,
                                 (results[0][2], results[-1][2]),
-                                (signs[0], signs[-1]), kernel_rel_tol)
+                                (signs[0], signs[-1]))
     value = 0 if signs[0] == signs[-1] else 1
 
-    flips = _localize_flips(fam, lams, signs, tau, N, frames,
-                            localize_tol, rtol, atol)
+    flips = _localize_flips(fam, lams, signs, tau, N, frames, rtol, atol)
 
     stable_tau = stable_N = None
     if stability:
@@ -414,10 +404,8 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
         # rtol and atol, not on N
         value_tau = _endpoint_value(
             fam, lams, 2.0 * tau, 2 * N,
-            _boundary_frames(fam, lams, 2.0 * tau, rtol, atol),
-            kernel_rel_tol)
-        value_N = _endpoint_value(fam, lams, tau, 2 * N, frames,
-                                  kernel_rel_tol)
+            _boundary_frames(fam, lams, 2.0 * tau, rtol, atol))
+        value_N = _endpoint_value(fam, lams, tau, 2 * N, frames)
         stable_tau = value_tau == value
         stable_N = value_N == value
         if not (stable_tau and stable_N):
@@ -434,7 +422,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
 
 def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
-                     rtol: float, atol: float) -> tuple:
+                     rtol: float = 1e-9, atol: float = 1e-12) -> tuple:
     """(E^u(-tau), E^s(tau), B_u, B_s) per lambda, each aligned along lams.
 
     B_u and B_s are the complements whose transposes form the boundary
@@ -448,20 +436,17 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
 
 
 def _check_endpoints(lams: np.ndarray, tau: float, N: int, frames: tuple,
-                     mats: tuple, signs: tuple,
-                     kernel_rel_tol: float) -> tuple:
+                     mats: tuple, signs: tuple) -> tuple:
     """Kernel dimensions of the two endpoint operators ``mats``.
 
     Raises DegenerateEndpoint unless both kernels are trivial and both
     determinant ``signs`` are nonzero.
     """
-    e_u, e_s, b_u, b_s = frames
     dims = []
     for i, M in zip((0, len(lams) - 1), mats):
-        op = DiscretizedOperator(lam=float(lams[i]), tau=tau, N=N, matrix=M,
-                                 e_u=e_u[i], e_s=e_s[i], b_u=b_u[i],
-                                 b_s=b_s[i])
-        dims.append(kernel_dimension(op, rel_tol=kernel_rel_tol).dim)
+        op = DiscretizedOperator(float(lams[i]), tau, N, M,
+                                 *(f[i] for f in frames))
+        dims.append(kernel_dimension(op).dim)
     if dims[0] != 0 or dims[-1] != 0:
         raise DegenerateEndpoint(
             f"endpoint operator kernel dims {tuple(dims)}; the path "
@@ -473,7 +458,7 @@ def _check_endpoints(lams: np.ndarray, tau: float, N: int, frames: tuple,
 
 
 def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
-                    frames: tuple, kernel_rel_tol: float) -> int:
+                    frames: tuple) -> int:
     """Parity value of the (tau, N) operator path, from its two ends.
 
     ``frames`` come from ``_boundary_frames`` over all of ``lams``: the
@@ -481,46 +466,49 @@ def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
     two endpoint operators are assembled, checked as in
     ``operator_parity`` and signed; nothing else enters the value.
     """
-    b_u, b_s = frames[2:]
-    ends = (0, len(lams) - 1)
-    mats = tuple(_operators(fam, lams[list(ends)], tau, N,
-                            [b_u[i] for i in ends], [b_s[i] for i in ends]))
+    ends = [0, len(lams) - 1]
+    mats = tuple(_operators(fam, lams[ends], tau, N,
+                            *([f[i] for i in ends] for f in frames[2:])))
     signs = tuple(sparse_det_sign(M) for M in mats)
-    _check_endpoints(lams, tau, N, frames, mats, signs, kernel_rel_tol)
+    _check_endpoints(lams, tau, N, frames, mats, signs)
     return 0 if signs[0] == signs[1] else 1
 
 
-def _localize_flips(fam, lams, signs, tau, N, frames, localize_tol,
-                    rtol=1e-9, atol=1e-12) -> list[float]:
-    e_u, e_s, b_u, b_s = frames
-    flips = []
+def _localize_flips(fam, lams, signs, tau, N, frames,
+                    rtol, atol) -> list[float]:
+    """Sorted sign changes lambda*: interior zero-sign grid points, and
+    each sign change between nonzero-sign grid points bisected to an
+    interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
+    e_u, e_s, b_u, b_s); a zero-sign midpoint takes its left end's sign.
+    """
+    flips = [float(lams[i]) for i in range(1, len(lams) - 1)
+             if signs[i] == 0]
     nz = [i for i, s in enumerate(signs) if s != 0]
-    for i_zero, s in enumerate(signs):
-        if s == 0 and 0 < i_zero < len(signs) - 1:
-            flips.append(float(lams[i_zero]))
-    for a_idx, b_idx in zip(nz, nz[1:]):
-        if signs[a_idx] == signs[b_idx]:
-            continue
-        lo, hi = float(lams[a_idx]), float(lams[b_idx])
-        s_lo = signs[a_idx]
-        eu_lo, es_lo = e_u[a_idx], e_s[a_idx]
-        bu_lo, bs_lo = b_u[a_idx], b_s[a_idx]
-        while hi - lo > localize_tol:
-            mid = 0.5 * (lo + hi)
-            eu_m = align_frame(
-                eu_lo, subspace_at(fam, mid, "unstable", -tau, rtol, atol))
-            es_m = align_frame(
-                es_lo, subspace_at(fam, mid, "stable", tau, rtol, atol))
-            bu_m = align_frame(bu_lo, orthogonal_complement(eu_m))
-            bs_m = align_frame(bs_lo, orthogonal_complement(es_m))
-            M, = _operators(fam, [mid], tau, N, [bu_m], [bs_m])
-            s_mid = sparse_det_sign(M)
-            if s_mid == 0 or s_mid == s_lo:
-                lo = mid
-                eu_lo, es_lo, bu_lo, bs_lo = eu_m, es_m, bu_m, bs_m
-            else:
-                hi = mid
-        flips.append(0.5 * (lo + hi))
+    samples = [(float(lams[i]), signs[i]) + tuple(f[i] for f in frames)
+               for i in nz]
+
+    def split(a, b) -> bool:
+        return a[1] != b[1] and b[0] - a[0] > _LOCALIZE_TOL
+
+    def sample_mids(mids, lefts):
+        fresh = []
+        for lam, left in zip(mids, lefts):
+            e_u = align_frame(left[2], subspace_at(fam, lam, "unstable",
+                                                   -tau, rtol, atol))
+            e_s = align_frame(left[3], subspace_at(fam, lam, "stable",
+                                                   tau, rtol, atol))
+            fresh.append((e_u, e_s,
+                          align_frame(left[4], orthogonal_complement(e_u)),
+                          align_frame(left[5], orthogonal_complement(e_s))))
+        ops = _operators(fam, mids, tau, N, [f[2] for f in fresh],
+                         [f[3] for f in fresh])
+        return [(lam, sparse_det_sign(M) or left[1]) + f
+                for lam, left, f, M in zip(mids, lefts, fresh, ops)]
+
+    _, samples, _ = _bisect([s[0] for s in samples], samples, split,
+                            sample_mids, _MAX_DEPTH)
+    flips += [0.5 * (a[0] + b[0]) for a, b in zip(samples, samples[1:])
+              if a[1] != b[1]]
     return sorted(flips)
 
 
@@ -572,13 +560,7 @@ def verify_index_theorem(fam: LinearFamily,
     if lams is None:
         lams = np.linspace(0.0, 1.0, 201)
     lams = np.asarray(lams, dtype=float)
-    hyp = check_A1_A3(fam, hypothesis_samples, (lams[0], lams[-1]))
-    if not hyp.ok:
-        lam_bad, tag, msg = hyp.violations[0]
-        raise HypothesisFailure(
-            f"assumption ({tag}) fails at lambda={lam_bad:.4g}: {msg}",
-            assumption=tag,
-        )
+    hyp = _require_A1_A3(fam, hypothesis_samples, (lams[0], lams[-1]))
     parity = operator_parity(fam, lams, tau, N, stability=stability,
                              track_sigma=track_sigma,
                              rtol=rtol, atol=atol)

@@ -371,13 +371,6 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
             "V^+(S^-) not transversal to V^-(S^+)",
             condition="limit transversality",
         )
-    es0 = subspace_at(fam, lam, "stable", 0.0, rtol, atol)
-    eu0 = subspace_at(fam, lam, "unstable", 0.0, rtol, atol)
-    if det_sign(pair_matrix(es0, eu0), eps_trans) == DEGENERATE:
-        raise BoundaryDegenerate(
-            "E^s(0) not transversal to E^u(0)",
-            condition="origin transversality",
-        )
 
     T = limits.horizon
     grid = np.linspace(0.0, T, samples)
@@ -390,6 +383,13 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
         frames=tuple(U.frames[::-1]),
         sampler=lambda s: subspace_at(fam, lam, "unstable", -s, rtol, atol),
     )
+    # the paths start at t = 0 with E^s(0) and E^u(0)
+    if det_sign(pair_matrix(V.frames[0], W.frames[0]),
+                eps_trans) == DEGENERATE:
+        raise BoundaryDegenerate(
+            "E^s(0) not transversal to E^u(0)",
+            condition="origin transversality",
+        )
     pair = SubspacePathPair(V=V, W=W)
     return z2_index_unbounded(pair, tail_T=T / 2.0, eps_trans=eps_trans)
 

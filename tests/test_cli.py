@@ -115,6 +115,24 @@ def test_index_reports_orientability(tmp_path):
     assert report["result"]["orientability"] == 1
 
 
+def test_index_orientability_uses_config_eps_trans(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(name, fn):
+        def run(*args, **kwargs):
+            seen.append((name, kwargs.get("eps_trans")))
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("close_loop", "bundle_orientability"):
+        monkeypatch.setattr(climod, name,
+                            recording(name, getattr(climod, name)))
+    cfg = climod.resolve_config({**ROTATING_LINE, "orientability": True,
+                                 "eps_trans": 1e-4})
+    assert climod.cmd_index(cfg, tmp_path / "out") == 0
+    assert seen == [("close_loop", 1e-4), ("bundle_orientability", 1e-4)]
+
+
 def test_geometric_parity_command(tmp_path):
     cfg = write_config(tmp_path, {**SMALL_THEOREM, "lam": 1.0,
                                   "lam_samples": 5, "samples": 81})

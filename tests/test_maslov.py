@@ -154,3 +154,21 @@ def test_census_samples_each_scan_instant_once(monkeypatch):
     assert calls["solver"] > 0 and calls["form"] == 3
     budget = 101 + calls["solver"] + 3 * calls["form"]
     assert calls["v"] <= budget and calls["w"] <= budget
+
+
+def test_mod2_compare_samples_each_path_once():
+    # the census scans the frames the Z2 side sampled; one pass over
+    # 101 instants plus localization and forms, not two
+    calls = {"v": 0, "w": 0}
+
+    def counted(key, fn):
+        def run(t):
+            calls[key] += 1
+            return fn(t)
+        return run
+
+    V = counted("v", graph_path(lambda t: np.array([[t]])))
+    W = counted("w", graph_path(lambda t: np.array([[-t]])))
+    rep = mod2_compare(V, W, interval=(-1.0, 1.0), samples=101)
+    assert rep.z2 == 1 and rep.agree and len(rep.crossings) == 1
+    assert calls["v"] <= 130 and calls["w"] <= 130

@@ -195,6 +195,15 @@ def test_operator_parity_poschl_teller():
     assert rep.stable_tau and rep.stable_N
 
 
+def test_operator_parity_localizes_two_flips_in_one_sweep():
+    # depth 8 lambda crosses the thresholds 1 and 6 at lambda 1/4 and
+    # 3/4: two intervals bisected in the same rounds, value 0
+    rep = operator_parity(poschl_teller_family("8*lambda"),
+                          np.linspace(0.0, 1.0, 41), tau=8.0, N=400)
+    assert rep.value == 0
+    assert rep.flips == (0.250390625, 0.750390625)
+
+
 def test_operator_parity_no_flip():
     rep = operator_parity(positive_family(), lams=np.linspace(0.0, 1.0, 11),
                           tau=6.0, N=200)
@@ -210,7 +219,7 @@ def test_operator_parity_rejects_degenerate_endpoint():
     # the doubling re-runs make the same check
     frames = paritymod._boundary_frames(fam, lams, 15.0, 1e-9, 1e-12)
     with pytest.raises(DegenerateEndpoint):
-        paritymod._endpoint_value(fam, lams, 15.0, 3000, frames, 1e-6)
+        paritymod._endpoint_value(fam, lams, 15.0, 3000, frames)
 
 
 @pytest.mark.parametrize("family, lams, tau, N", [
@@ -223,8 +232,7 @@ def test_endpoint_value_matches_full_rerun(family, lams, tau, N):
     for t, n in ((2.0 * tau, 2 * N), (tau, 2 * N)):
         frames = paritymod._boundary_frames(fam, lams, t, 1e-9, 1e-12)
         want = operator_parity(fam, lams, t, n, stability=False).value
-        assert paritymod._endpoint_value(fam, lams, t, n, frames,
-                                         1e-6) == want
+        assert paritymod._endpoint_value(fam, lams, t, n, frames) == want
 
 
 def test_unstable_truncation_names_both_doubled_values(monkeypatch):
@@ -232,8 +240,8 @@ def test_unstable_truncation_names_both_doubled_values(monkeypatch):
     real = paritymod._endpoint_value
     tau = 8.0
 
-    def flipped(fam, lams, t, N, frames, kernel_rel_tol):
-        value = real(fam, lams, t, N, frames, kernel_rel_tol)
+    def flipped(fam, lams, t, N, frames):
+        value = real(fam, lams, t, N, frames)
         return 1 - value if t == 2.0 * tau else value
 
     monkeypatch.setattr(paritymod, "_endpoint_value", flipped)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetindex import (
+    BoundaryDegenerate,
     DegenerateEndpoint,
     NotClosed,
     SubspacePathPair,
@@ -156,6 +157,13 @@ def test_orientability_rejects_open_path():
     open_path = path_from_sampler(rotating, np.linspace(0.0, 1.0, 21))
     with pytest.raises(NotClosed):
         bundle_orientability(open_path)
+
+
+def test_geometric_parity_rejects_origin_nontransversality():
+    # at lambda = 0.8 the bound state sech(t) lies in E^s(0) and E^u(0)
+    with pytest.raises(BoundaryDegenerate) as info:
+        geometric_parity(poschl_teller_family(), 0.8)
+    assert info.value.condition == "origin transversality"
 
 
 def test_geometric_parity_poschl_teller():
