@@ -2,30 +2,43 @@
 
 A nonlinear family z' = g(lambda, t, z) with two hyperbolic restpoints
 and a known branch of solutions z_lambda is reduced to a linear family
-S_lambda(t) = D_z g(lambda, t, z_lambda(t)) by finite differences; the
-bifurcation verdict is then read off the Z2-index of the boundary
-subspace pair lambda -> (E^s(0), E^u(0)) of that linearization.  An
-index of 1 forces solutions bifurcating from the branch; 0 decides
-nothing, and is reported as inconclusive.
+S_lambda(t) = D_z g(lambda, t, z_lambda(t)); the bifurcation verdict
+is then read off the Z2-index of the boundary subspace pair
+lambda -> (E^s(0), E^u(0)) of that linearization.  An index of 1
+forces solutions bifurcating from the branch; 0 decides nothing, and
+is reported as inconclusive.
 
-Branches are supplied as expressions and validated by residual; the
-module never solves the nonlinear boundary-value problem itself.
+D_z g is exact: the matrix of partial derivatives dg_i/dz_j is
+differentiated from the expression tree once per family, and the
+linearization is that matrix with the branch substituted for z, an
+ordinary expression family in (lambda, t).  Branches are supplied as
+expressions and validated by residual; the module never solves the
+nonlinear boundary-value problem itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     BranchResidualTooLarge,
     DimensionMismatch,
+    DomainError,
     InvalidInput,
     NotHyperbolic,
 )
-from .expr import compile_expr, parse_vector
+from .expr import (
+    MatrixExpr,
+    compile_expr,
+    compile_matrix,
+    diff,
+    eval_matrix,
+    parse_vector,
+    substitute,
+)
 from .flow import HypothesisReport, LinearFamily, _require_A1_A3
 from .linalg import spectral_split
 from .parity import boundary_pair_over_lambda
@@ -43,7 +56,6 @@ __all__ = [
 ]
 
 _RESTPOINT_TOL = 1e-8
-_JAC_STEP = 1e-6
 
 
 def _z_names(n: int) -> tuple:
@@ -56,7 +68,9 @@ class NonlinearFamily:
 
     ``g`` is a tuple of expressions in lambda, t, z1..zn; the
     restpoints must annihilate g on a sampled (lambda, t) grid within
-    1e-8, which the constructor enforces.
+    1e-8, which the constructor enforces.  The constructor also
+    differentiates g once into the n x n matrix of dg_i/dz_j and
+    compiles it.
     """
 
     g: tuple
@@ -65,6 +79,8 @@ class NonlinearFamily:
     t_max: float = 20.0
     lam_range: tuple = (0.0, 1.0)
     _fns: tuple = field(default=None, repr=False, compare=False)
+    _jac: MatrixExpr = field(init=False, repr=False, compare=False)
+    _jac_eval: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.g)
@@ -84,6 +100,10 @@ class NonlinearFamily:
         args = ("lambda", "t") + _z_names(n)
         object.__setattr__(
             self, "_fns", tuple(compile_expr(e, args) for e in self.g))
+        jac = MatrixExpr(n, n, tuple(
+            tuple(diff(e, z) for z in _z_names(n)) for e in self.g))
+        object.__setattr__(self, "_jac", jac)
+        object.__setattr__(self, "_jac_eval", compile_matrix(jac, args))
         for z, name in ((self.z_minus, "z_minus"), (self.z_plus, "z_plus")):
             r = self._restpoint_residual(z)
             if r > _RESTPOINT_TOL:
@@ -124,28 +144,19 @@ class NonlinearFamily:
         vals = self.evaluate(lams, ts, np.broadcast_to(z, (9, 17, self.n)))
         return float(np.max(np.abs(vals)))
 
-    def jacobian(self, lam, t, z, step: float = _JAC_STEP) -> np.ndarray:
-        """D_z g by central differences, step scaled per coordinate.
+    def jacobian(self, lam, t, z) -> np.ndarray:
+        """D_z g, evaluated from its compiled partial derivatives.
 
         Broadcasts over (lam, t, leading z axes); result has shape
         broadcast + (n, n).
+
+        Raises
+        ------
+        DomainError
+            Where a partial derivative has no real value.
         """
         z = np.asarray(z, dtype=float)
-        n = self.n
-        shape = np.broadcast_shapes(np.shape(lam), np.shape(t),
-                                    z[..., 0].shape)
-        zb = np.broadcast_to(z, shape + (n,)).copy()
-        J = np.empty(shape + (n, n))
-        for j in range(n):
-            h = step * (1.0 + np.abs(zb[..., j]))
-            zp = zb.copy()
-            zp[..., j] += h
-            zm = zb.copy()
-            zm[..., j] -= h
-            gp = self.evaluate(lam, t, zp)
-            gm = self.evaluate(lam, t, zm)
-            J[..., :, j] = (gp - gm) / (2.0 * h[..., None])
-        return J
+        return self._jac_eval(lam, t, *(z[..., j] for j in range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -154,11 +165,16 @@ class Branch:
 
     z: tuple
     _fns: tuple = field(default=None, repr=False, compare=False)
+    _dfns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_fns",
             tuple(compile_expr(e, ("lambda", "t")) for e in self.z))
+        object.__setattr__(
+            self, "_dfns",
+            tuple(compile_expr(diff(e, "t"), ("lambda", "t"))
+                  for e in self.z))
 
     @staticmethod
     def from_sources(sources: Sequence[str]) -> "Branch":
@@ -170,15 +186,19 @@ class Branch:
 
     def evaluate(self, lam, t) -> np.ndarray:
         """Branch point, broadcast shape + (n,)."""
-        shape = np.broadcast_shapes(np.shape(lam), np.shape(t))
-        comps = [np.broadcast_to(np.asarray(fn(lam, t), float), shape)
-                 for fn in self._fns]
-        return np.stack(comps, axis=-1)
+        return _stack(self._fns, lam, t)
 
-    def derivative(self, lam, t, h: float = 1e-5) -> np.ndarray:
-        """d/dt of the branch by central differences."""
-        return (self.evaluate(lam, np.asarray(t) + h)
-                - self.evaluate(lam, np.asarray(t) - h)) / (2.0 * h)
+    def derivative(self, lam, t) -> np.ndarray:
+        """d/dt of the branch, from the differentiated expressions."""
+        return _stack(self._dfns, lam, t)
+
+
+def _stack(fns: tuple, lam, t) -> np.ndarray:
+    """Compiled components at broadcast (lam, t), stacked on a last axis."""
+    shape = np.broadcast_shapes(np.shape(lam), np.shape(t))
+    comps = [np.broadcast_to(np.asarray(fn(lam, t), float), shape)
+             for fn in fns]
+    return np.stack(comps, axis=-1)
 
 
 def validate_branch(nf: NonlinearFamily, branch: Branch,
@@ -226,18 +246,21 @@ def linearize_along(nf: NonlinearFamily, branch: Branch,
                     branch_tol: float = 1e-6) -> LinearFamily:
     """Linearization S(lambda, t) = D_z g along the branch.
 
-    The branch is validated first; the unstable dimension k is read
-    from the spectral split of the limit matrix at (lam_range[0],
-    -t_max).
+    The branch is validated first.  S is the family's matrix of
+    partial derivatives with the branch expressions substituted for
+    z1..zn: an expression family in (lambda, t), whose evaluation
+    raises ``DomainError`` where an entry has no real value.  The
+    unstable dimension k is read from the spectral split of the strict
+    evaluation of S at (lam_range[0], -t_max).
     """
     validate_branch(nf, branch, branch_tol=branch_tol)
-
-    def jac(lam, t):
-        return nf.jacobian(lam, t, branch.evaluate(lam, t))
-
-    k = spectral_split(jac(nf.lam_range[0], -nf.t_max)).v_plus.k
-    return LinearFamily.from_callable(jac, n=nf.n, k=k, t_max=nf.t_max,
-                                      batched=jac)
+    on_branch = dict(zip(_z_names(nf.n), branch.z))
+    S = MatrixExpr(nf.n, nf.n, tuple(
+        tuple(substitute(e, on_branch) for e in row)
+        for row in nf._jac.entries))
+    S0 = eval_matrix(S, {"lambda": nf.lam_range[0], "t": -nf.t_max})
+    k = spectral_split(S0).v_plus.k
+    return LinearFamily.from_matrix_expr(S, k=k, t_max=nf.t_max)
 
 
 @dataclass(frozen=True)
@@ -259,7 +282,11 @@ class RestpointReport:
 
 def check_restpoints(nf: NonlinearFamily,
                      lam_samples: int = 11) -> RestpointReport:
-    """Report restpoint residuals and limit hyperbolicity; never raises."""
+    """Report restpoint residuals and limit hyperbolicity; never raises.
+
+    A restpoint where D_z g has no real value (a ``DomainError``)
+    counts as not hyperbolic.
+    """
     violations = []
     res_m = nf._restpoint_residual(nf.z_minus)
     res_p = nf._restpoint_residual(nf.z_plus)
@@ -274,9 +301,13 @@ def check_restpoints(nf: NonlinearFamily,
     for lam in np.linspace(a, b, lam_samples):
         for t0, z, side in ((-nf.t_max, nf.z_minus, "z_minus"),
                             (nf.t_max, nf.z_plus, "z_plus")):
-            J = nf.jacobian(lam, t0, z)
             try:
-                split = spectral_split(J)
+                split = spectral_split(nf.jacobian(lam, t0, z))
+            except DomainError as exc:
+                hyperbolic = False
+                violations.append(
+                    f"{side}: D_z g undefined at lambda={lam:.4g}: {exc}")
+                continue
             except NotHyperbolic as exc:
                 hyperbolic = False
                 violations.append(
@@ -332,13 +363,18 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
 
     Linearizes along the branch, checks the limit hypotheses, and
     computes the Z2-index of lambda -> (E^s(0), E^u(0)) over
-    ``lam_range`` (the family's own range by default) on ``samples``
-    evenly spaced lambdas.  Every lambda of the verdict, the grid of
-    ``index_report`` included, is in the caller's parametrization.
+    ``lam_range`` (the family's own range by default, and never beyond
+    it: the restpoints and the branch are validated there only) on
+    ``samples`` evenly spaced lambdas.  Every lambda of the verdict,
+    the grid of ``index_report`` included, is in the caller's
+    parametrization.
     ``branch_tol`` is the residual bound of :func:`validate_branch`.
 
     Raises
     ------
+    InvalidInput
+        If ``lam_range`` is not increasing or reaches outside the
+        family's ``lam_range``.
     HypothesisFailure
         If a sampled limit hypothesis fails (assumption named).
     BranchResidualTooLarge
@@ -346,10 +382,16 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     DegenerateEndpoint
         If an endpoint pair is numerically non-transversal.
     """
-    lf = linearize_along(nf, branch, branch_tol=branch_tol)
     a, b = lam_range if lam_range is not None else nf.lam_range
     if not b > a:
         raise InvalidInput("lam_range must be increasing")
+    lo, hi = nf.lam_range
+    if a < lo or b > hi:
+        raise InvalidInput(
+            f"lam_range [{a:g}, {b:g}] reaches outside the family's "
+            f"lam_range [{lo:g}, {hi:g}], where the restpoints and the "
+            f"branch were validated")
+    lf = linearize_along(nf, branch, branch_tol=branch_tol)
     hyp = _require_A1_A3(lf, hypothesis_samples, (a, b))
     pair = boundary_pair_over_lambda(lf, np.linspace(a, b, samples),
                                      rtol=rtol, atol=atol)

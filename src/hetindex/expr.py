@@ -17,6 +17,10 @@ so "^" is right-associative and binds tighter than unary minus, which
 binds tighter than "*" and "/".  Variables are ``t``, ``lambda`` and
 ``z1`` ... ``zn``; which of them are legal depends on the context and
 is enforced by the ``variables`` argument of the parse helpers.
+
+:func:`diff` differentiates a tree symbolically and :func:`substitute`
+replaces variables by expressions; both return ordinary trees, so their
+results print, re-parse, evaluate and compile like parsed ones.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
     "evaluate",
     "pretty",
     "free_variables",
+    "diff",
+    "substitute",
     "compile_expr",
     "parse_matrix",
     "parse_vector",
@@ -51,7 +57,7 @@ __all__ = [
 
 FUNCTIONS = (
     "sin", "cos", "tan", "tanh", "sech", "cosh", "sinh",
-    "exp", "log", "sqrt", "abs", "atan",
+    "exp", "log", "sqrt", "abs", "atan", "sign",
 )
 
 _VAR_RE = re.compile(r"^(t|lambda|z[1-9][0-9]*)$")
@@ -266,7 +272,7 @@ _NUMPY_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "tanh": np.tanh, "sech": _sech, "cosh": np.cosh, "sinh": np.sinh,
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-    "abs": np.abs, "atan": np.arctan,
+    "abs": np.abs, "atan": np.arctan, "sign": np.sign,
 }
 
 
@@ -359,6 +365,147 @@ def pretty(e: Expr) -> str:
         raise TypeError(f"not an Expr node: {node!r}")
 
     return rec(e, 0)
+
+
+# -- differentiation and substitution ----------------------------------
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _is(node: Expr, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _num(c: float) -> Expr:
+    # the parser never makes a negative Num (nor -0.0, hence the abs),
+    # so neither may we: pretty would print it as a Neg and the round
+    # trip would change the tree
+    return Neg(Num(-c)) if c < 0 else Num(abs(c))
+
+
+def _neg(a: Expr) -> Expr:
+    if _is(a, 0.0):
+        return _ZERO
+    if isinstance(a, Neg):
+        return a.operand
+    return Neg(a)
+
+
+def _bin(op: str, a: Expr, b: Expr) -> Expr:
+    """Bin(op, a, b), folding identities of 0 and 1 and finite Num∘Num."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        try:
+            c = evaluate(Bin(op, a, b), {})
+        except DomainError:
+            c = np.nan
+        if np.isfinite(c):
+            return _num(c)
+    if op == "+":
+        if _is(a, 0.0):
+            return b
+        if _is(b, 0.0):
+            return a
+    elif op == "-":
+        if _is(b, 0.0):
+            return a
+        if _is(a, 0.0):
+            return _neg(b)
+    elif op == "*":
+        if _is(a, 0.0) or _is(b, 0.0):
+            return _ZERO
+        if _is(a, 1.0):
+            return b
+        if _is(b, 1.0):
+            return a
+    elif op == "/":
+        if _is(a, 0.0):
+            return _ZERO
+        if _is(b, 1.0):
+            return a
+    elif op == "^":
+        if _is(b, 0.0) or _is(a, 1.0):
+            return _ONE
+        if _is(b, 1.0):
+            return a
+    return Bin(op, a, b)
+
+
+#: f'(u) for each f in FUNCTIONS, as an expression in u.
+_DERIVATIVES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: _neg(Call("sin", u)),
+    "tan": lambda u: _bin("+", _ONE, _bin("^", Call("tan", u), Num(2.0))),
+    "tanh": lambda u: _bin("^", Call("sech", u), Num(2.0)),
+    "sech": lambda u: _neg(_bin("*", Call("sech", u), Call("tanh", u))),
+    "cosh": lambda u: Call("sinh", u),
+    "sinh": lambda u: Call("cosh", u),
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: _bin("/", _ONE, u),
+    "sqrt": lambda u: _bin("/", Num(0.5), Call("sqrt", u)),
+    "abs": lambda u: Call("sign", u),
+    "atan": lambda u: _bin("/", _ONE,
+                           _bin("+", _ONE, _bin("^", u, Num(2.0)))),
+    "sign": lambda u: _ZERO,
+}
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """Exact derivative of ``e`` with respect to the variable ``var``.
+
+    The chain, product and quotient rules applied to the tree, with
+    identities of 0 and 1 and finite constant operations folded.  A
+    power ``a^b`` differentiates to ``b*a^(b-1)*a'`` when ``b`` does
+    not depend on ``var`` and to ``a^b*(b'*log(a) + b*a'/a)`` when it
+    does; ``abs`` differentiates to ``sign``, whose derivative is 0
+    (so the derivative of ``abs`` at 0 is 0).  No domain is checked
+    here: the derivative of ``sqrt(z1)`` is ``0.5/sqrt(z1)``, which
+    the strict evaluator rejects at ``z1 = 0``.
+    """
+    if isinstance(e, Num):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, Neg):
+        return _neg(diff(e.operand, var))
+    if isinstance(e, Bin):
+        a, b = e.left, e.right
+        da, db = diff(a, var), diff(b, var)
+        if e.op in "+-":
+            return _bin(e.op, da, db)
+        if e.op == "*":
+            return _bin("+", _bin("*", da, b), _bin("*", a, db))
+        if e.op == "/":
+            return _bin("-", _bin("/", da, b),
+                        _bin("/", _bin("*", a, db), _bin("^", b, Num(2.0))))
+        # "^"
+        if var not in free_variables(b):
+            return _bin("*", _bin("*", b, _bin("^", a, _bin("-", b, _ONE))),
+                        da)
+        return _bin("*", e, _bin("+", _bin("*", db, Call("log", a)),
+                                  _bin("/", _bin("*", b, da), a)))
+    if isinstance(e, Call):
+        return _bin("*", _DERIVATIVES[e.func](e.arg), diff(e.arg, var))
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
+    """``e`` with every variable named in ``env`` replaced by its expression.
+
+    The rebuilt tree folds constants as :func:`diff` does, so a
+    variable replaced by 0 drops out of sums and products.
+    """
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Var):
+        return env.get(e.name, e)
+    if isinstance(e, Neg):
+        return _neg(substitute(e.operand, env))
+    if isinstance(e, Bin):
+        return _bin(e.op, substitute(e.left, env), substitute(e.right, env))
+    if isinstance(e, Call):
+        return Call(e.func, substitute(e.arg, env))
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 # -- compilation to numpy ----------------------------------------------

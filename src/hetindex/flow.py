@@ -86,6 +86,10 @@ class LinearFamily:
         automatically when the family has not stabilized there).
     matrix : MatrixExpr or None
         The expression grid of an expression family.
+
+    Each family keeps the results of :func:`asymptotic_limits`, which
+    depend on the family and lambda only; a family made by
+    ``dataclasses.replace`` starts with none.
     """
 
     n: int
@@ -93,12 +97,14 @@ class LinearFamily:
     t_max: float = 20.0
     matrix: MatrixExpr | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
+    _limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
         if self.t_max <= 0:
             raise InvalidInput("t_max must be positive")
+        object.__setattr__(self, "_limits", {})
 
     @staticmethod
     def from_matrix_expr(m: MatrixExpr, k: int, t_max: float = 20.0) -> "LinearFamily":
@@ -317,6 +323,10 @@ def asymptotic_limits(fam: LinearFamily, lam: float,
     ||S(+-T) - S(+-T/2)|| <= 1e-6.  T starts at t_max and doubles until
     the check passes (a bounded number of times).
 
+    The family keeps each result, keyed by (lambda, delta), and returns
+    the same read-only object on a later call; a failure is not kept,
+    so it raises on every call.
+
     Raises
     ------
     NotStabilized
@@ -324,6 +334,10 @@ def asymptotic_limits(fam: LinearFamily, lam: float,
     NotHyperbolic
         If a limit matrix has spectrum near the imaginary axis.
     """
+    key = (float(lam), delta)
+    known = fam._limits.get(key)
+    if known is not None:
+        return known
     T = fam.t_max
     for _ in range(_ESCALATION_CAP):
         s_minus = fam.evaluate(lam, -T)
@@ -333,17 +347,26 @@ def asymptotic_limits(fam: LinearFamily, lam: float,
             np.linalg.norm(s_plus - fam.evaluate(lam, T / 2), 2),
         )
         if drift <= _STAB_TOL:
-            return AsymptoticLimits(
-                s_minus=s_minus,
-                s_plus=s_plus,
+            limits = AsymptoticLimits(
+                s_minus=_frozen_copy(s_minus),
+                s_plus=_frozen_copy(s_plus),
                 split_minus=spectral_split(s_minus, delta),
                 split_plus=spectral_split(s_plus, delta),
                 horizon=T,
             )
+            fam._limits[key] = limits
+            return limits
         T *= 2.0
     raise NotStabilized(
         f"family still drifting {drift:.2e} at t = +-{T / 2:.0f} (lambda={lam})"
     )
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    # a copy: an evaluator may hand back an array its caller still owns
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _leg_points(t_from: float, t_to: float) -> np.ndarray:

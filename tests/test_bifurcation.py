@@ -6,6 +6,7 @@ import pytest
 from hetindex import (
     Branch,
     BranchResidualTooLarge,
+    DomainError,
     InvalidInput,
     NonlinearFamily,
     check_restpoints,
@@ -25,6 +26,37 @@ def cubic_family(lam_range=(0.0, 1.0)):
 
 def zero_branch():
     return Branch.from_sources(["0", "0"])
+
+
+# A front z1 = tanh(t) carrying a pulse z2 = sech(t)/2: both components
+# of the branch vary in t, and D_z g along it depends on lambda and t.
+FRONT_G = ["1 - z1^2",
+           "-z1*z2 + lambda*z2*(z1^2 + z2^2 - tanh(t)^2 - 0.25*sech(t)^2)"]
+
+
+def front_family():
+    return NonlinearFamily.from_sources(FRONT_G, z_minus=[-1.0, 0.0],
+                                        z_plus=[1.0, 0.0])
+
+
+def front_branch():
+    return Branch.from_sources(["tanh(t)", "0.5*sech(t)"])
+
+
+def central_jacobian(nf, lam, t, z, step=1e-6):
+    """D_z g by central differences: the oracle for the exact Jacobian."""
+    z = np.asarray(z, dtype=float)
+    J = np.empty((nf.n, nf.n))
+    for j in range(nf.n):
+        h = step * (1.0 + abs(z[j]))
+        dz = np.zeros(nf.n)
+        dz[j] = h
+        J[:, j] = (nf.evaluate(lam, t, z + dz)
+                   - nf.evaluate(lam, t, z - dz)) / (2.0 * h)
+    return J
+
+
+POINTS = ((0.0, 0.0), (0.8, 1.2), (1.0, -2.0), (0.3, 7.5), (0.55, -19.0))
 
 
 def test_evaluate_scalar_and_batch():
@@ -106,3 +138,91 @@ def test_detect_bifurcation_respects_family_range():
                                  zero_branch())
     assert not verdict.bifurcates
     assert verdict.lam_range == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (cubic_family(), zero_branch()),
+    lambda: (front_family(), front_branch()),
+], ids=["cubic", "front"])
+def test_jacobian_and_linearization_match_central_differences(make):
+    nf, branch = make()
+    lf = linearize_along(nf, branch)
+    assert lf.matrix is not None
+    rng = np.random.default_rng(2)
+    for lam, t in POINTS:
+        on = branch.evaluate(lam, t)
+        oracle = central_jacobian(nf, lam, t, on)
+        tol = 1e-6 * (1.0 + np.max(np.abs(oracle)))
+        assert np.max(np.abs(lf.evaluate(lam, t) - oracle)) < tol
+        z = on + rng.normal(size=nf.n)
+        oracle = central_jacobian(nf, lam, t, z)
+        tol = 1e-6 * (1.0 + np.max(np.abs(oracle)))
+        assert np.max(np.abs(nf.jacobian(lam, t, z) - oracle)) < tol
+    # broadcast over lambda, t and the z batch
+    lams = np.array([0.0, 0.5, 1.0])[:, None]
+    ts = np.linspace(-3.0, 3.0, 4)[None, :]
+    zs = branch.evaluate(lams, ts)
+    J = nf.jacobian(lams, ts, zs)
+    assert J.shape == (3, 4, nf.n, nf.n)
+    assert np.allclose(J[2, 1], nf.jacobian(1.0, ts[0, 1], zs[2, 1]))
+    assert np.allclose(lf.evaluate_many(lams, ts), J, rtol=0, atol=1e-15)
+
+
+def test_branch_derivative_matches_central_difference():
+    branch = front_branch()
+    h = 1e-5
+    for lam, t in POINTS:
+        fd = (branch.evaluate(lam, t + h)
+              - branch.evaluate(lam, t - h)) / (2 * h)
+        assert np.max(np.abs(branch.derivative(lam, t) - fd)) < 1e-9
+    ts = np.linspace(-4.0, 4.0, 9)
+    assert np.allclose(branch.derivative(0.5, ts)[:, 0], np.cosh(ts) ** -2)
+
+
+def test_front_branch_validates():
+    validate_branch(front_family(), front_branch())
+    with pytest.raises(BranchResidualTooLarge):
+        validate_branch(front_family(),
+                        Branch.from_sources(["tanh(t)", "0.6*sech(t)"]))
+
+
+SQRT_G = ["z2", "z1 + sqrt(z1)"]
+
+
+def sqrt_family():
+    # d/dz1 sqrt(z1) = 0.5/sqrt(z1) has no value at the restpoint z1 = 0
+    return NonlinearFamily.from_sources(SQRT_G, z_minus=[0.0, 0.0],
+                                        z_plus=[0.0, 0.0])
+
+
+def test_check_restpoints_reports_undefined_jacobian():
+    rep = check_restpoints(sqrt_family(), lam_samples=3)
+    assert not rep.hyperbolic
+    assert rep.k_minus is None and rep.k_plus is None
+    assert len(rep.violations) == 6
+    assert rep.violations[0].startswith(
+        "z_minus: D_z g undefined at lambda=0:")
+    assert "division by zero" in rep.violations[0]
+    assert rep.violations[1].startswith("z_plus: D_z g undefined at lambda=0:")
+    assert "lambda=0.5" in rep.violations[2]
+
+
+def test_linearize_along_raises_domain_error():
+    with pytest.raises(DomainError):
+        linearize_along(sqrt_family(), zero_branch())
+
+
+def test_detect_bifurcation_rejects_range_beyond_family():
+    # x + abs(x) with x = abs(lambda - 0.5) - 0.5 vanishes on [0, 1] but
+    # not at lambda = 1.5, where (0, 0) is no restpoint any more
+    x = "(abs(lambda - 0.5) - 0.5)"
+    g = [CUBIC_G[0], f"{CUBIC_G[1]} + {x} + abs({x})"]
+    nf = NonlinearFamily.from_sources(g, z_minus=[0.0, 0.0],
+                                      z_plus=[0.0, 0.0])
+    assert np.allclose(nf.evaluate(1.5, 0.0, [0.0, 0.0]), [0.0, 1.0])
+    with pytest.raises(InvalidInput) as exc:
+        detect_bifurcation(nf, zero_branch(), lam_range=(0.0, 1.5))
+    assert "[0, 1.5]" in str(exc.value) and "[0, 1]" in str(exc.value)
+    with pytest.raises(InvalidInput):
+        detect_bifurcation(cubic_family(lam_range=(0.2, 1.0)),
+                           zero_branch(), lam_range=(0.0, 0.5))

@@ -242,6 +242,14 @@ def test_domain_error_in_lagrangian_path_exits_2(tmp_path):
     assert "sqrt of negative value" in res.stderr
 
 
+def test_domain_error_in_linearization_exits_2(tmp_path):
+    # D_z g holds d/dz1 sqrt(z1) = 0.5/sqrt(z1), undefined on the branch z = 0
+    cfg = write_config(tmp_path, {**CUBIC, "g": ["z2", "z1 + sqrt(z1)"]})
+    res = run_cli(["bifurcate", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "division by zero" in res.stderr
+
+
 def test_bifurcate_honours_branch_tol(tmp_path):
     # the branch misses z' = g by 1.5e-5: within 0.01, not within the
     # default 1e-6

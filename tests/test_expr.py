@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetindex import (
+    DomainError,
     ParseError,
     UnboundVariable,
     compile_expr,
@@ -14,7 +15,18 @@ from hetindex import (
     parse_matrix,
     pretty,
 )
-from hetindex.expr import FUNCTIONS, eval_matrix
+from hetindex.expr import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    MatrixExpr,
+    Neg,
+    Num,
+    Var,
+    diff,
+    eval_matrix,
+    substitute,
+)
 
 
 def test_precedence():
@@ -127,3 +139,116 @@ def test_compile_matrix_vectorizes():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises((ParseError, ValueError)):
         parse_matrix([["1", "0"], ["1"]])
+
+
+# -- differentiation -----------------------------------------------------
+
+DIFF_VARS = ("z1", "z2", "t")
+
+
+def random_tree(rng, depth):
+    """A random expression over DIFF_VARS, real and smooth on [-1.5, 1.5]^3.
+
+    Arguments are guarded so every node keeps its domain: log and sqrt
+    see 1 + u^2, tan sees atan(u)/2, a divisor is 2 + sin(u), and a
+    base raised to a variable power is 1.5 + sin(u).
+    """
+    if depth == 0:
+        if rng.uniform() < 0.7:
+            return Var(DIFF_VARS[rng.integers(len(DIFF_VARS))])
+        return Num(float(rng.choice([0.5, 1.0, 2.0, 2.5])))
+    kinds = ("+", "-", "*", "/", "^", "^var", "neg") + FUNCTIONS
+    kind = kinds[rng.integers(len(kinds))]
+    u = random_tree(rng, depth - 1)
+    if kind in ("+", "-", "*"):
+        return Bin(kind, u, random_tree(rng, depth - 1))
+    if kind == "/":
+        return Bin("/", u, Bin("+", Num(2.0),
+                               Call("sin", random_tree(rng, depth - 1))))
+    if kind == "^":
+        return Bin("^", u, Num(float(rng.integers(2, 4))))
+    if kind == "^var":
+        return Bin("^", Bin("+", Num(1.5), Call("sin", u)),
+                   Call("tanh", random_tree(rng, depth - 1)))
+    if kind == "neg":
+        return Neg(u)
+    if kind in ("log", "sqrt"):
+        return Call(kind, Bin("+", Num(1.0), Bin("^", u, Num(2.0))))
+    if kind == "tan":
+        return Call("tan", Bin("/", Call("atan", u), Num(2.0)))
+    if kind in ("exp", "sinh", "cosh"):
+        return Call(kind, Call("tanh", u))
+    return Call(kind, u)
+
+
+def _nodes(e):
+    yield e
+    for child in (getattr(e, "operand", None), getattr(e, "left", None),
+                  getattr(e, "right", None), getattr(e, "arg", None)):
+        if child is not None:
+            yield from _nodes(child)
+
+
+def test_diff_against_central_differences():
+    rng = np.random.default_rng(3)
+    h = 1e-5
+    covered = set()
+    for _ in range(300):
+        e = random_tree(rng, int(rng.integers(1, 5)))
+        for var in DIFF_VARS:
+            d = diff(e, var)
+            for _ in range(3):
+                env = {v: float(rng.uniform(-1.5, 1.5)) for v in DIFF_VARS}
+                up, down = dict(env), dict(env)
+                up[var] += h
+                down[var] -= h
+                fd = (evaluate(e, up) - evaluate(e, down)) / (2 * h)
+                exact = evaluate(d, env)
+                scale = 1.0 + abs(exact) + abs(evaluate(e, env))
+                assert abs(exact - fd) <= 1e-6 * scale, (pretty(e), var, env)
+        covered |= {n.func if isinstance(n, Call) else n.op
+                    for n in _nodes(e) if isinstance(n, (Call, Bin))}
+    assert covered >= set(FUNCTIONS) | set("+-*/^")
+
+
+def test_diff_pretty_round_trip():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        e = random_tree(rng, int(rng.integers(1, 5)))
+        for var in DIFF_VARS:
+            d = diff(e, var)
+            assert parse(pretty(d)) == d, pretty(d)
+    # constant folding never leaves a negative literal behind
+    d = diff(parse("z1^0.5 - 3*z1"), "z1")
+    assert parse(pretty(d)) == d
+    assert not any(isinstance(n, Num) and n.value < 0 for n in _nodes(d))
+
+
+def test_diff_folds_identities():
+    assert diff(parse("z1^3"), "z1") == parse("3*z1^2")
+    assert diff(parse("lambda*z2"), "z1") == Num(0.0)
+    assert diff(parse("sin(z1)"), "z1") == parse("cos(z1)")
+
+
+def test_diff_of_abs_is_zero_at_zero():
+    d = diff(parse("abs(z1)"), "z1")
+    assert evaluate(d, {"z1": 0.0}) == 0.0
+    assert evaluate(d, {"z1": -2.0}) == -1.0
+    assert evaluate(diff(d, "z1"), {"z1": 0.3}) == 0.0
+
+
+def test_diff_of_sqrt_at_zero_is_a_domain_error():
+    d = diff(parse("sqrt(z1)"), "z1")
+    with pytest.raises(DomainError):
+        evaluate(d, {"z1": 0.0})
+    f = compile_matrix(MatrixExpr(1, 1, ((d,),)), ("z1",))
+    assert f(4.0)[0, 0] == 0.25
+    with pytest.raises(DomainError):
+        f(np.array([1.0, 0.0]))
+
+
+def test_substitute_replaces_and_folds():
+    e = parse("(1 - lambda*sech(t)^2)*z1 + 3*z1^2 + z2")
+    out = substitute(e, {"z1": Num(0.0), "z2": parse("sin(t)")})
+    assert out == parse("sin(t)")
+    assert substitute(e, {}) == e

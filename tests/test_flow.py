@@ -1,5 +1,7 @@
 """Linear families: transport, asymptotics, subspace paths, hypotheses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,6 +12,7 @@ from hetindex import (
     GapTooLarge,
     InvalidInput,
     LinearFamily,
+    NotHyperbolic,
     NotStabilized,
     asymptotic_limits,
     check_A1_A3,
@@ -235,3 +238,56 @@ def test_check_hypotheses_flags_nonhyperbolic_lambda():
     assert not rep.ok
     lams = [v[0] for v in rep.violations]
     assert any(abs(l - 0.5) < 1e-12 for l in lams)
+
+
+def test_asymptotic_limits_memo_returns_the_first_result():
+    calls = []
+
+    def S(lam, t):
+        calls.append((lam, t))
+        return np.diag([-np.tanh(t), np.tanh(t) + lam])
+
+    fam = LinearFamily.from_callable(S, n=2, k=1)
+    first = asymptotic_limits(fam, 0.25)
+    evaluations = len(calls)
+    assert evaluations > 0
+    assert asymptotic_limits(fam, np.float64(0.25)) is first
+    assert len(calls) == evaluations
+    assert asymptotic_limits(fam, 0.5) is not first
+    # another delta is another split
+    assert asymptotic_limits(fam, 0.25, delta=1e-6) is not first
+
+
+def test_asymptotic_limits_memo_keeps_no_failure():
+    drifting = LinearFamily.from_matrix_expr(
+        parse_matrix([["sin(t) - 2", "0"], ["0", "1"]]), k=1)
+    centre = LinearFamily.from_matrix_expr(
+        parse_matrix([["lambda - 0.5", "0"], ["0", "1"]]), k=1)
+    for _ in range(2):
+        with pytest.raises(NotStabilized):
+            asymptotic_limits(drifting, 0.0)
+        with pytest.raises(NotHyperbolic):
+            asymptotic_limits(centre, 0.5)
+    assert asymptotic_limits(centre, 0.0).split_minus.v_plus.k == 1
+
+
+def test_asymptotic_limits_memo_is_per_family():
+    fam = tanh_family()
+    first = asymptotic_limits(fam, 0.0)
+    longer = dataclasses.replace(fam, t_max=40.0)
+    again = asymptotic_limits(longer, 0.0)
+    assert again is not first
+    assert again.horizon == 40.0 and first.horizon == 20.0
+    assert asymptotic_limits(fam, 0.0) is first
+
+
+def test_asymptotic_limits_are_read_only():
+    owned = np.diag([1.0, -1.0])
+    fam = LinearFamily.from_callable(lambda lam, t: owned, n=2, k=1)
+    lim = asymptotic_limits(fam, 0.0)
+    for a in (lim.s_minus, lim.s_plus, lim.split_minus.v_plus.columns,
+              lim.split_plus.v_minus.columns):
+        with pytest.raises(ValueError):
+            a[0, 0] = 7.0
+    # the evaluator's own array stays the caller's to write
+    owned[0, 0] = 2.0
