@@ -47,7 +47,6 @@ from .errors import (
     UnstableTruncation,
 )
 from .expr import (
-    compile_expr,
     compile_matrix,
     evaluate,
     free_variables,

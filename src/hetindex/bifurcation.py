@@ -32,7 +32,6 @@ from .errors import (
 )
 from .expr import (
     MatrixExpr,
-    compile_expr,
     compile_matrix,
     diff,
     eval_matrix,
@@ -56,10 +55,20 @@ __all__ = [
 ]
 
 _RESTPOINT_TOL = 1e-8
+#: validate_branch: how far the branch may miss a restpoint at +-t_max,
+#: and the (lambda, t) grid its residual is sampled on
+_LIMIT_TOL = 1e-4
+_LAM_SAMPLES = 11
+_T_SAMPLES = 81
 
 
 def _z_names(n: int) -> tuple:
     return tuple(f"z{j + 1}" for j in range(n))
+
+
+def _column(exprs) -> MatrixExpr:
+    """The expressions as an n x 1 grid, for :func:`compile_matrix`."""
+    return MatrixExpr(len(exprs), 1, tuple((e,) for e in exprs))
 
 
 @dataclass(frozen=True)
@@ -68,9 +77,10 @@ class NonlinearFamily:
 
     ``g`` is a tuple of expressions in lambda, t, z1..zn; the
     restpoints must annihilate g on a sampled (lambda, t) grid within
-    1e-8, which the constructor enforces.  The constructor also
-    differentiates g once into the n x n matrix of dg_i/dz_j and
-    compiles it.
+    1e-8, which the constructor enforces.  The constructor compiles g
+    as an n x 1 grid, and differentiates it once into the n x n matrix
+    of dg_i/dz_j and compiles that; both raise ``DomainError`` where an
+    entry has no real value.
     """
 
     g: tuple
@@ -78,7 +88,7 @@ class NonlinearFamily:
     z_plus: np.ndarray
     t_max: float = 20.0
     lam_range: tuple = (0.0, 1.0)
-    _fns: tuple = field(default=None, repr=False, compare=False)
+    _g_eval: Callable = field(init=False, repr=False, compare=False)
     _jac: MatrixExpr = field(init=False, repr=False, compare=False)
     _jac_eval: Callable = field(init=False, repr=False, compare=False)
 
@@ -92,21 +102,21 @@ class NonlinearFamily:
             raise DimensionMismatch(
                 f"restpoints must be length-{n} vectors"
             )
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
         a, b = self.lam_range
         if not b > a:
             raise InvalidInput("lam_range must be increasing")
         args = ("lambda", "t") + _z_names(n)
-        object.__setattr__(
-            self, "_fns", tuple(compile_expr(e, args) for e in self.g))
+        object.__setattr__(self, "_g_eval",
+                           compile_matrix(_column(self.g), args))
         jac = MatrixExpr(n, n, tuple(
             tuple(diff(e, z) for z in _z_names(n)) for e in self.g))
         object.__setattr__(self, "_jac", jac)
         object.__setattr__(self, "_jac_eval", compile_matrix(jac, args))
         for z, name in ((self.z_minus, "z_minus"), (self.z_plus, "z_plus")):
             r = self._restpoint_residual(z)
-            if r > _RESTPOINT_TOL:
+            if not r <= _RESTPOINT_TOL:
                 raise InvalidInput(
                     f"{name} is not a restpoint: max |g| = {r:.3e} "
                     f"exceeds {_RESTPOINT_TOL}"
@@ -129,13 +139,10 @@ class NonlinearFamily:
 
     def evaluate(self, lam, t, z) -> np.ndarray:
         """g at broadcastable (lam, t) and z of shape (..., n)."""
-        z = np.asarray(z, dtype=float)
-        comps = [fn(lam, t, *(z[..., j] for j in range(self.n)))
-                 for fn in self._fns]
-        shape = np.broadcast_shapes(
-            np.shape(lam), np.shape(t), z[..., 0].shape)
-        comps = [np.broadcast_to(np.asarray(c, float), shape) for c in comps]
-        return np.stack(comps, axis=-1)
+        return self._g_eval(lam, t, *self._split(z))[..., 0]
+
+    def _split(self, z) -> tuple:
+        return tuple(np.moveaxis(np.asarray(z, dtype=float), -1, 0))
 
     def _restpoint_residual(self, z: np.ndarray) -> float:
         a, b = self.lam_range
@@ -155,26 +162,27 @@ class NonlinearFamily:
         DomainError
             Where a partial derivative has no real value.
         """
-        z = np.asarray(z, dtype=float)
-        return self._jac_eval(lam, t, *(z[..., j] for j in range(self.n)))
+        return self._jac_eval(lam, t, *self._split(z))
 
 
 @dataclass(frozen=True)
 class Branch:
-    """A lambda-family of solutions given as expressions in lambda, t."""
+    """A lambda-family of solutions given as expressions in lambda, t.
+
+    z and dz/dt compile as two n x 1 grids, so z is defined where dz/dt
+    is not; both raise ``DomainError`` where they have no real value.
+    """
 
     z: tuple
-    _fns: tuple = field(default=None, repr=False, compare=False)
-    _dfns: tuple = field(init=False, repr=False, compare=False)
+    _z_eval: Callable = field(init=False, repr=False, compare=False)
+    _dz_eval: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_fns",
-            tuple(compile_expr(e, ("lambda", "t")) for e in self.z))
-        object.__setattr__(
-            self, "_dfns",
-            tuple(compile_expr(diff(e, "t"), ("lambda", "t"))
-                  for e in self.z))
+        args = ("lambda", "t")
+        object.__setattr__(self, "_z_eval",
+                           compile_matrix(_column(self.z), args))
+        object.__setattr__(self, "_dz_eval", compile_matrix(
+            _column([diff(e, "t") for e in self.z]), args))
 
     @staticmethod
     def from_sources(sources: Sequence[str]) -> "Branch":
@@ -186,26 +194,15 @@ class Branch:
 
     def evaluate(self, lam, t) -> np.ndarray:
         """Branch point, broadcast shape + (n,)."""
-        return _stack(self._fns, lam, t)
+        return self._z_eval(lam, t)[..., 0]
 
     def derivative(self, lam, t) -> np.ndarray:
         """d/dt of the branch, from the differentiated expressions."""
-        return _stack(self._dfns, lam, t)
-
-
-def _stack(fns: tuple, lam, t) -> np.ndarray:
-    """Compiled components at broadcast (lam, t), stacked on a last axis."""
-    shape = np.broadcast_shapes(np.shape(lam), np.shape(t))
-    comps = [np.broadcast_to(np.asarray(fn(lam, t), float), shape)
-             for fn in fns]
-    return np.stack(comps, axis=-1)
+        return self._dz_eval(lam, t)[..., 0]
 
 
 def validate_branch(nf: NonlinearFamily, branch: Branch,
-                    branch_tol: float = 1e-6,
-                    limit_tol: float = 1e-4,
-                    lam_samples: int = 11,
-                    t_samples: int = 81) -> None:
+                    branch_tol: float = 1e-6) -> None:
     """Check the branch solves z' = g and approaches the restpoints.
 
     Raises
@@ -213,19 +210,22 @@ def validate_branch(nf: NonlinearFamily, branch: Branch,
     BranchResidualTooLarge
         If the ODE residual exceeds ``branch_tol`` on the sampled
         grid, or the values at -t_max/+t_max miss z_minus/z_plus by
-        more than ``limit_tol``.
+        more than 1e-4.
+    DomainError
+        If the branch, its derivative or g has no real value at a
+        sampled point.
     """
     if branch.n != nf.n:
         raise DimensionMismatch(
             f"branch has {branch.n} components, family has {nf.n}"
         )
     a, b = nf.lam_range
-    lams = np.linspace(a, b, lam_samples)[:, None]
-    ts = np.linspace(-nf.t_max, nf.t_max, t_samples)[None, :]
+    lams = np.linspace(a, b, _LAM_SAMPLES)[:, None]
+    ts = np.linspace(-nf.t_max, nf.t_max, _T_SAMPLES)[None, :]
     zb = branch.evaluate(lams, ts)
     resid = branch.derivative(lams, ts) - nf.evaluate(lams, ts, zb)
     worst = float(np.max(np.abs(resid)))
-    if worst > branch_tol:
+    if not worst <= branch_tol:
         raise BranchResidualTooLarge(
             f"max |z' - g(lambda,t,z)| = {worst:.3e} exceeds {branch_tol}"
         )
@@ -235,10 +235,10 @@ def validate_branch(nf: NonlinearFamily, branch: Branch,
         float(np.max(np.abs(end_minus - nf.z_minus))),
         float(np.max(np.abs(end_plus - nf.z_plus))),
     )
-    if drift > limit_tol:
+    if not drift <= _LIMIT_TOL:
         raise BranchResidualTooLarge(
             f"branch misses its restpoints by {drift:.3e} at t = "
-            f"+-{nf.t_max} (tolerance {limit_tol})"
+            f"+-{nf.t_max} (tolerance {_LIMIT_TOL})"
         )
 
 
@@ -288,19 +288,18 @@ def check_restpoints(nf: NonlinearFamily,
     counts as not hyperbolic.
     """
     violations = []
-    res_m = nf._restpoint_residual(nf.z_minus)
-    res_p = nf._restpoint_residual(nf.z_plus)
-    if res_m > _RESTPOINT_TOL:
-        violations.append(f"z_minus residual {res_m:.3e}")
-    if res_p > _RESTPOINT_TOL:
-        violations.append(f"z_plus residual {res_p:.3e}")
+    sides = (("z_minus", -nf.t_max, nf.z_minus),
+             ("z_plus", nf.t_max, nf.z_plus))
+    residuals = [nf._restpoint_residual(z) for _, _, z in sides]
+    for (side, _, _), r in zip(sides, residuals):
+        if r > _RESTPOINT_TOL:
+            violations.append(f"{side} residual {r:.3e}")
 
     a, b = nf.lam_range
-    k_m = k_p = None
+    ks = [None, None]
     hyperbolic = True
     for lam in np.linspace(a, b, lam_samples):
-        for t0, z, side in ((-nf.t_max, nf.z_minus, "z_minus"),
-                            (nf.t_max, nf.z_plus, "z_plus")):
+        for i, (side, t0, z) in enumerate(sides):
             try:
                 split = spectral_split(nf.jacobian(lam, t0, z))
             except DomainError as exc:
@@ -313,22 +312,16 @@ def check_restpoints(nf: NonlinearFamily,
                 violations.append(
                     f"{side} not hyperbolic at lambda={lam:.4g}: {exc}")
                 continue
-            if side == "z_minus":
-                if k_m is None:
-                    k_m = split.v_plus.k
-                elif split.v_plus.k != k_m:
-                    violations.append(
-                        f"unstable dimension at z_minus jumps to "
-                        f"{split.v_plus.k} at lambda={lam:.4g}")
-            else:
-                if k_p is None:
-                    k_p = split.v_plus.k
-                elif split.v_plus.k != k_p:
-                    violations.append(
-                        f"unstable dimension at z_plus jumps to "
-                        f"{split.v_plus.k} at lambda={lam:.4g}")
-    return RestpointReport(residual_minus=res_m, residual_plus=res_p,
-                           hyperbolic=hyperbolic, k_minus=k_m, k_plus=k_p,
+            k = split.v_plus.k
+            if ks[i] is None:
+                ks[i] = k
+            elif k != ks[i]:
+                violations.append(
+                    f"unstable dimension at {side} jumps to "
+                    f"{k} at lambda={lam:.4g}")
+    return RestpointReport(residual_minus=residuals[0],
+                           residual_plus=residuals[1],
+                           hyperbolic=hyperbolic, k_minus=ks[0], k_plus=ks[1],
                            violations=tuple(violations))
 
 

@@ -104,9 +104,12 @@ def _schema() -> dict:
 
 def load_config(path: str) -> dict:
     """Read, schema-validate, and default-fill a config file."""
+    def reject(literal):
+        raise ConfigError(f"{path}: non-finite number {literal} in config")
+
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return resolve_config(raw, origin=path)

@@ -3,7 +3,9 @@
 Matrix families S(lambda, t), vector fields g(lambda, t, z) and branch
 curves z(lambda, t) arrive as text.  This module parses that text into
 immutable ASTs, evaluates them strictly (with real-domain checking),
-and compiles them to numpy-vectorized callables for hot loops.
+and compiles grids of them to numpy-vectorized callables for hot loops
+(:func:`compile_matrix`, which falls back on the strict evaluator
+wherever a compiled entry is not finite).
 
 Grammar (whitespace-insensitive)::
 
@@ -48,7 +50,6 @@ __all__ = [
     "free_variables",
     "diff",
     "substitute",
-    "compile_expr",
     "parse_matrix",
     "parse_vector",
     "eval_matrix",
@@ -510,43 +511,23 @@ def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
 
 # -- compilation to numpy ----------------------------------------------
 
-def compile_expr(e: Expr, args: Sequence[str]) -> Callable:
-    """Compile to a vectorized callable of positional array arguments.
-
-    The compiled path trades the strict domain checks of
-    :func:`evaluate` for speed: invalid operations yield nan/inf under
-    suppressed warnings.  Use :func:`evaluate` as the strict reference.
-
-    Parameters
-    ----------
-    e : Expr
-    args : sequence of str
-        Variable names in positional order.
-
-    Raises
-    ------
-    UnboundVariable
-        If the expression references a name outside ``args``.
-    """
-    raw = _codegen(e, args)
-
-    def run(*values):
-        with np.errstate(all="ignore"):
-            return raw(*values)
-
-    return run
-
-
 def _codegen(e: Expr, args: Sequence[str]) -> Callable:
-    """The numpy lambda behind :func:`compile_expr`; warnings not silenced."""
+    """One entry of :func:`compile_matrix` as a numpy lambda of ``args``."""
     names = {name: f"_a{i}" for i, name in enumerate(args)}
     stray = sorted(free_variables(e) - set(names))
     if stray:
         raise UnboundVariable(f"variable {stray[0]!r} not among {tuple(args)}")
 
+    # constants are numpy scalars, so that arithmetic among them
+    # follows numpy's IEEE rules (1/0 is inf, flagged) like the rest,
+    # instead of raising or going complex as Python floats do
+    consts = {}
+
     def gen(node: Expr) -> str:
         if isinstance(node, Num):
-            return repr(node.value)
+            name = f"_c{len(consts)}"
+            consts[name] = np.float64(node.value)
+            return name
         if isinstance(node, Var):
             return names[node.name]
         if isinstance(node, Neg):
@@ -561,6 +542,7 @@ def _codegen(e: Expr, args: Sequence[str]) -> Callable:
     body = gen(e)
     arglist = ", ".join(names[name] for name in args)
     ns = {f"_f_{fname}": fn for fname, fn in _NUMPY_FUNCS.items()}
+    ns.update(consts)
     return eval(f"lambda {arglist}: {body}", ns)  # noqa: S307 - own codegen
 
 
@@ -621,8 +603,16 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
     A point whose matrix has a nan or inf entry is re-evaluated by the
     strict :func:`eval_matrix`, so a domain error raises
     ``DomainError`` while a genuine overflow passes through as inf.
+    A call in which numpy flags a division by zero or an invalid
+    operation re-evaluates every point strictly, since such a domain
+    error can end in a finite value (``exp(-1/t)`` is 0 at t = 0).
     """
     fns = [[_codegen(e, args) for e in row] for row in m.entries]
+
+    def fill(out, arrays):
+        for i, row in enumerate(fns):
+            for j, fn in enumerate(row):
+                out[..., i, j] = fn(*arrays)
 
     def run(*values) -> np.ndarray:
         # [()] turns 0-d input into numpy scalars, whose arithmetic is
@@ -631,15 +621,19 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
         shape = np.broadcast(*arrays).shape if arrays else ()
         out = np.empty(shape + (m.rows, m.cols))
         # one errstate per matrix: entering it costs more than a scalar entry
-        with np.errstate(all="ignore"):
-            for i, row in enumerate(fns):
-                for j, fn in enumerate(row):
-                    out[..., i, j] = fn(*arrays)
-        if not np.isfinite(out).all():
+        try:
+            with np.errstate(all="ignore", divide="raise", invalid="raise"):
+                fill(out, arrays)
+            if np.isfinite(out).all():
+                return out
             bad = ~np.isfinite(out).all(axis=(-2, -1))
-            for idx in map(tuple, np.argwhere(bad)):
-                eval_matrix(m, {name: float(np.broadcast_to(a, shape)[idx])
-                                for name, a in zip(args, arrays)})
+        except FloatingPointError:
+            with np.errstate(all="ignore"):
+                fill(out, arrays)
+            bad = np.ones(shape, dtype=bool)
+        for idx in map(tuple, np.argwhere(bad)):
+            eval_matrix(m, {name: float(np.broadcast_to(a, shape)[idx])
+                            for name, a in zip(args, arrays)})
         return out
 
     return run

@@ -102,7 +102,7 @@ class LinearFamily:
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
         object.__setattr__(self, "_limits", {})
 

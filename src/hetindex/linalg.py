@@ -84,7 +84,7 @@ class Frame:
             raise ValueError(f"frame has more columns ({k}) than rows ({n})")
         if k > 0:
             defect = np.max(np.abs(cols.T @ cols - np.eye(k)))
-            if defect > _ORTHO_TOL:
+            if not defect <= _ORTHO_TOL:
                 raise ValueError(
                     f"columns not orthonormal (defect {defect:.2e} > {_ORTHO_TOL})"
                 )

@@ -209,7 +209,7 @@ def _sign_crossings(ts, signs) -> tuple:
     return tuple(out)
 
 
-def _refine_pair(pair: SubspacePathPair, eps_trans: float, max_depth: int):
+def _refine_pair(pair: SubspacePathPair, eps_trans: float):
     """Shared pipeline: refine spans, align chains, localize crossings.
 
     Returns (ts, dets, signs, depth_used) where ts is the refined grid
@@ -230,7 +230,7 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float, max_depth: int):
 
         ts, pts, depths = _bisect(
             ts, pts, too_wide,
-            lambda mids, lefts: [(vs(t), ws(t)) for t in mids], max_depth,
+            lambda mids, lefts: [(vs(t), ws(t)) for t in mids], _MAX_DEPTH,
             depths)
 
     # orientation sweep: chain Procrustes from the left end
@@ -249,15 +249,14 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float, max_depth: int):
                             align_frame(left[1], ws(t)), eps_trans)
                     for t, left in zip(mids, lefts)]
 
-        ts, chain, depths = _bisect(ts, chain, flips, sample, max_depth,
+        ts, chain, depths = _bisect(ts, chain, flips, sample, _MAX_DEPTH,
                                     depths)
 
     _, _, dets, signs = zip(*chain)
     return np.asarray(ts), np.asarray(dets), list(signs), max(depths)
 
 
-def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6,
-             max_depth: int = _MAX_DEPTH) -> IndexReport:
+def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6) -> IndexReport:
     """Z2-index of a subspace path pair with transversal ends.
 
     The value depends only on the determinant signs at the two ends,
@@ -269,7 +268,7 @@ def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6,
     DegenerateEndpoint
         If det M at either end is within eps_trans (relative) of zero.
     """
-    ts, dets, signs, depth = _refine_pair(pair, eps_trans, max_depth)
+    ts, dets, signs, depth = _refine_pair(pair, eps_trans)
     if signs[0] == DEGENERATE or signs[-1] == DEGENERATE:
         which = "left" if signs[0] == DEGENERATE else "right"
         raise DegenerateEndpoint(
@@ -297,8 +296,7 @@ def _core_indices(ts: np.ndarray, tail_T: float) -> tuple[int, int]:
 
 
 def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
-                       eps_trans: float = 1e-6,
-                       max_depth: int = _MAX_DEPTH) -> IndexReport:
+                       eps_trans: float = 1e-6) -> IndexReport:
     """Index of a pair over a half line or line, via a bounded core.
 
     The restriction to |t| <= tail_T carries the index provided the
@@ -311,7 +309,7 @@ def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
     TailNotTransversal
         If a tail sample is degenerate or the tail det sign flips.
     """
-    ts, dets, signs, depth = _refine_pair(pair, eps_trans, max_depth)
+    ts, dets, signs, depth = _refine_pair(pair, eps_trans)
 
     for side, mask in (
         ("left", ts <= -tail_T),

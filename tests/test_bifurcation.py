@@ -90,6 +90,35 @@ def test_validate_branch_accepts_zero_branch():
     validate_branch(cubic_family(), zero_branch())
 
 
+def test_rejects_restpoint_where_g_is_undefined():
+    # g(lambda, t, 0) = (0, sqrt(-1)) has no real value
+    with pytest.raises(DomainError):
+        NonlinearFamily.from_sources(["z2", "sqrt(z1 - 1)"], [0, 0], [0, 0])
+
+
+def test_rejects_nan_horizon():
+    with pytest.raises(InvalidInput):
+        NonlinearFamily.from_sources(CUBIC_G, [0, 0], [0, 0],
+                                     t_max=float("nan"))
+
+
+def test_validate_branch_rejects_undefined_branch():
+    # (sqrt(t), 0) solves no z' = (z2, z1) and has no value for t < 0
+    nf = NonlinearFamily.from_sources(["z2", "z1"], [0, 0], [0, 0])
+    with pytest.raises(DomainError):
+        validate_branch(nf, Branch.from_sources(["sqrt(t)", "0"]))
+    with pytest.raises(DomainError):
+        detect_bifurcation(nf, Branch.from_sources(["sqrt(t)", "0"]))
+
+
+def test_branch_evaluates_where_its_derivative_is_undefined():
+    branch = Branch.from_sources(["sqrt(t)", "0"])
+    assert np.array_equal(branch.evaluate(0.5, 4.0), [2.0, 0.0])
+    assert np.array_equal(branch.evaluate(0.5, 0.0), [0.0, 0.0])
+    with pytest.raises(DomainError):
+        branch.derivative(0.5, 0.0)
+
+
 def test_validate_branch_rejects_non_solution():
     with pytest.raises(BranchResidualTooLarge):
         validate_branch(cubic_family(), Branch.from_sources(["1", "0"]))

@@ -264,6 +264,29 @@ def test_bifurcate_honours_branch_tol(tmp_path):
     assert "exceeds 1e-06" in res.stderr
 
 
+def test_undefined_branch_exits_2(tmp_path):
+    # (sqrt(t), 0) solves no z' = (z2, z1) and has no value for t < 0
+    cfg = write_config(tmp_path, {**CUBIC, "g": ["z2", "z1"],
+                                  "branch": ["sqrt(t)", "0"]})
+    res = run_cli(["bifurcate", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "sqrt of negative value" in res.stderr
+
+
+def test_non_finite_config_literal_exits_2(tmp_path):
+    # without the NaN this config exits 3: the right endpoint is degenerate
+    nan = {**ROTATING_LINE, "interval": [0.0, 1.5707963257948966],
+           "samples": 21, "eps_trans": float("nan")}
+    res = run_cli(["index", "--config", write_config(tmp_path, nan)],
+                  tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "non-finite number NaN" in res.stderr
+    path = write_config(tmp_path, {**nan, "eps_trans": float("inf")},
+                        name="inf.json")
+    with pytest.raises(hetindex.ConfigError, match="Infinity"):
+        climod.load_config(path)
+
+
 def test_jumping_subspace_exits_2(tmp_path):
     # V jumps at t = 0.5; refinement must give up and the chain refuse
     # the jump, within the timeout instead of refining forever

@@ -7,7 +7,6 @@ from hetindex import (
     DomainError,
     ParseError,
     UnboundVariable,
-    compile_expr,
     compile_matrix,
     evaluate,
     free_variables,
@@ -104,21 +103,6 @@ def test_pretty_round_trip():
             assert abs(evaluate(e, env) - evaluate(back, env)) < 1e-12
 
 
-def test_compile_expr_matches_evaluate():
-    e = parse("tanh(t) + lambda^2", variables=("t", "lambda"))
-    f = compile_expr(e, ("t", "lambda"))
-    for t, lam in ((0.0, 0.0), (1.5, 0.3), (-2.0, 1.0)):
-        assert abs(f(t, lam) - evaluate(e, {"t": t, "lambda": lam})) < 1e-15
-
-
-def test_compile_expr_broadcasts():
-    e = parse("t*lambda", variables=("t", "lambda"))
-    f = compile_expr(e, ("t", "lambda"))
-    t = np.linspace(0, 1, 5)
-    out = f(t, 2.0)
-    assert np.allclose(out, 2.0 * t)
-
-
 def test_parse_matrix_and_eval():
     m = parse_matrix([["0", "1"], ["1 - lambda*sech(t)^2", "0"]])
     A = eval_matrix(m, {"t": 0.0, "lambda": 1.0})
@@ -209,6 +193,99 @@ def test_diff_against_central_differences():
         covered |= {n.func if isinstance(n, Call) else n.op
                     for n in _nodes(e) if isinstance(n, (Call, Bin))}
     assert covered >= set(FUNCTIONS) | set("+-*/^")
+
+
+#: Nodes that leave the domain guarded by random_tree: each raises
+#: DomainError for some real u (0 or a negative value).
+UNGUARDED = (
+    lambda u: Call("sqrt", u),
+    lambda u: Call("log", u),
+    lambda u: Bin("/", Num(1.0), u),
+    lambda u: Bin("^", u, Num(0.5)),
+    lambda u: Bin("^", u, Neg(Num(1.0))),
+)
+
+
+def unguard(rng, e):
+    """``e`` with one random subtree u replaced by an unguarded node of u."""
+    nodes = list(_nodes(e))
+    target = nodes[rng.integers(len(nodes))]
+
+    def rec(node):
+        if node is target:
+            return UNGUARDED[rng.integers(len(UNGUARDED))](node)
+        if isinstance(node, Neg):
+            return Neg(rec(node.operand))
+        if isinstance(node, Bin):
+            return Bin(node.op, rec(node.left), rec(node.right))
+        if isinstance(node, Call):
+            return Call(node.func, rec(node.arg))
+        return node
+
+    return rec(e)
+
+
+def _strict_or_none(e, env):
+    try:
+        return evaluate(e, env)
+    except DomainError:
+        return None
+
+
+def _compiled_or_none(e, env):
+    f = compile_matrix(MatrixExpr(1, 1, ((e,),)), DIFF_VARS)
+    try:
+        return f(*(env[v] for v in DIFF_VARS))[0, 0]
+    except DomainError:
+        return None
+
+
+def test_compile_matrix_matches_strict_evaluate():
+    # inputs: ordinary values, exact zeros (1/u, log(u) and u^-1 fail
+    # there) and huge ones (powers and products overflow)
+    rng = np.random.default_rng(13)
+    seen = {"finite": 0, "domain": 0, "overflow": 0, "nan": 0}
+    covered = set()
+    for _ in range(300):
+        e = random_tree(rng, int(rng.integers(1, 5)))
+        for tree in (e, unguard(rng, e)):
+            covered |= {n.func if isinstance(n, Call) else n.op
+                        for n in _nodes(tree) if isinstance(n, (Call, Bin))}
+            for _ in range(4):
+                env = {v: float(rng.choice([rng.uniform(-1.5, 1.5), 0.0,
+                                            rng.choice([-1e200, 1e200])],
+                                           p=[0.6, 0.2, 0.2]))
+                       for v in DIFF_VARS}
+                want = _strict_or_none(tree, env)
+                got = _compiled_or_none(tree, env)
+                where = (pretty(tree), env)
+                if want is None:
+                    seen["domain"] += 1
+                    assert got is None, where
+                elif np.isfinite(want):
+                    seen["finite"] += 1
+                    assert got is not None, where
+                    assert abs(got - want) <= 1e-12 * abs(want), where
+                elif np.isinf(want):
+                    seen["overflow"] += 1
+                    assert got == want, where
+                else:
+                    seen["nan"] += 1
+                    assert got is not None and np.isnan(got), where
+    assert covered >= set(FUNCTIONS) | set("+-*/^")
+    assert min(seen["finite"], seen["domain"], seen["overflow"]) > 20, seen
+
+
+@pytest.mark.parametrize("src", ["exp(-1/t)", "tanh(log(t))", "atan(1/t)",
+                                 "sqrt(t - 1)^0", "1/0", "(-1)^0.5"])
+def test_compile_matrix_finds_domain_error_behind_finite_value(src):
+    f = compile_matrix(parse_matrix([[src]]), ("t",))
+    with pytest.raises(DomainError):
+        evaluate(parse(src), {"t": 0.0})
+    with pytest.raises(DomainError):
+        f(0.0)
+    with pytest.raises(DomainError):
+        f(np.array([0.5, 0.0, 2.0]))
 
 
 def test_diff_pretty_round_trip():

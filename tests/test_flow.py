@@ -135,6 +135,11 @@ def test_fundamental_solution_rejects_out_of_range():
         fundamental_solution(fam, 0.0, tau=0.0, t=fam.t_max + 1.0)
 
 
+def test_family_rejects_nan_horizon():
+    with pytest.raises(InvalidInput):
+        LinearFamily(n=2, k=1, t_max=float("nan"))
+
+
 def test_asymptotic_limits_tanh():
     lim = asymptotic_limits(tanh_family(), 0.0)
     assert np.allclose(lim.s_minus, np.diag([1.0, -1.0]), atol=1e-8)

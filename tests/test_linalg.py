@@ -231,3 +231,8 @@ def test_pair_matrix_rejects_wrong_total_dimension():
 def test_frame_carries_shape():
     F = Frame(columns=np.eye(4)[:, :2])
     assert F.n == 4 and F.k == 2
+
+
+def test_frame_rejects_nan_columns():
+    with pytest.raises(ValueError):
+        Frame(np.full((2, 1), np.nan))
