@@ -104,19 +104,31 @@ def _schema() -> dict:
 
 def load_config(path: str) -> dict:
     """Read, schema-validate, and default-fill a config file."""
-    def reject(literal):
-        raise ConfigError(f"{path}: non-finite number {literal} in config")
-
     with open(path) as fh:
         try:
-            raw = json.load(fh, parse_constant=reject)
+            raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return resolve_config(raw, origin=path)
 
 
+def _require_finite(value, key: str, origin: str) -> None:
+    """Refuse a NaN or infinite number anywhere in value; NaN would
+    pass the schema's bounds, since every comparison with it fails."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(v, k, origin)
+    elif isinstance(value, list):
+        for v in value:
+            _require_finite(v, key, origin)
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{origin}: non-finite number {json.dumps(value)} "
+                          f"in {key!r}")
+
+
 def resolve_config(raw: dict, origin: str = "<config>") -> dict:
-    """Apply the schema and fill kind-specific defaults."""
+    """Refuse non-finite numbers, apply the schema, fill in defaults."""
+    _require_finite(raw, "config", origin)
     try:
         jsonschema.validate(raw, _schema())
     except jsonschema.ValidationError as exc:
@@ -581,8 +593,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="path to a JSON config file")
         p.add_argument("--out", default=None,
                        help="output directory (default hetindex-out)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites (default 0)")
 
     for name in ("index", "geometric-parity", "verify-theorem",
                  "bifurcate", "maslov"):
@@ -597,6 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the property suites")
     add_common(p, config_required=False)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized suites (default 0)")
     return parser
 
 

@@ -323,7 +323,7 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
                 raise DomainError(
                     f"fractional power of negative base at {bindings()}"
                 )
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 return float(np.float64(a) ** np.float64(b))
         if isinstance(node, Call):
             x = rec(node.arg)
@@ -331,7 +331,7 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
                 raise DomainError(f"log of non-positive value at {bindings()}")
             if node.func == "sqrt" and x < 0.0:
                 raise DomainError(f"sqrt of negative value at {bindings()}")
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 return float(_NUMPY_FUNCS[node.func](np.float64(x)))
         raise TypeError(f"not an Expr node: {node!r}")
 

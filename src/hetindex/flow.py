@@ -26,6 +26,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatch,
+    GapTooLarge,
     HypothesisFailure,
     IntegrationFailure,
     InvalidInput,
@@ -36,7 +37,6 @@ from .expr import MatrixExpr, compile_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
-    align_chain,
     gap_distance,
     orthonormalize,
     spectral_split,
@@ -174,18 +174,20 @@ class AsymptoticLimits:
 
 @dataclass(frozen=True)
 class SubspacePath:
-    """Subspace path sampled on a parameter grid with aligned frames.
+    """Subspace path: the samples taken so far, and its sampler.
 
-    ``sampler``, when present, evaluates the underlying subspace at an
-    arbitrary parameter value (frame orientation arbitrary); index
-    computations use it to refine between grid samples.
+    ``frames`` holds one frame per grid sample and ``sampler`` gives
+    the frame at any parameter value, both in arbitrary orientation; a
+    routine that reads a determinant sign orients them itself.
     """
 
     grid: np.ndarray
     frames: tuple
-    sampler: Callable | None = field(default=None, repr=False, compare=False)
+    sampler: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
+        if not callable(self.sampler):
+            raise InvalidInput("a subspace path needs a callable sampler")
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2:
             raise InvalidInput("grid must hold at least two samples")
@@ -267,7 +269,7 @@ def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
 
 
 def _too_wide(a: Frame, b: Frame) -> bool:
-    """Consecutive path samples too far apart to chain safely."""
+    """Consecutive path samples more than 0.4 apart in gap."""
     return gap_distance(a, b) > 0.4
 
 
@@ -416,15 +418,12 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
 
     Stable frames are seeded at v_minus(S^+) beyond the last grid point
     and transported backward; unstable frames at v_plus(S^-) forward.
-    Consecutive frames are Procrustes-aligned.
+    The frames are returned as transported, orientation arbitrary.
 
     Raises
     ------
     DimensionMismatch
         If the spectral dimensions contradict the declared k.
-    GapTooLarge
-        If consecutive frames are still 0.5 apart in gap after five
-        rounds of midpoints.
     """
     grid = np.asarray(grid, dtype=float)
     stable = which == "stable"
@@ -444,41 +443,43 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
 
     # the requested grid is a floor, not a contract: where the subspace
     # turns faster than the spacing resolves, collect at midpoints too,
-    # so the alignment chain below stays within its gap budget; at most
-    # five rounds of midpoints, one transport each
+    # at most five rounds of one transport each; any finer refinement
+    # goes through the sampler, one transport per point
     pts = list(grid)
     pts, on, _ = _bisect(pts, sample(pts), _too_wide, sample, max_depth=5)
 
-    frames = align_chain(on[::-1] if stable else on)
-    if stable:
-        frames.reverse()
-
     sampler = lambda s: subspace_at(fam, lam, which, s, rtol, atol)
-    return SubspacePath(grid=np.asarray(pts), frames=tuple(frames),
+    return SubspacePath(grid=np.asarray(pts), frames=tuple(on),
                         sampler=sampler)
 
 
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
-    """Build an aligned path by sampling a subspace-valued function.
+    """Sample a subspace-valued function into a path.
 
-    ``sampler(t)`` must return a Frame; orientations are chained with
-    Procrustes alignment so determinant traces vary continuously.
-    Midpoints are inserted wherever consecutive samples are more than
-    0.4 apart in gap, so a coarse grid over a fast rotation does not
-    abort the chain.
+    ``sampler(t)`` must return a Frame.  Midpoints are inserted
+    wherever consecutive samples are more than 0.4 apart in gap, so a
+    coarse grid over a fast rotation still resolves the path.  The
+    frames are the raw samples, orientation arbitrary.
 
     Raises
     ------
     GapTooLarge
-        If samples still jump after 20 halvings of an interval, as a
-        discontinuous subspace does.
+        If samples still jump after 20 halvings of an interval, or at
+        floating-point resolution, as a discontinuous subspace does.
     """
     pts = [float(t) for t in np.asarray(grid, dtype=float)]
-    pts, raw, _ = _bisect(
+    pts, raw, depths = _bisect(
         pts, [sampler(t) for t in pts],
         _too_wide,
         lambda ts, lefts: [sampler(t) for t in ts], _MAX_DEPTH)
-    return SubspacePath(grid=np.asarray(pts), frames=tuple(align_chain(raw)),
+    # an interval is left wide only where refinement had to stop
+    for i, depth in enumerate(depths):
+        a, b = pts[i], pts[i + 1]
+        stopped = depth >= _MAX_DEPTH or not a < 0.5 * (a + b) < b
+        if stopped and _too_wide(raw[i], raw[i + 1]):
+            raise GapTooLarge(f"subspace jumps by more than 0.4 in gap "
+                              f"between t={a!r} and t={b!r}")
+    return SubspacePath(grid=np.asarray(pts), frames=tuple(raw),
                         sampler=sampler)
 
 
@@ -547,11 +548,10 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
                           t: float,
                           rtol: float = _DEFAULT_RTOL,
                           atol: float = _DEFAULT_ATOL) -> list[Frame]:
-    """E^s(t) or E^u(t) for every lambda, frames aligned along lambda.
+    """E^s(t) or E^u(t) for every lambda (frame orientation arbitrary).
 
-    The returned frames form a continuous chain in lambda (consecutive
-    Procrustes alignment), which is what determinant-sign tracking
-    across a sweep requires.
+    A caller that tracks a determinant sign across the sweep aligns the
+    frames along lambda itself.
     """
     lams = np.asarray(lams, dtype=float)
     seeds = []
@@ -564,7 +564,7 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
                                         else min(t0, t0_cur))
     cols, _ = _transport_batched(fam, lams, np.asarray(seeds), t0, t,
                                  rtol, atol)
-    return align_chain([Frame(c) for c in cols])
+    return [Frame(c) for c in cols]
 
 
 # -- hypothesis checks -------------------------------------------------

@@ -22,6 +22,7 @@ import scipy.linalg as sla
 from .errors import (
     DimensionMismatch,
     GapTooLarge,
+    InvalidInput,
     NotHyperbolic,
     RankDeficient,
 )
@@ -247,7 +248,14 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
     The degeneracy test is relative, sigma_min <= eps_trans * sigma_max,
     so the answer is scale-free.  The sign itself comes from a pivoted
     LU factorization (via slogdet), never from the determinant value.
+
+    Raises
+    ------
+    InvalidInput
+        If eps_trans is not positive; a NaN would pass every matrix.
     """
+    if not eps_trans > 0:
+        raise InvalidInput(f"eps_trans must be positive, got {eps_trans!r}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
     if M.shape != (n, n):

@@ -19,7 +19,7 @@ silently perturbing user input would falsify the reported index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -42,7 +42,7 @@ from .linalg import (
     orthonormalize,
     pair_matrix,
 )
-from .z2index import IndexReport, SubspacePathPair, _interp_frame, z2_index
+from .z2index import IndexReport, SubspacePathPair, _held, z2_index
 
 __all__ = [
     "symplectic_form_matrix",
@@ -152,7 +152,7 @@ def _graph_matrix(F: Frame, R: np.ndarray) -> np.ndarray:
 
 def _as_sampler(path) -> Callable[[float], Frame]:
     if isinstance(path, SubspacePath):
-        return lambda t: _interp_frame(path, t)
+        return path.sampler
     if callable(path):
         return path
     raise InvalidInput("path must be a SubspacePath or a callable t -> Frame")
@@ -384,11 +384,7 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
     rep = z2_index(pair, eps_trans=eps_trans)
 
     # the census scans the instants of ``grid``: reuse the frames there
-    def held(P: SubspacePath, sample):
-        at = dict(zip(P.grid.tolist(), P.frames))
-        return lambda t: at[t] if t in at else sample(t)
-
-    census = crossing_census(held(pair.V, vs), held(pair.W, ws),
+    census = crossing_census(_held(pair.V), _held(pair.W),
                              interval=(a, b), samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
     mas = sum(d.signature for d in census)

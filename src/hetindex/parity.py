@@ -54,7 +54,6 @@ from .linalg import (
     det_sign,
     orthogonal_complement,
     orthonormalize,
-    pair_matrix,
 )
 from .z2index import (
     IndexReport,
@@ -423,10 +422,11 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
 def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
                      rtol: float = 1e-9, atol: float = 1e-12) -> tuple:
-    """(E^u(-tau), E^s(tau), B_u, B_s) per lambda, each aligned along lams.
+    """(E^u(-tau), E^s(tau), B_u, B_s) per lambda.
 
     B_u and B_s are the complements whose transposes form the boundary
-    rows.
+    rows; they are aligned along lams, since the operator signs depend
+    on their orientation.  E^u and E^s are left as sampled.
     """
     e_u = subspaces_over_lambda(fam, lams, "unstable", -tau, rtol, atol)
     e_s = subspaces_over_lambda(fam, lams, "stable", tau, rtol, atol)
@@ -479,29 +479,25 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     """Sorted sign changes lambda*: interior zero-sign grid points, and
     each sign change between nonzero-sign grid points bisected to an
     interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
-    e_u, e_s, b_u, b_s); a zero-sign midpoint takes its left end's sign.
+    b_u, b_s); a zero-sign midpoint takes its left end's sign.
     """
     flips = [float(lams[i]) for i in range(1, len(lams) - 1)
              if signs[i] == 0]
     nz = [i for i, s in enumerate(signs) if s != 0]
-    samples = [(float(lams[i]), signs[i]) + tuple(f[i] for f in frames)
-               for i in nz]
+    b_u, b_s = frames[2:]
+    samples = [(float(lams[i]), signs[i], b_u[i], b_s[i]) for i in nz]
 
     def split(a, b) -> bool:
         return a[1] != b[1] and b[0] - a[0] > _LOCALIZE_TOL
 
     def sample_mids(mids, lefts):
-        fresh = []
-        for lam, left in zip(mids, lefts):
-            e_u = align_frame(left[2], subspace_at(fam, lam, "unstable",
-                                                   -tau, rtol, atol))
-            e_s = align_frame(left[3], subspace_at(fam, lam, "stable",
-                                                   tau, rtol, atol))
-            fresh.append((e_u, e_s,
-                          align_frame(left[4], orthogonal_complement(e_u)),
-                          align_frame(left[5], orthogonal_complement(e_s))))
-        ops = _operators(fam, mids, tau, N, [f[2] for f in fresh],
-                         [f[3] for f in fresh])
+        fresh = [
+            (align_frame(left[2], orthogonal_complement(
+                subspace_at(fam, lam, "unstable", -tau, rtol, atol))),
+             align_frame(left[3], orthogonal_complement(
+                 subspace_at(fam, lam, "stable", tau, rtol, atol))))
+            for lam, left in zip(mids, lefts)]
+        ops = _operators(fam, mids, tau, N, *zip(*fresh))
         return [(lam, sparse_det_sign(M) or left[1]) + f
                 for lam, left, f, M in zip(mids, lefts, fresh, ops)]
 
@@ -519,15 +515,13 @@ def boundary_pair_over_lambda(fam: LinearFamily, lams: Sequence[float],
                               atol: float = 1e-12) -> SubspacePathPair:
     """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths."""
     lams = np.asarray(lams, dtype=float)
-    es = subspaces_over_lambda(fam, lams, "stable", t, rtol, atol)
-    eu = subspaces_over_lambda(fam, lams, "unstable", t, rtol, atol)
-    V = SubspacePath(
-        grid=lams, frames=tuple(es),
-        sampler=lambda lam: subspace_at(fam, lam, "stable", t, rtol, atol))
-    W = SubspacePath(
-        grid=lams, frames=tuple(eu),
-        sampler=lambda lam: subspace_at(fam, lam, "unstable", t, rtol, atol))
-    return SubspacePathPair(V=V, W=W)
+
+    def path(which: str) -> SubspacePath:
+        frames = subspaces_over_lambda(fam, lams, which, t, rtol, atol)
+        return SubspacePath(grid=lams, frames=tuple(frames), sampler=(
+            lambda lam: subspace_at(fam, lam, which, t, rtol, atol)))
+
+    return SubspacePathPair(V=path("stable"), W=path("unstable"))
 
 
 @dataclass(frozen=True)
@@ -613,14 +607,11 @@ def decomposition_check(fam: LinearFamily,
     )
     independent = drift <= 1e-9
 
-    vm_frames = [L.split_plus.v_minus for L in limits]    # V^-(S^+)
-    vp_frames = [L.split_minus.v_plus for L in limits]    # V^+(S^-)
-    V = SubspacePath(grid=lams, frames=tuple(align_chain(vm_frames)),
-                     sampler=lambda lam: asymptotic_limits(fam, lam)
-                     .split_plus.v_minus)
-    W = SubspacePath(grid=lams, frames=tuple(align_chain(vp_frames)),
-                     sampler=lambda lam: asymptotic_limits(fam, lam)
-                     .split_minus.v_plus)
+    # V^-(S^+) and V^+(S^-) over lambda
+    V = SubspacePath(lams, tuple(L.split_plus.v_minus for L in limits),
+                     lambda lam: asymptotic_limits(fam, lam).split_plus.v_minus)
+    W = SubspacePath(lams, tuple(L.split_minus.v_plus for L in limits),
+                     lambda lam: asymptotic_limits(fam, lam).split_minus.v_plus)
     limit_term = z2_index(SubspacePathPair(V=V, W=W))
     if independent and limit_term.value != 0:
         raise InternalMismatch(

@@ -7,7 +7,9 @@ columns are continuous frames of V(t) and W(t).  Everything else here
 is bookkeeping to make that one determinant comparison trustworthy:
 grid refinement to keep consecutive frames close, Procrustes chaining
 to keep the frames continuous, and relative singular-value thresholds
-to refuse an answer when an endpoint is numerically degenerate.
+to refuse an answer when an endpoint is numerically degenerate.  Paths
+arrive as raw samples in arbitrary orientation; the chaining happens
+here, where the signs are read.
 
 On top of the core index the module builds the unbounded-interval
 variants (restriction to a bounded core, stable under doubling the
@@ -19,7 +21,7 @@ around the circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +43,6 @@ from .flow import (
     _bisect,
     asymptotic_limits,
     invariant_subspace_path,
-    subspace_at,
 )
 from .linalg import (
     DEGENERATE,
@@ -69,48 +70,11 @@ __all__ = [
 _GAP_REFINE = 0.2
 
 
-def _chain_interp(F0: Frame, F1: Frame, s: float) -> Frame:
-    """Geodesic frame between two chained frames, pinned to F0 at s=0.
-
-    Unlike a bare Grassmann geodesic this keeps the orientation of the
-    alignment chain: the returned frame varies continuously from F0
-    itself, so inserting it between F0 and F1 cannot flip a det trace.
-    """
-    A, B = F0.columns, F1.columns
-    U, sig, Vt = np.linalg.svd(A.T @ B)
-    sig = np.clip(sig, -1.0, 1.0)
-    theta = np.arccos(sig)
-    A0 = A @ U
-    G = B @ Vt.T - A0 * sig
-    norms = np.linalg.norm(G, axis=0)
-    G = np.divide(G, norms, out=np.zeros_like(G), where=norms > 1e-12)
-    cols = (A0 * np.cos(s * theta) + G * np.sin(s * theta)) @ U.T
-    return orthonormalize(cols)
-
-
-def _frame_at(path: SubspacePath, t: float) -> Frame:
-    """Frame of a chained path at t in its interval: the grid frame
-    within 1e-12 of t, else the chain geodesic between t's neighbours."""
-    grid = path.grid
-    j = int(np.searchsorted(grid, t))
-    for i in (j, j - 1):
-        if 0 <= i < len(grid) and abs(grid[i] - t) <= 1e-12:
-            return path.frames[i]
-    j = min(max(j, 1), len(grid) - 1)
-    s = (t - grid[j - 1]) / (grid[j] - grid[j - 1])
-    return _chain_interp(path.frames[j - 1], path.frames[j],
-                         float(np.clip(s, 0.0, 1.0)))
-
-
-def _on_grid(path: SubspacePath, new_grid: np.ndarray) -> SubspacePath:
-    """Resample a chained path onto a finer grid over the same interval."""
-    grid = path.grid
-    if len(grid) == len(new_grid) and np.allclose(grid, new_grid,
-                                                  rtol=0.0, atol=1e-12):
-        return path
-    return SubspacePath(grid=np.asarray(new_grid, dtype=float),
-                        frames=tuple(_frame_at(path, t) for t in new_grid),
-                        sampler=path.sampler)
+def _held(path: SubspacePath) -> Callable[[float], Frame]:
+    """The path as a function: its own frame at a grid instant, else
+    the sampler's."""
+    own = dict(zip(path.grid.tolist(), path.frames))
+    return lambda t: own[t] if t in own else path.sampler(t)
 
 
 @dataclass(frozen=True)
@@ -118,8 +82,7 @@ class SubspacePathPair:
     """Two subspace paths on a common grid, dims k and n-k.
 
     Paths arriving on different grids over the same interval are merged
-    onto the union grid; missing frames are filled by chain-preserving
-    geodesic interpolation.
+    onto the union grid; each path's sampler fills its missing frames.
     """
 
     V: SubspacePath
@@ -142,8 +105,11 @@ class SubspacePathPair:
             raise DimensionMismatch("paths cover different intervals")
         union = np.union1d(gv, gw)
         union = union[np.concatenate([[True], np.diff(union) > 1e-12])]
-        object.__setattr__(self, "V", _on_grid(self.V, union))
-        object.__setattr__(self, "W", _on_grid(self.W, union))
+        for name in ("V", "W"):
+            path = getattr(self, name)
+            frames = tuple(map(_held(path), union.tolist()))
+            object.__setattr__(self, name,
+                               SubspacePath(union, frames, path.sampler))
 
     @property
     def grid(self) -> np.ndarray:
@@ -218,39 +184,34 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
     """
     ts = list(map(float, pair.grid))
     pts = list(zip(pair.V.frames, pair.W.frames))
-    depths = [0] * (len(ts) - 1)
     vs, ws = pair.V.sampler, pair.W.sampler
-    can_refine = vs is not None and ws is not None
 
-    if can_refine:
-        # span refinement: no orientation needed, raw samples suffice
-        def too_wide(a, b):
-            return (gap_distance(a[0], b[0]) >= _GAP_REFINE
-                    or gap_distance(a[1], b[1]) >= _GAP_REFINE)
+    # span refinement: no orientation needed, raw samples suffice
+    def too_wide(a, b):
+        return (gap_distance(a[0], b[0]) >= _GAP_REFINE
+                or gap_distance(a[1], b[1]) >= _GAP_REFINE)
 
-        ts, pts, depths = _bisect(
-            ts, pts, too_wide,
-            lambda mids, lefts: [(vs(t), ws(t)) for t in mids], _MAX_DEPTH,
-            depths)
+    ts, pts, depths = _bisect(
+        ts, pts, too_wide,
+        lambda mids, lefts: [(vs(t), ws(t)) for t in mids], _MAX_DEPTH)
 
     # orientation sweep: chain Procrustes from the left end
     v_raw, w_raw = zip(*pts)
     chain = [_traced(v, w, eps_trans)
              for v, w in zip(align_chain(v_raw), align_chain(w_raw))]
 
-    if can_refine:
-        # crossing localization: bisect clean sign flips, chaining each
-        # midpoint to its left neighbour
-        def flips(a, b):
-            return DEGENERATE not in (a[3], b[3]) and a[3] != b[3]
+    # crossing localization: bisect clean sign flips, chaining each
+    # midpoint to its left neighbour
+    def flips(a, b):
+        return DEGENERATE not in (a[3], b[3]) and a[3] != b[3]
 
-        def sample(mids, lefts):
-            return [_traced(align_frame(left[0], vs(t)),
-                            align_frame(left[1], ws(t)), eps_trans)
-                    for t, left in zip(mids, lefts)]
+    def sample(mids, lefts):
+        return [_traced(align_frame(left[0], vs(t)),
+                        align_frame(left[1], ws(t)), eps_trans)
+                for t, left in zip(mids, lefts)]
 
-        ts, chain, depths = _bisect(ts, chain, flips, sample, _MAX_DEPTH,
-                                    depths)
+    ts, chain, depths = _bisect(ts, chain, flips, sample, _MAX_DEPTH,
+                                depths)
 
     _, _, dets, signs = zip(*chain)
     return np.asarray(ts), np.asarray(dets), list(signs), max(depths)
@@ -376,11 +337,8 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
     U = invariant_subspace_path(fam, lam, "unstable", -grid[::-1],
                                 rtol, atol)
     # reflect U's own grid: refinement may have densified it
-    W = SubspacePath(
-        grid=-U.grid[::-1],
-        frames=tuple(U.frames[::-1]),
-        sampler=lambda s: subspace_at(fam, lam, "unstable", -s, rtol, atol),
-    )
+    W = SubspacePath(grid=-U.grid[::-1], frames=U.frames[::-1],
+                     sampler=lambda s: U.sampler(-s))
     # the paths start at t = 0 with E^s(0) and E^u(0)
     if det_sign(pair_matrix(V.frames[0], W.frames[0]),
                 eps_trans) == DEGENERATE:
@@ -438,13 +396,6 @@ def _sign_constant_along(frames: Sequence[tuple],
     return s0 != DEGENERATE and all(s == s0 for s in signs)
 
 
-def _interp_frame(path: SubspacePath, t: float) -> Frame:
-    """Subspace at an off-grid parameter: sampler, else local geodesic."""
-    if path.sampler is not None:
-        return path.sampler(t)
-    return _frame_at(path, float(np.clip(t, path.grid[0], path.grid[-1])))
-
-
 def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
                max_halvings: int = 10,
                eps_trans: float = 1e-6) -> ClosedLoop:
@@ -483,7 +434,7 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
 
     def w_at(u: float) -> Frame:
         # u in [0, 1] in normalized parameter
-        return _interp_frame(W, a + u * span)
+        return W.sampler(a + u * span)
 
     eps = epsilon
     for _ in range(max_halvings + 1):
@@ -530,7 +481,7 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
 
             def loop_sampler(t: float, _eps=eps) -> Frame:
                 if t <= 1.0:
-                    return _interp_frame(V, a + t * span)
+                    return V.sampler(a + t * span)
                 return v_ext(t)
 
             v_loop = SubspacePath(grid=loop_grid,

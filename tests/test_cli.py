@@ -287,9 +287,36 @@ def test_non_finite_config_literal_exits_2(tmp_path):
         climod.load_config(path)
 
 
+def test_resolve_config_rejects_non_finite_numbers():
+    # the schema's bounds let NaN through: every comparison with it is false
+    line = {**ROTATING_LINE, "interval": [0.0, 1.5707963257948966],
+            "samples": 21}
+    with pytest.raises(hetindex.ConfigError,
+                       match="non-finite number NaN in 'eps_trans'"):
+        climod.resolve_config({**line, "eps_trans": float("nan")})
+    with pytest.raises(hetindex.ConfigError,
+                       match="non-finite number -Infinity in 'interval'"):
+        climod.resolve_config({**line, "interval": [float("-inf"), 1.0]})
+    pt = climod.DEMOS["poschl-teller"]["config"]
+    with pytest.raises(hetindex.ConfigError,
+                       match="non-finite number NaN in 'tau'"):
+        climod.resolve_config({**pt, "tau": float("nan")})
+
+
+def test_seed_is_a_selftest_option_only(monkeypatch):
+    with pytest.raises(SystemExit) as info:
+        climod.main(["index", "--config", "x.json", "--seed", "1"])
+    assert info.value.code == 2
+    seeds = []
+    monkeypatch.setattr(climod, "run_all",
+                        lambda seed=0: seeds.append(seed) or [])
+    assert climod.main(["selftest", "--seed", "5"]) == 0
+    assert seeds == [5]
+
+
 def test_jumping_subspace_exits_2(tmp_path):
-    # V jumps at t = 0.5; refinement must give up and the chain refuse
-    # the jump, within the timeout instead of refining forever
+    # V jumps at t = 0.5; refinement must give up at its depth cap and
+    # refuse the jump, within the timeout instead of refining forever
     cfg = write_config(tmp_path, {
         "kind": "subspace-paths",
         "V": [["1"], ["atan(1e20*(t-0.5))"]],

@@ -1,5 +1,7 @@
 """Expression parsing, evaluation, and matrix compilation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -329,3 +331,11 @@ def test_substitute_replaces_and_folds():
     out = substitute(e, {"z1": Num(0.0), "z2": parse("sin(t)")})
     assert out == parse("sin(t)")
     assert substitute(e, {}) == e
+
+
+def test_evaluate_overflowed_argument_is_nan_without_warnings():
+    # exp(1000) overflows to inf; sin and cos of inf are nan, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for func in ("sin", "cos", "tan"):
+            assert np.isnan(evaluate(parse(f"{func}(exp(1000))"), {}))

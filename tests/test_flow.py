@@ -9,11 +9,13 @@ from scipy.linalg import expm
 
 from hetindex import (
     DomainError,
+    Frame,
     GapTooLarge,
     InvalidInput,
     LinearFamily,
     NotHyperbolic,
     NotStabilized,
+    SubspacePath,
     asymptotic_limits,
     check_A1_A3,
     fundamental_solution,
@@ -218,9 +220,30 @@ def test_path_from_sampler_refines_coarse_grid():
         assert gap_distance(path.frames[i], path.frames[i + 1]) <= 0.4
 
 
+def test_path_from_sampler_keeps_raw_samples():
+    # the sampler's orientation flips at t = 0.5; the path keeps each
+    # sample as it came, orientation is chosen where signs are read
+    def flipping(t):
+        sign = 1.0 if t < 0.5 else -1.0
+        return Frame(sign * np.array([[np.cos(t)], [np.sin(t)]]))
+
+    path = path_from_sampler(flipping, np.linspace(0.0, 1.0, 11))
+    for t, F in zip(path.grid, path.frames):
+        assert np.array_equal(F.columns, flipping(t).columns)
+
+
+def test_subspace_path_requires_a_sampler():
+    grid = np.linspace(0.0, 1.0, 3)
+    frames = tuple(orthonormalize(np.array([[1.0], [t]])) for t in grid)
+    with pytest.raises(TypeError):
+        SubspacePath(grid, frames)
+    with pytest.raises(InvalidInput):
+        SubspacePath(grid, frames, None)
+
+
 def test_path_from_sampler_rejects_jump():
     # the subspace jumps at t = 0.5: halving never closes the gap, so the
-    # depth cap must end the refinement and the chain refuse the jump
+    # depth cap must end the refinement and the capped interval be refused
     def jump(t):
         return orthonormalize(np.array([[1.0], [np.arctan(1e20 * (t - 0.5))]]))
 

@@ -7,6 +7,7 @@ from hetindex import (
     DimensionMismatch,
     Frame,
     GapTooLarge,
+    InvalidInput,
     NotHyperbolic,
     align_frame,
     det_sign,
@@ -128,6 +129,13 @@ def test_det_sign_relative_threshold():
     M = np.diag([1.0, 1e-8])
     assert det_sign(M, eps_trans=1e-6) == DEGENERATE
     assert det_sign(M, eps_trans=1e-10) == 1
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1e-6])
+def test_det_sign_rejects_non_positive_threshold(eps):
+    # a NaN threshold would read every matrix as transversal
+    with pytest.raises(InvalidInput):
+        det_sign([[1.0, 0.0], [0.0, 1e-30]], eps)
 
 
 def test_align_frame_spans_next():

@@ -18,9 +18,7 @@ from hetindex import (
     z2_index,
     z2_index_unbounded,
 )
-from hetindex.flow import SubspacePath
 from hetindex.suites import poschl_teller_family
-from hetindex.z2index import _interp_frame
 
 
 def line(theta):
@@ -94,6 +92,21 @@ def test_pair_merges_different_grids():
     assert z2_index(pair).value == 1
 
 
+def test_merged_grid_frames_are_samples():
+    # the union grid takes each missing frame from the path's sampler;
+    # a geodesic between V's neighbours would miss line(t**2) off its grid
+    def vs(t):
+        return line(t * t)
+
+    pair = SubspacePathPair(
+        V=path_from_sampler(vs, np.linspace(0.0, 1.0, 11)),
+        W=path_from_sampler(fixed_vertical, np.linspace(0.0, 1.0, 17)))
+    assert len(pair.grid) > 17
+    for t, v, w in zip(pair.grid, pair.V.frames, pair.W.frames):
+        assert np.array_equal(v.columns, vs(t).columns)
+        assert np.array_equal(w.columns, fixed_vertical(t).columns)
+
+
 def test_unbounded_index_settles():
     # V sweeps angle 0 to pi/2 through tanh, W fixed at 45 degrees;
     # one crossing, transversal tails on both sides
@@ -121,17 +134,6 @@ def test_unbounded_rejects_degenerate_tail():
     pair = make_pair(vs, ws, -10.0, 10.0, points=201)
     with pytest.raises(TailNotTransversal):
         z2_index_unbounded(pair, tail_T=5.0)
-
-
-def test_interp_frame_returns_grid_frames_on_the_grid():
-    path = path_from_sampler(rotating, np.linspace(0.0, 1.0, 11))
-    bare = SubspacePath(grid=path.grid, frames=path.frames)
-    for j in range(len(path.grid)):
-        got = _interp_frame(bare, float(path.grid[j]))
-        assert np.array_equal(got.columns, path.frames[j].columns)
-    # off the grid the chain geodesic joins the two neighbours
-    mid = _interp_frame(bare, 0.05)
-    assert gap_distance(mid, rotating(0.05)) < 1e-12
 
 
 def test_close_loop_structure():
