@@ -277,9 +277,20 @@ def _too_wide(a: Frame, b: Frame) -> bool:
 
 def _solve_matrix_ode(rhs: Callable, t0: float, t1: float, y0: np.ndarray,
                       rtol: float, atol: float, dense_output: bool = False):
-    """RK45 solve of a flattened matrix ODE; the final state is checked."""
-    sol = solve_ivp(rhs, (t0, t1), y0.ravel(), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=dense_output)
+    """RK45 solve of a flattened matrix ODE; the final state is checked.
+
+    The solver and the function it wraps form a reference cycle.  The
+    solver reaches ``rhs`` only through a list emptied after the solve,
+    so the cycle does not keep ``rhs``, or the family it closes over,
+    alive until the cyclic garbage collector runs.
+    """
+    hold = [rhs]
+    try:
+        sol = solve_ivp(lambda t, y: hold[0](t, y), (t0, t1), y0.ravel(),
+                        method="RK45", rtol=rtol, atol=atol,
+                        dense_output=dense_output)
+    finally:
+        hold.clear()
     if not sol.success:
         raise IntegrationFailure(
             f"integration {t0} -> {t1} failed: {sol.message}"

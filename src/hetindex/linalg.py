@@ -8,6 +8,14 @@ metric, spectral splitting of hyperbolic matrices into stable/unstable
 invariant subspaces, determinant-sign evaluation with a relative
 degeneracy threshold, and Procrustes alignment of nearby frames.
 
+The gap is the largest principal-angle sine, read from the residual
+V - U(U^T V) (Bjorck & Golub 1973).  Alignment takes polar factors and
+principal-angle cosines from one SVD, stacked over a whole chain
+(Higham 1986).  Frames built by orthonormalization and alignment are
+orthonormal by construction and skip ``Frame`` validation.  Single
+small QR and singular-value factorizations call LAPACK directly: at
+n <= 6, numpy's per-call wrapper costs more than the factorization.
+
 All operations are pure functions on immutable values.
 """
 
@@ -18,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from .errors import (
     DimensionMismatch,
@@ -49,6 +58,14 @@ _ORTHO_TOL = 1e-10
 _RANK_TOL = 1e-12
 #: Cosine of the largest principal angle at gap 0.5: sin = 0.5 there.
 _ALIGN_COS = np.sqrt(0.75)
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of a nonempty matrix, largest first (gesdd)."""
+    _, sigma, _, info = dgesdd(M, compute_uv=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return sigma
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -84,12 +101,19 @@ class Frame:
         if k > n:
             raise ValueError(f"frame has more columns ({k}) than rows ({n})")
         if k > 0:
-            defect = np.max(np.abs(cols.T @ cols - np.eye(k)))
+            defect = np.abs(cols.T @ cols - np.eye(k)).max()
             if not defect <= _ORTHO_TOL:
                 raise ValueError(
                     f"columns not orthonormal (defect {defect:.2e} > {_ORTHO_TOL})"
                 )
         object.__setattr__(self, "columns", _readonly(cols))
+
+    @classmethod
+    def _trusted(cls, cols: np.ndarray) -> "Frame":
+        """Frame over columns orthonormal by construction, unvalidated."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "columns", _readonly(cols))
+        return frame
 
     @property
     def n(self) -> int:
@@ -146,8 +170,11 @@ def orthonormalize(basis) -> Frame:
 
     Raises
     ------
+    InvalidInput
+        If ``basis`` has a non-finite entry.
     RankDeficient
-        If the smallest singular value of ``basis`` is <= 1e-12.
+        If the smallest singular value of ``basis`` is <= 1e-12; it is
+        read off the k x k R factor, which has the same singular values.
     """
     B = np.atleast_2d(np.asarray(basis, dtype=float))
     if B.ndim != 2:
@@ -155,22 +182,31 @@ def orthonormalize(basis) -> Frame:
     n, k = B.shape
     if k > n:
         raise DimensionMismatch(f"more columns ({k}) than rows ({n})")
+    if not np.isfinite(B).all():
+        raise InvalidInput("basis has non-finite entries")
     if k == 0:
-        return Frame(np.zeros((n, 0)))
-    smin = np.linalg.svd(B, compute_uv=False)[-1]
+        return Frame._trusted(np.zeros((n, 0)))
+    qr, tau, _, _ = dgeqrf(B)
+    R = np.triu(qr[:k])
+    smin = _singular_values(R)[-1]
     if smin <= _RANK_TOL:
         raise RankDeficient(f"smallest singular value {smin:.2e} <= {_RANK_TOL}")
-    Q, R = np.linalg.qr(B)
+    Q, _, _ = dorgqr(qr, tau)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    return Frame(Q * signs)
+    return Frame._trusted(Q * signs)
 
 
 def gap_distance(U: Frame, V: Frame) -> float:
     """Gap-metric distance ||P_U - P_V|| in operator norm.
 
-    Lies in [0, 1]; equals 0 iff the spans coincide, 1 if the
-    dimensions differ.  Bitwise symmetric in its two arguments.
+    Lies in [0, 1]; equals 0 iff the spans coincide, exactly 1 if the
+    dimensions differ.  For equal dimensions it is the sine of the
+    largest principal angle, the top singular value of the residual
+    V - U(U^T V) (an n x k SVD in place of the n x n one of
+    P_U - P_V).  The sine is never taken as sqrt(1 - cos^2), which
+    cannot resolve gaps below about 1e-8.  Bitwise symmetric in its
+    two arguments.
 
     Raises
     ------
@@ -179,11 +215,14 @@ def gap_distance(U: Frame, V: Frame) -> float:
     """
     if U.n != V.n:
         raise DimensionMismatch(f"ambient dimensions {U.n} != {V.n}")
-    if U.k == V.k == 0:
+    if U.k != V.k:
+        return 1.0
+    if U.k == 0:
         return 0.0
     if U.columns.tobytes() > V.columns.tobytes():
         U, V = V, U
-    return float(np.linalg.norm(U.projector() - V.projector(), 2))
+    A, B = U.columns, V.columns
+    return float(_singular_values(B - A @ (A.T @ B))[0])
 
 
 def spectral_split(S, delta: float = 1e-8) -> SpectralSplit:
@@ -262,11 +301,23 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
     if n == 0:
         return 1
-    sigma = np.linalg.svd(M, compute_uv=False)
+    sigma = _singular_values(M)
     if sigma[-1] <= eps_trans * sigma[0]:
         return DEGENERATE
     sign, _ = np.linalg.slogdet(M)
     return int(sign)
+
+
+def _procrustes(M: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factors of products next^T prev, one or stacked.
+
+    The same SVD gives the principal-angle cosines; GapTooLarge if a
+    pair of frames is 0.5 or more apart in gap.
+    """
+    U, cos, Vt = np.linalg.svd(M)
+    if np.any(cos[..., -1] <= _ALIGN_COS):
+        raise GapTooLarge("consecutive frames further than 0.5 in gap metric")
+    return U @ Vt
 
 
 def align_frame(prev: Frame, next: Frame) -> Frame:
@@ -274,9 +325,7 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
 
     Orthogonal Procrustes: returns next @ Q where Q is the orthogonal
     polar factor of next^T prev.  Composing aligned steps along a
-    sampled path keeps det of pair matrices continuous.  The same SVD
-    gives the principal-angle cosines (Bjorck & Golub 1973), and the
-    gap is the sine of the largest angle.
+    sampled path keeps det of pair matrices continuous.
 
     Raises
     ------
@@ -291,26 +340,38 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
         )
     if next.k == 0:
         return next
-    U, cos, Vt = np.linalg.svd(next.columns.T @ prev.columns)
-    if cos[-1] <= _ALIGN_COS:
-        raise GapTooLarge("consecutive frames further than 0.5 in gap metric")
-    return Frame(next.columns @ (U @ Vt))
+    Q = _procrustes(next.columns.T @ prev.columns)
+    return Frame._trusted(next.columns @ Q)
 
 
 def align_chain(frames: Sequence[Frame]) -> list[Frame]:
     """Align each frame to the previous aligned one; the first is kept.
 
     The chained frames vary continuously along a sampled path, which
-    determinant-sign tracking over the path requires.
+    determinant-sign tracking over the path requires.  One stacked SVD
+    of the products F_i^T F_{i-1} gives every polar factor P_i; the
+    aligned frame i is F_i R_i with the running product
+    R_i = P_i R_{i-1}, R_0 = I, since aligning to F_{i-1} R_{i-1}
+    rotates the polar factor by R_{i-1}.
 
     Raises
     ------
     GapTooLarge
         If two consecutive frames are 0.5 or more apart in gap.
+    DimensionMismatch
+        If the frames differ in shape.
     """
-    out = [frames[0]]
-    for f in frames[1:]:
-        out.append(align_frame(out[-1], f))
+    first = frames[0]
+    if any(f.n != first.n or f.k != first.k for f in frames):
+        raise DimensionMismatch("frames change shape along the chain")
+    if len(frames) == 1 or first.k == 0:
+        return list(frames)
+    F = np.stack([f.columns for f in frames])
+    polar = _procrustes(np.swapaxes(F[1:], 1, 2) @ F[:-1])
+    out, R = [first], np.eye(first.k)
+    for cols, P in zip(F[1:], polar):
+        R = P @ R
+        out.append(Frame._trusted(cols @ R))
     return out
 
 

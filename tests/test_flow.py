@@ -1,6 +1,8 @@
 """Linear families: transport, asymptotics, subspace paths, hypotheses."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,23 @@ def test_subspaces_over_lambda_continuity():
     assert len(frames) == 11
     for a, b in zip(frames, frames[1:]):
         assert gap_distance(a, b) < 0.3
+
+
+def test_transport_leaves_no_cycle_holding_the_family():
+    # with the cyclic collector off, a family must be freed by reference
+    # counting alone once its caller drops it after a transport
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fam = poschl_teller_family()
+        F = subspace_at(fam, 0.8, "unstable", 0.0)
+        assert F.k == 1 and fam._limits
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("lam,which,t", [

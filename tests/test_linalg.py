@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hetindex import (
     DimensionMismatch,
@@ -9,6 +10,7 @@ from hetindex import (
     GapTooLarge,
     InvalidInput,
     NotHyperbolic,
+    RankDeficient,
     align_frame,
     det_sign,
     gap_distance,
@@ -17,7 +19,7 @@ from hetindex import (
     pair_matrix,
     spectral_split,
 )
-from hetindex.linalg import DEGENERATE
+from hetindex.linalg import DEGENERATE, align_chain
 
 
 def test_orthonormalize_columns_are_orthonormal():
@@ -244,3 +246,145 @@ def test_frame_carries_shape():
 def test_frame_rejects_nan_columns():
     with pytest.raises(ValueError):
         Frame(np.full((2, 1), np.nan))
+
+
+def test_frame_rejects_non_orthonormal_columns():
+    with pytest.raises(ValueError):
+        Frame(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        Frame(np.array([[1.0], [1e-4]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_orthonormalize_rejects_non_finite_basis(bad):
+    B = np.eye(3)[:, :2]
+    B[1, 1] = bad
+    with pytest.raises(InvalidInput, match="non-finite"):
+        orthonormalize(B)
+
+
+def _basis_with_singular_values(seed, n, sigma):
+    rng = np.random.default_rng(seed)
+    k = len(sigma)
+    Q1 = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    Q2 = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    return Q1 @ np.diag(sigma) @ Q2.T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orthonormalize_rank_test_reads_singular_values(seed):
+    # the rank test runs on R, whose singular values are those of B
+    with pytest.raises(RankDeficient):
+        orthonormalize(_basis_with_singular_values(seed, 5, [1.0, 0.5, 1e-13]))
+    F = orthonormalize(_basis_with_singular_values(seed, 5, [1.0, 0.5, 1e-11]))
+    assert F.k == 3
+
+
+def test_gap_distance_agrees_with_projector_oracle():
+    for U, V in _random_pairs(3, 2000, 1.5):
+        assert abs(gap_distance(U, V) - _oracle_gap(U, V)) <= 1e-13
+
+
+def test_gap_distance_resolves_tiny_rotations():
+    # sqrt(1 - cos^2) reads 0 below about 1e-8; the residual sine does not
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n))
+        U = orthonormalize(rng.normal(size=(n, k)))
+        K = rng.normal(size=(n, n))
+        K = (K - K.T) / np.linalg.norm(K - K.T, 2)
+        V = Frame(expm(1e-8 * K) @ U.columns)
+        oracle = _oracle_gap(U, V)
+        assert abs(gap_distance(U, V) - oracle) <= 1e-6 * oracle
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1e-12])
+def test_gap_distance_is_the_largest_principal_sine(theta):
+    # rotations in coordinate planes, under a signed row permutation,
+    # keep the projector oracle exact down to the smallest angles
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n // 2 + 1))
+        angles = theta * rng.uniform(0.5, 2.0, k)
+        A = np.zeros((n, k))
+        B = np.zeros((n, k))
+        for i, a in enumerate(angles):
+            A[i, i] = 1.0
+            B[i, i], B[k + i, i] = np.cos(a), np.sin(a)
+        perm = rng.permutation(n)
+        signs = rng.choice([-1.0, 1.0], size=(n, 1))
+        U, V = Frame(signs * A[perm]), Frame(signs * B[perm])
+        gap = gap_distance(U, V)
+        assert abs(gap - _oracle_gap(U, V)) <= 1e-6 * gap
+        assert abs(gap - np.sin(angles.max())) <= 1e-6 * gap
+
+
+def test_gap_distance_unequal_dimensions_is_exactly_one():
+    rng = np.random.default_rng(6)
+    for n in range(2, 7):
+        U = orthonormalize(rng.normal(size=(n, 1)))
+        V = orthonormalize(np.hstack([U.columns, rng.normal(size=(n, 1))]))
+        assert gap_distance(U, V) == gap_distance(V, U) == 1.0
+        empty = Frame(np.zeros((n, 0)))
+        assert gap_distance(empty, U) == 1.0
+        assert gap_distance(empty, empty) == 0.0
+
+
+def _sequential_chain(frames):
+    """Frame-by-frame Procrustes chain, the reference for align_chain."""
+    out = [frames[0]]
+    for f in frames[1:]:
+        out.append(align_frame(out[-1], f))
+    return out
+
+
+def _random_chain(rng, length, jump=None):
+    """A slowly turning frame chain, each frame in a random orientation.
+
+    With ``jump`` set, the frame at that index turns to the orthogonal
+    complement of the frame before it, a gap of 1.
+    """
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, n))
+    F = orthonormalize(rng.normal(size=(n, k)))
+    frames = []
+    for i in range(length):
+        if i == jump:
+            F = orthonormalize(np.linalg.qr(F.columns, mode="complete")[0]
+                               [:, n - k:])
+        else:
+            F = orthonormalize(F.columns + 0.05 * rng.normal(size=(n, k)))
+        Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        frames.append(Frame(F.columns @ Q))
+    return frames
+
+
+def test_align_chain_agrees_with_sequential_alignment():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        frames = _random_chain(rng, 65)
+        fast, slow = align_chain(frames), _sequential_chain(frames)
+        assert fast[0] is frames[0]
+        for a, b in zip(fast, slow):
+            assert np.max(np.abs(a.columns - b.columns)) <= 1e-13
+
+
+def test_align_chain_rejects_the_jumps_sequential_alignment_rejects():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        frames = _random_chain(rng, 65, jump=int(rng.integers(1, 65)))
+        with pytest.raises(GapTooLarge):
+            _sequential_chain(frames)
+        with pytest.raises(GapTooLarge):
+            align_chain(frames)
+
+
+def test_align_chain_edge_shapes():
+    F = orthonormalize(np.eye(3)[:, :2])
+    assert align_chain([F]) == [F]
+    empty = [Frame(np.zeros((3, 0)))] * 3
+    assert align_chain(empty) == empty
+    with pytest.raises(DimensionMismatch):
+        align_chain([F, orthonormalize(np.eye(3)[:, :1])])
