@@ -188,11 +188,7 @@ class SubspacePath:
     def __post_init__(self):
         if not callable(self.sampler):
             raise InvalidInput("a subspace path needs a callable sampler")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise InvalidInput("grid must hold at least two samples")
-        if not np.all(np.diff(grid) > 0):
-            raise InvalidInput("grid must be strictly increasing")
+        grid = _checked_grid(self.grid)
         if len(self.frames) != len(grid):
             raise DimensionMismatch("one frame per grid sample required")
         n, k = self.frames[0].n, self.frames[0].k
@@ -227,6 +223,18 @@ class HypothesisReport:
     lambdas_checked: int
     lam_range: tuple
     note: str = "sampled, not uniform"
+
+
+def _checked_grid(grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array: two or more finite, increasing samples."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise InvalidInput("grid must hold at least two samples")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidInput("grid samples must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidInput("grid must be strictly increasing")
+    return grid
 
 
 # -- midpoint refinement -----------------------------------------------
@@ -428,40 +436,44 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     """Stable or unstable subspace path sampled on an increasing grid.
 
     Stable frames are seeded at v_minus(S^+) beyond the last grid point
-    and transported backward; unstable frames at v_plus(S^-) forward.
-    The frames are returned as transported, orientation arbitrary.
+    and transported backward; unstable frames at v_plus(S^-) forward,
+    in one transport to the far grid end that keeps its dense output.
+    Inside the transported span the sampler orthonormalizes that
+    interpolant, within the integration tolerance of a fresh
+    :func:`subspace_at`, which it calls outside the span.  The grid is
+    refined as by :func:`path_from_sampler`; orientation is arbitrary.
 
     Raises
     ------
+    InvalidInput
+        If the grid is not one :func:`path_from_sampler` accepts.
     DimensionMismatch
         If the spectral dimensions contradict the declared k.
+    GapTooLarge
+        As :func:`path_from_sampler`.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid)
     stable = which == "stable"
     seed, t0, limits = _seed(fam, lam, which, grid[-1] if stable else grid[0])
     _check_declared_dims(fam, limits)
     t_end = grid[0] if stable else grid[-1]
+    _, legs = _transport_batched(fam, np.array([float(lam)]),
+                                 seed.columns[None], t0, t_end, rtol, atol,
+                                 dense=True)
+    # in the direction of travel a leg serves the instants after its
+    # start up to and including its end
+    ahead = -1.0 if stable else 1.0
+    ends = ahead * np.array([b for b, _ in legs])
 
-    def sample(ts, lefts=None):
-        # one transport from the seed to the far end of the grid; the
-        # leg points depend on the ends only, so each round's frames
-        # come from the same integration steps
-        _, raw = _transport_batched(fam, np.array([float(lam)]),
-                                    seed.columns[None], t0, t_end, rtol, atol,
-                                    collect=ts[::-1] if stable else ts)
-        on = [orthonormalize(b[0]) for b in raw]
-        return on[::-1] if stable else on
+    def sampler(t: float) -> Frame:
+        if t == t0:
+            return seed
+        if ahead * t0 < ahead * t <= ahead * t_end and legs:
+            y = legs[np.searchsorted(ends, ahead * t)][1](t)
+            return orthonormalize(y.reshape(seed.n, seed.k))
+        return subspace_at(fam, lam, which, t, rtol, atol)
 
-    # the requested grid is a floor, not a contract: where the subspace
-    # turns faster than the spacing resolves, collect at midpoints too,
-    # at most five rounds of one transport each; any finer refinement
-    # goes through the sampler, one transport per point
-    pts = list(grid)
-    pts, on, _ = _bisect(pts, sample(pts), _too_wide, sample, max_depth=5)
-
-    sampler = lambda s: subspace_at(fam, lam, which, s, rtol, atol)
-    return SubspacePath(grid=np.asarray(pts), frames=tuple(on),
-                        sampler=sampler)
+    return path_from_sampler(sampler, grid)
 
 
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
@@ -474,11 +486,14 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
 
     Raises
     ------
+    InvalidInput
+        Unless the grid holds two or more finite, strictly increasing
+        samples; ``sampler`` is then never called.
     GapTooLarge
         If samples still jump after 20 halvings of an interval, or at
         floating-point resolution, as a discontinuous subspace does.
     """
-    pts = [float(t) for t in np.asarray(grid, dtype=float)]
+    pts = _checked_grid(grid).tolist()
     pts, raw, depths = _bisect(
         pts, [sampler(t) for t in pts],
         _too_wide,
@@ -499,25 +514,22 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
 def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
                        t_from: float, t_to: float,
                        rtol: float, atol: float,
-                       collect: Sequence[float] = ()) -> tuple[np.ndarray, list]:
+                       dense: bool = False) -> tuple[np.ndarray, list]:
     """Carry one frame per lambda under the flow, all lambdas at once.
 
     seeds has shape (m, n, k); all m systems ride in one solver call
     per leg, with batched QR and Procrustes alignment between legs.
     This keeps a 201-point lambda sweep at a handful of integrator
-    calls.  ``collect`` lists instants (ordered in the direction of
-    travel) where raw solution frames are read off the leg's dense
-    output.  Returns the final (m, n, k) frames and one raw (m, n, k)
-    block per collected instant, travel-ordered.
+    calls.  Returns the final (m, n, k) frames and, with ``dense``,
+    one ``(leg end, interpolant)`` pair per leg in the direction of
+    travel (else none); an interpolant maps an instant of its leg to
+    the raw (m, n, k) solution there, flattened.
     """
     m, n, k = seeds.shape
-    collect = list(collect)
     Y = seeds.copy()
+    legs: list = []
     if k == 0 or t_from == t_to:
-        return Y, [Y.copy() for _ in collect]
-    samples: list[np.ndarray] = []
-    forward = t_to > t_from
-    ci = 0
+        return Y, legs
     # a lone lambda goes in as a scalar: evaluators, numpy or Python,
     # run faster on it than on a length-1 array
     lam_arg = lams[0] if m == 1 else lams
@@ -528,25 +540,14 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
 
     pts = _leg_points(t_from, t_to)
     for a, b in zip(pts, pts[1:]):
-        while ci < len(collect) and collect[ci] == a:
-            samples.append(Y.copy())
-            ci += 1
-        inside = []
-        while ci < len(collect) and (
-            (forward and a < collect[ci] <= b)
-            or (not forward and b <= collect[ci] < a)
-        ):
-            inside.append(collect[ci])
-            ci += 1
-        sol = _solve_matrix_ode(rhs, a, b, Y, rtol, atol,
-                                dense_output=bool(inside))
-        samples.extend(sol.sol(s).reshape(m, n, k) for s in inside)
+        sol = _solve_matrix_ode(rhs, a, b, Y, rtol, atol, dense_output=dense)
+        if dense:
+            legs.append((b, sol.sol))
         Q, _ = np.linalg.qr(sol.y[:, -1].reshape(m, n, k))
         M = np.einsum("mji,mjk->mik", Q, Y)
         U, _, Vt = np.linalg.svd(M)
         Y = np.einsum("mij,mjk->mik", Q, U @ Vt)
-    samples.extend(Y.copy() for _ in collect[ci:])
-    return Y, samples
+    return Y, legs
 
 
 # The benchmark's tracer (perfbench/tracing.py) also wraps transport

@@ -291,7 +291,8 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
     Raises
     ------
     InvalidInput
-        If eps_trans is not positive; a NaN would pass every matrix.
+        If eps_trans is not positive, since a NaN would pass every
+        matrix, or if M has a non-finite entry, which has no sign.
     """
     if not eps_trans > 0:
         raise InvalidInput(f"eps_trans must be positive, got {eps_trans!r}")
@@ -299,6 +300,8 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
     n = M.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise InvalidInput("matrix has non-finite entries")
     if n == 0:
         return 1
     sigma = _singular_values(M)

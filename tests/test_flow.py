@@ -29,6 +29,7 @@ from hetindex import (
     subspace_at,
     subspaces_over_lambda,
 )
+from hetindex import flow
 from hetindex.cli import DEMOS
 from hetindex.expr import eval_matrix
 from hetindex.suites import poschl_teller_family
@@ -192,6 +193,53 @@ def test_invariant_subspace_path_chains():
     assert path.grid[0] == grid[0] and path.grid[-1] == grid[-1]
     F = subspace_at(fam, 0.8, "stable", float(grid[-1]))
     assert gap_distance(path.frames[-1], F) < 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.8, 1.0])
+@pytest.mark.parametrize("which,outside", [("stable", -9.0),
+                                           ("unstable", 9.0)])
+def test_invariant_path_sampler_against_fresh_transport(lam, which, outside):
+    # the sampler reads the path's own dense output inside the
+    # transported span and transports afresh only outside it
+    fam = poschl_teller_family()
+    grid = np.linspace(-6.0, 6.0, 25)
+    path = invariant_subspace_path(fam, lam, which, grid)
+    for t, F in zip(path.grid, path.frames):
+        assert np.array_equal(F.columns, path.sampler(t).columns)
+    rng = np.random.default_rng(7)
+    for t in rng.uniform(grid[0], grid[-1], 15):
+        fresh = subspace_at(fam, lam, which, float(t))
+        assert gap_distance(path.sampler(float(t)), fresh) < 1e-6
+    assert np.array_equal(path.sampler(outside).columns,
+                          subspace_at(fam, lam, which, outside).columns)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_path_builders_refuse_non_finite_grid(bad, monkeypatch):
+    # the grid is checked before anything is sampled or transported
+    calls = []
+    frame = orthonormalize(np.array([[1.0], [0.0]]))
+
+    def counting(t):
+        calls.append(t)
+        return frame
+
+    transports = []
+    real = flow._transport_batched
+
+    def counting_transport(*args, **kwargs):
+        transports.append(args[3:5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_transport_batched", counting_transport)
+    with pytest.raises(InvalidInput):
+        path_from_sampler(counting, [0.0, bad])
+    with pytest.raises(InvalidInput):
+        invariant_subspace_path(poschl_teller_family(), 0.5, "stable",
+                                [0.0, bad])
+    with pytest.raises(InvalidInput):
+        SubspacePath(np.array([0.0, bad]), (frame, frame), counting)
+    assert calls == [] and transports == []
 
 
 def test_subspaces_over_lambda_continuity():

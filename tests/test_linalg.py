@@ -140,6 +140,14 @@ def test_det_sign_rejects_non_positive_threshold(eps):
         det_sign([[1.0, 0.0], [0.0, 1e-30]], eps)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_det_sign_rejects_non_finite_matrix(bad):
+    # LAPACK returns NaN singular values for an infinite entry, which
+    # passed the degeneracy test and read as sign 1; NaN leaked LinAlgError
+    with pytest.raises(InvalidInput):
+        det_sign([[bad, 1.0], [0.0, 1.0]])
+
+
 def test_align_frame_spans_next():
     rng = np.random.default_rng(3)
     prev = orthonormalize(rng.normal(size=(5, 2)))

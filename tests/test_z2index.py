@@ -18,6 +18,7 @@ from hetindex import (
     z2_index,
     z2_index_unbounded,
 )
+from hetindex import flow
 from hetindex.suites import poschl_teller_family
 
 
@@ -176,3 +177,21 @@ def test_geometric_parity_poschl_teller():
     assert len(rep.grid) == 98             # pinned, as above
     assert rep.refinement_depth == 16
     assert rep.crossings == (0.24655532836914062,)
+
+
+def test_geometric_parity_transports_once_per_side(monkeypatch):
+    # each path is one dense transport whose interpolants serve every
+    # refinement midpoint; collecting grid frames in five refinement
+    # rounds, each re-integrating from the seed, then one fresh
+    # transport per later midpoint, made 36 calls here
+    calls = []
+    real = flow._transport_batched
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_transport_batched", counting)
+    rep = geometric_parity(poschl_teller_family(), 1.0, samples=81)
+    assert rep.value == 1 and rep.refinement_depth == 16
+    assert len(calls) <= 2
