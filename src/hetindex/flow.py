@@ -240,12 +240,12 @@ def _checked_grid(grid: Sequence[float]) -> np.ndarray:
 # -- midpoint refinement -----------------------------------------------
 
 def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
-            max_depth: int, depths: list | None = None):
+            depths: list | None = None):
     """Breadth-first midpoint refinement of a sampled parameter grid.
 
     Each round tests only the intervals the previous round made (all of
     them in the first round).  Interval i is halved when its depth is
-    below ``max_depth``, its midpoint lies strictly inside it (it may
+    below ``_MAX_DEPTH``, its midpoint lies strictly inside it (it may
     not at floating-point resolution) and ``split(samples[i],
     samples[i + 1])`` holds.  One call ``sample_mids(mids, lefts)``
     samples all midpoints of a round, ``lefts`` holding the sample at
@@ -261,7 +261,7 @@ def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
         cut = {}
         for i in fresh:
             tm = 0.5 * (ts[i] + ts[i + 1])
-            if (depths[i] < max_depth and ts[i] < tm < ts[i + 1]
+            if (depths[i] < _MAX_DEPTH and ts[i] < tm < ts[i + 1]
                     and split(samples[i], samples[i + 1])):
                 cut[i] = tm
         if not cut:
@@ -497,7 +497,7 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
     pts, raw, depths = _bisect(
         pts, [sampler(t) for t in pts],
         _too_wide,
-        lambda ts, lefts: [sampler(t) for t in ts], _MAX_DEPTH)
+        lambda ts, lefts: [sampler(t) for t in ts])
     # an interval is left wide only where refinement had to stop
     for i, depth in enumerate(depths):
         a, b = pts[i], pts[i + 1]

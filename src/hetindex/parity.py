@@ -35,7 +35,6 @@ from .errors import (
     UnstableTruncation,
 )
 from .flow import (
-    _MAX_DEPTH,
     HypothesisReport,
     LinearFamily,
     SubspacePath,
@@ -502,7 +501,7 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
                 for lam, left, f, M in zip(mids, lefts, fresh, ops)]
 
     _, samples, _ = _bisect([s[0] for s in samples], samples, split,
-                            sample_mids, _MAX_DEPTH)
+                            sample_mids)
     flips += [0.5 * (a[0] + b[0]) for a, b in zip(samples, samples[1:])
               if a[1] != b[1]]
     return sorted(flips)

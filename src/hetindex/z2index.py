@@ -37,7 +37,6 @@ from .errors import (
     TailNotTransversal,
 )
 from .flow import (
-    _MAX_DEPTH,
     LinearFamily,
     SubspacePath,
     _bisect,
@@ -193,7 +192,7 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
 
     ts, pts, depths = _bisect(
         ts, pts, too_wide,
-        lambda mids, lefts: [(vs(t), ws(t)) for t in mids], _MAX_DEPTH)
+        lambda mids, lefts: [(vs(t), ws(t)) for t in mids])
 
     # orientation sweep: chain Procrustes from the left end
     v_raw, w_raw = zip(*pts)
@@ -210,8 +209,7 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
                         align_frame(left[1], ws(t)), eps_trans)
                 for t, left in zip(mids, lefts)]
 
-    ts, chain, depths = _bisect(ts, chain, flips, sample, _MAX_DEPTH,
-                                depths)
+    ts, chain, depths = _bisect(ts, chain, flips, sample, depths)
 
     _, _, dets, signs = zip(*chain)
     return np.asarray(ts), np.asarray(dets), list(signs), max(depths)
@@ -473,7 +471,7 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
         ]))))
         ext, frames, _ = _bisect(
             params, sample(params),
-            lambda p, q: gap_distance(p[0], q[0]) > 0.3, sample, _MAX_DEPTH)
+            lambda p, q: gap_distance(p[0], q[0]) > 0.3, sample)
         if _sign_constant_along(frames, eps_trans):
             ext = np.asarray(ext)
             v_frames, w_frames = zip(*frames)
