@@ -32,6 +32,7 @@ from scipy.sparse import csgraph
 from .errors import (
     DegenerateEndpoint,
     InternalMismatch,
+    InvalidInput,
     UnstableTruncation,
 )
 from .flow import (
@@ -39,6 +40,7 @@ from .flow import (
     LinearFamily,
     SubspacePath,
     _bisect,
+    _checked_grid,
     _require_A1_A3,
     asymptotic_limits,
     path_from_sampler,
@@ -193,12 +195,27 @@ def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
         yield _assemble(template, fam.n, N, h, S, bu.columns.T, bs.columns.T)
 
 
+def _check_truncation(tau: float, N: int) -> None:
+    """Refuse a truncation [-tau, tau] that is not a finite positive
+    interval, or a step count N that is not an integer >= 2."""
+    if not (np.isfinite(tau) and tau > 0):
+        raise InvalidInput(f"tau must be finite and positive, got {tau!r}")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise InvalidInput(f"N must be an integer >= 2, got {N!r}")
+
+
 def discretize(fam: LinearFamily, lam: float, tau: float,
                N: int) -> DiscretizedOperator:
     """Crank-Nicolson discretization of d/dt - S(lambda, .) on [-tau, tau].
 
     The boundary frames are those a one-point lambda-sweep would use.
+
+    Raises
+    ------
+    InvalidInput
+        If tau is not finite and positive or N is not an integer >= 2.
     """
+    _check_truncation(tau, N)
     frames = _boundary_frames(fam, np.array([lam], dtype=float), tau)
     M, = _operators(fam, [lam], tau, N, *frames[2:])
     return DiscretizedOperator(lam, tau, N, M, *(f[0] for f in frames))
@@ -219,18 +236,24 @@ def _perm_parity(p: np.ndarray) -> int:
     return -1 if (n - cycles) % 2 else 1
 
 
-def _signed_lu(M: sp.spmatrix) -> tuple:
-    """(sign of det M, sparse LU of M) for :func:`sparse_det_sign`."""
+def _signed_lu(M: sp.spmatrix, sigma: bool = False) -> tuple:
+    """(sign of det M, sigma_min estimate) from one sparse LU of M.
+
+    sigma_min is NaN unless ``sigma`` is set and the sign is nonzero.
+    The LU is dropped on return, before a caller assembles and factors
+    its next operator.
+    """
     try:
         lu = spla.splu(M.tocsc())
     except RuntimeError:
-        return 0, None
+        return 0, np.nan
     diag = lu.U.diagonal()
     if np.any(diag == 0.0):
-        return 0, lu
+        return 0, np.nan
     sign = _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
     negs = int(np.sum(diag < 0.0))
-    return sign * (-1 if negs % 2 else 1), lu
+    return (sign * (-1 if negs % 2 else 1),
+            _sigma_min_estimate(lu) if sigma else np.nan)
 
 
 def sparse_det_sign(M: sp.spmatrix) -> int:
@@ -261,7 +284,14 @@ class KernelReport:
         return tuple(s / self.sigma_max for s in self.smallest)
 
 
-def _sigma_max_estimate(M: sp.spmatrix, iters: int = 30) -> float:
+#: Relative singular value sigma_min / sigma_max below which an operator
+#: counts as singular, in the kernel count and the endpoint test alike.
+_KERNEL_TOL = 1e-6
+_SIGMA_MAX_ITERS = 30   # power steps on A^T A
+_SIGMA_MIN_ITERS = 6    # inverse power steps through one LU
+
+
+def _sigma_max_estimate(M: sp.spmatrix) -> float:
     """Largest singular value by power iteration on A^T A.
 
     A slight underestimate only tightens the relative kernel
@@ -271,7 +301,7 @@ def _sigma_max_estimate(M: sp.spmatrix, iters: int = 30) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(M.shape[1])
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(_SIGMA_MAX_ITERS):
         w = M.T @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -280,12 +310,15 @@ def _sigma_max_estimate(M: sp.spmatrix, iters: int = 30) -> float:
     return float(np.linalg.norm(M @ v))
 
 
-def kernel_dimension(op: DiscretizedOperator, rel_tol: float = 1e-6,
+def kernel_dimension(op: DiscretizedOperator, rel_tol: float = _KERNEL_TOL,
                      count: int = 4) -> KernelReport:
     """Numerical kernel dimension via shift-inverted smallest squares.
 
     The smallest singular values come from a shift-invert eigensolve
-    of A^T A with the inverse applied through one sparse LU of A.
+    of A^T A with the inverse applied through one sparse LU of A.  This
+    is the kernel measurement (criteria 3 and 9) and the oracle the
+    endpoint test of :func:`operator_parity` is checked against; that
+    test itself reads sigma_min from the LU its sign came from.
     """
     M = op.matrix
     size = M.shape[0]
@@ -304,17 +337,39 @@ def kernel_dimension(op: DiscretizedOperator, rel_tol: float = 1e-6,
                         rel_tol=rel_tol)
 
 
-def _sigma_min_estimate(lu, size: int, iters: int = 6) -> float:
-    """Smallest singular value estimate by inverse power iteration."""
+def _sigma_min_estimate(lu) -> float:
+    """Smallest singular value estimate by inverse power iteration.
+
+    An upper bound on the true sigma_min: for a unit v, the norm of
+    (A^T A)^-1 v never exceeds 1 / sigma_min^2.
+    """
     rng = np.random.default_rng(12345)
-    v = rng.standard_normal(size)
+    v = rng.standard_normal(lu.shape[0])
     v /= np.linalg.norm(v)
     mu = 0.0
-    for _ in range(iters):
+    for _ in range(_SIGMA_MIN_ITERS):
         w = lu.solve(lu.solve(v, trans="T"))
         mu = float(np.linalg.norm(w))
         v = w / mu
     return 1.0 / np.sqrt(mu) if mu > 0 else 0.0
+
+
+def _factor_end(lam: float, M: sp.spmatrix) -> tuple:
+    """:func:`_signed_lu` of an endpoint operator, which must be invertible.
+
+    Raises DegenerateEndpoint unless the sign is nonzero and
+    sigma_min > _KERNEL_TOL * sigma_max (NaN fails the test).
+    """
+    sign, sigma_min = _signed_lu(M, sigma=True)
+    sigma_max = _sigma_max_estimate(M)
+    if not sigma_min > _KERNEL_TOL * sigma_max:
+        raise DegenerateEndpoint(
+            f"endpoint operator at lambda={lam:g} is singular (det sign "
+            f"{sign}, sigma_min {sigma_min:.3g}, sigma_max "
+            f"{sigma_max:.3g}, threshold {_KERNEL_TOL:g} sigma_max); the "
+            "path must start and end at invertible operators"
+        )
+    return sign, sigma_min
 
 
 # -- operator parity over a lambda sweep -------------------------------
@@ -332,6 +387,11 @@ class ParityReport:
     value depends on the two endpoint signs only, so a re-run signs
     just its two endpoint operators, over boundary frames aligned
     along the whole lambda-grid.
+
+    ``endpoint_kernel_dims`` is (0, 0) in every report returned: an
+    endpoint operator whose LU reads sigma_min <= 1e-6 sigma_max raises
+    instead.  ``sigma_mins`` (with ``track_sigma``) holds the sigma_min
+    estimate from each operator's LU, NaN where the sign is zero.
     """
 
     value: int
@@ -358,40 +418,37 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     value compares the endpoint signs; interior flips are localized by
     bisection to a lambda-interval of width 1e-3.
 
+    Each operator is factored once, by one sparse LU.  The LU gives the
+    determinant sign and, at the two ends (and at every lambda with
+    ``track_sigma``), a sigma_min estimate by inverse iteration.  The
+    endpoint invertibility test reads that estimate: a nonzero sign and
+    sigma_min > 1e-6 sigma_max.  :func:`kernel_dimension` is not run.
+
     Raises
     ------
+    InvalidInput
+        If ``lams`` is not a finite, strictly increasing grid of two or
+        more samples, ``tau`` is not finite and positive, or ``N`` is
+        not an integer >= 2.
     DegenerateEndpoint
-        If an endpoint operator has a nontrivial numerical kernel.
+        If an endpoint operator fails the invertibility test; the
+        message names its sigma_min and sigma_max.
     UnstableTruncation
         If doubling tau or N changes the value (only when
         ``stability`` is set).
     """
     if lams is None:
         lams = np.linspace(0.0, 1.0, 201)
-    lams = np.asarray(lams, dtype=float)
+    lams = _checked_grid(lams)
+    _check_truncation(tau, N)
     frames = _boundary_frames(fam, lams, tau, rtol, atol)
 
-    def factor(i: int, M: sp.csc_matrix):
-        sig = None
-        if not track_sigma:
-            # the public route, counted as one LU by perfbench/tracing.py
-            s = sparse_det_sign(M)
-        else:
-            s, lu = _signed_lu(M)      # one LU: sign and sigma_min
-            if s != 0:
-                sig = _sigma_min_estimate(lu, M.shape[0])
-        return s, sig, M if i in (0, len(lams) - 1) else None
-
-    results = [factor(i, M) for i, M in
-               enumerate(_operators(fam, lams, tau, N, *frames[2:]))]
+    ends = (0, len(lams) - 1)
+    ops = _operators(fam, lams, tau, N, *frames[2:])
+    results = [_factor_end(lams[i], M) if i in ends
+               else _signed_lu(M, track_sigma) for i, M in enumerate(ops)]
     signs = np.array([r[0] for r in results], dtype=int)
-    sigma = (np.array([r[1] if r[1] is not None else np.nan
-                       for r in results])
-             if track_sigma else None)
-
-    end_dims = _check_endpoints(lams, tau, N, frames,
-                                (results[0][2], results[-1][2]),
-                                (signs[0], signs[-1]))
+    sigma = np.array([r[1] for r in results]) if track_sigma else None
     value = 0 if signs[0] == signs[-1] else 1
 
     flips = _localize_flips(fam, lams, signs, tau, N, frames, rtol, atol)
@@ -414,7 +471,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
     return ParityReport(value=value, lams=lams, det_signs=signs,
                         flips=tuple(flips), tau=tau, N=N,
-                        endpoint_kernel_dims=tuple(end_dims),
+                        endpoint_kernel_dims=(0, 0),
                         stable_tau=stable_tau, stable_N=stable_N,
                         sigma_mins=sigma)
 
@@ -434,28 +491,6 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
     return e_u, e_s, b_u, b_s
 
 
-def _check_endpoints(lams: np.ndarray, tau: float, N: int, frames: tuple,
-                     mats: tuple, signs: tuple) -> tuple:
-    """Kernel dimensions of the two endpoint operators ``mats``.
-
-    Raises DegenerateEndpoint unless both kernels are trivial and both
-    determinant ``signs`` are nonzero.
-    """
-    dims = []
-    for i, M in zip((0, len(lams) - 1), mats):
-        op = DiscretizedOperator(float(lams[i]), tau, N, M,
-                                 *(f[i] for f in frames))
-        dims.append(kernel_dimension(op).dim)
-    if dims[0] != 0 or dims[-1] != 0:
-        raise DegenerateEndpoint(
-            f"endpoint operator kernel dims {tuple(dims)}; the path "
-            "must start and end at invertible operators"
-        )
-    if signs[0] == 0 or signs[-1] == 0:
-        raise DegenerateEndpoint("endpoint determinant sign is zero")
-    return tuple(dims)
-
-
 def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
                     frames: tuple) -> int:
     """Parity value of the (tau, N) operator path, from its two ends.
@@ -466,11 +501,10 @@ def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
     ``operator_parity`` and signed; nothing else enters the value.
     """
     ends = [0, len(lams) - 1]
-    mats = tuple(_operators(fam, lams[ends], tau, N,
-                            *([f[i] for i in ends] for f in frames[2:])))
-    signs = tuple(sparse_det_sign(M) for M in mats)
-    _check_endpoints(lams, tau, N, frames, mats, signs)
-    return 0 if signs[0] == signs[1] else 1
+    mats = _operators(fam, lams[ends], tau, N,
+                      *([f[i] for i in ends] for f in frames[2:]))
+    s0, s1 = (_factor_end(lams[i], M)[0] for i, M in zip(ends, mats))
+    return 0 if s0 == s1 else 1
 
 
 def _localize_flips(fam, lams, signs, tau, N, frames,
@@ -547,12 +581,15 @@ def verify_index_theorem(fam: LinearFamily,
 
     Raises
     ------
+    InvalidInput
+        If ``lams`` is not a finite, strictly increasing grid of two or
+        more samples (checked before any work).
     HypothesisFailure
         If the sampled limit hypotheses fail (names the assumption).
     """
     if lams is None:
         lams = np.linspace(0.0, 1.0, 201)
-    lams = np.asarray(lams, dtype=float)
+    lams = _checked_grid(lams)
     hyp = _require_A1_A3(fam, hypothesis_samples, (lams[0], lams[-1]))
     parity = operator_parity(fam, lams, tau, N, stability=stability,
                              track_sigma=track_sigma,

@@ -394,8 +394,11 @@ def _sign_constant_along(frames: Sequence[tuple],
     return s0 != DEGENERATE and all(s == s0 for s in signs)
 
 
-def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
-               max_halvings: int = 10,
+_PLATEAU = 0.05        # first plateau width tried by close_loop
+_MAX_HALVINGS = 10     # narrowest plateau: _PLATEAU / 2**_MAX_HALVINGS
+
+
+def close_loop(pair: SubspacePathPair,
                eps_trans: float = 1e-6) -> ClosedLoop:
     """Close a path pair into a V-loop over the doubled interval.
 
@@ -406,15 +409,16 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
     segment (see _chart_segment) joining V(1) and V(0) to that
     complement without ever meeting the local W~.  The whole extension
     is then audited by a transported determinant-sign check on a
-    gap-refined grid; epsilon is halved when an endpoint fails to be a
-    graph over the plateau reference or the audit fails.
+    gap-refined grid; epsilon starts at 0.05 and is halved when an
+    endpoint fails to be a graph over the plateau reference or the
+    audit fails.  ``ClosedLoop.epsilon`` reports the width used.
 
     Raises
     ------
     DegenerateEndpoint
         If the input pair fails transversality at either end.
     CannotClose
-        If every plateau width down to epsilon / 2^max_halvings fails.
+        If every plateau width down to 0.05 / 2^10 fails.
     """
     grid = pair.grid
     a, b = grid[0], grid[-1]
@@ -434,8 +438,8 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
         # u in [0, 1] in normalized parameter
         return W.sampler(a + u * span)
 
-    eps = epsilon
-    for _ in range(max_halvings + 1):
+    eps = _PLATEAU
+    for _ in range(_MAX_HALVINGS + 1):
         w_ref1 = w_at(1.0 - eps)
         w_ref2 = w_at(eps)
         try:
@@ -477,7 +481,7 @@ def close_loop(pair: SubspacePathPair, epsilon: float = 0.05,
             v_frames, w_frames = zip(*frames)
             loop_grid = np.concatenate([norm_grid, ext[1:]])
 
-            def loop_sampler(t: float, _eps=eps) -> Frame:
+            def loop_sampler(t: float) -> Frame:
                 if t <= 1.0:
                     return V.sampler(a + t * span)
                 return v_ext(t)

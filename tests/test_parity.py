@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hetindex import (
     DegenerateEndpoint,
     HypothesisFailure,
+    InvalidInput,
     LinearFamily,
     UnstableTruncation,
     boundary_pair_over_lambda,
@@ -21,6 +22,7 @@ from hetindex import (
     verify_index_theorem,
     z2_index,
 )
+from hetindex import flow as flowmod
 from hetindex import parity as paritymod
 from hetindex.suites import poschl_teller_family
 
@@ -281,9 +283,90 @@ def test_track_sigma_factorizes_once_per_operator(monkeypatch):
 
     # the estimate is the one a fresh factorization of each operator gives
     b_u, b_s = paritymod._boundary_frames(fam, lams, 8.0, 1e-9, 1e-12)[2:]
-    expect = [paritymod._sigma_min_estimate(real(M), M.shape[0])
+    expect = [paritymod._sigma_min_estimate(real(M))
               for M in paritymod._operators(fam, lams, 8.0, 400, b_u, b_s)]
     assert np.array_equal(rep.sigma_mins, expect)
+
+
+@pytest.mark.parametrize("tau, N", [(15.0, 1500), (30.0, 3000)])
+def test_endpoint_test_agrees_with_kernel_dimension(tau, N):
+    # kernel_dimension's eigensolve is the oracle for the endpoint test
+    # read from the sign's LU.  Inverse iteration bounds sigma_min from
+    # above, so the kernel (0.8) and near-threshold (0.8003) operators
+    # are the ones that could slip through.
+    fam = poschl_teller_family()
+    for lam in (0.0, 0.3, 0.79, 0.8, 0.8003, 1.0):
+        op = discretize(fam, lam, tau=tau, N=N)
+        M, oracle = op.matrix, kernel_dimension(op)
+        try:
+            paritymod._factor_end(lam, M)
+            singular = False
+        except DegenerateEndpoint:
+            singular = True
+        assert singular == (oracle.dim > 0), lam
+        _, sigma_min = paritymod._signed_lu(M, sigma=True)
+        ratio = sigma_min / paritymod._sigma_max_estimate(M)
+        assert ratio == pytest.approx(oracle.relative[0], rel=0.02), lam
+
+
+def test_operator_parity_factors_each_operator_once(monkeypatch):
+    # the endpoint test of the sweep and of both doubling re-runs reads
+    # the LU that signed the operator: no second LU, no eigensolve
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    lus, ops = [], []
+    real_splu, real_assemble = spla.splu, paritymod._assemble
+
+    def counting_splu(*args, **kwargs):
+        lus.append(1)
+        return real_splu(*args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        ops.append(1)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", no_eigsh)
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(paritymod, "_assemble", counting_assemble)
+    rep = operator_parity(poschl_teller_family(),
+                          np.linspace(0.0, 1.0, 21), tau=8.0, N=400)
+    assert rep.value == 1 and rep.stable_tau and rep.stable_N
+    assert len(ops) > 21 + 4          # sweep, bisection and both re-runs
+    assert len(lus) == len(ops)
+
+
+_GRID = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: operator_parity(fam, _GRID[::-1], tau=8.0, N=400),
+    lambda fam: operator_parity(fam, [0.0, 0.9, 0.5, 1.0], tau=8.0, N=400),
+    lambda fam: operator_parity(fam, [0.5], tau=8.0, N=400),
+    lambda fam: operator_parity(fam, [0.0, np.nan, 1.0], tau=8.0, N=400),
+    lambda fam: operator_parity(fam, _GRID, tau=0.0, N=400),
+    lambda fam: operator_parity(fam, _GRID, tau=np.inf, N=400),
+    lambda fam: operator_parity(fam, _GRID, tau=8.0, N=1),
+    lambda fam: operator_parity(fam, _GRID, tau=8.0, N=400.0),
+    lambda fam: discretize(fam, 0.3, tau=0.0, N=400),
+    lambda fam: discretize(fam, 0.3, tau=8.0, N=1),
+    lambda fam: verify_index_theorem(fam, _GRID[::-1], tau=8.0, N=400),
+], ids=["decreasing", "unsorted", "one-lambda", "nan-lambda", "tau-0",
+        "tau-inf", "N-1", "N-float", "discretize-tau-0", "discretize-N-1",
+        "theorem-decreasing"])
+def test_operator_route_refuses_malformed_input(call, monkeypatch):
+    # refused before any boundary frame is transported
+    transports = []
+    real = flowmod._transport_batched
+
+    def counting_transport(*args, **kwargs):
+        transports.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flowmod, "_transport_batched", counting_transport)
+    with pytest.raises(InvalidInput):
+        call(poschl_teller_family())
+    assert transports == []
 
 
 # -- the index theorem -------------------------------------------------
