@@ -60,6 +60,7 @@ _RESTPOINT_TOL = 1e-8
 _LIMIT_TOL = 1e-4
 _LAM_SAMPLES = 11
 _T_SAMPLES = 81
+_HYPOTHESIS_SAMPLES = 51   # lambdas of the A1-A3 check of a verdict
 
 
 def _z_names(n: int) -> tuple:
@@ -280,9 +281,9 @@ class RestpointReport:
     violations: tuple
 
 
-def check_restpoints(nf: NonlinearFamily,
-                     lam_samples: int = 11) -> RestpointReport:
-    """Report restpoint residuals and limit hyperbolicity; never raises.
+def check_restpoints(nf: NonlinearFamily) -> RestpointReport:
+    """Report restpoint residuals and limit hyperbolicity at
+    ``_LAM_SAMPLES`` lambdas; never raises.
 
     A restpoint where D_z g has no real value (a ``DomainError``)
     counts as not hyperbolic.
@@ -298,7 +299,7 @@ def check_restpoints(nf: NonlinearFamily,
     a, b = nf.lam_range
     ks = [None, None]
     hyperbolic = True
-    for lam in np.linspace(a, b, lam_samples):
+    for lam in np.linspace(a, b, _LAM_SAMPLES):
         for i, (side, t0, z) in enumerate(sides):
             try:
                 split = spectral_split(nf.jacobian(lam, t0, z))
@@ -347,14 +348,14 @@ class BifurcationVerdict:
 def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
                        lam_range: tuple | None = None,
                        samples: int = 201,
-                       hypothesis_samples: int = 51,
                        eps_trans: float = 1e-6,
                        rtol: float = 1e-9,
                        atol: float = 1e-12,
                        branch_tol: float = 1e-6) -> BifurcationVerdict:
     """Bifurcation verdict for a branch of a nonlinear family.
 
-    Linearizes along the branch, checks the limit hypotheses, and
+    Linearizes along the branch, checks the limit hypotheses (at
+    ``_HYPOTHESIS_SAMPLES`` lambdas), and
     computes the Z2-index of lambda -> (E^s(0), E^u(0)) over
     ``lam_range`` (the family's own range by default, and never beyond
     it: the restpoints and the branch are validated there only) on
@@ -385,7 +386,7 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
             f"lam_range [{lo:g}, {hi:g}], where the restpoints and the "
             f"branch were validated")
     lf = linearize_along(nf, branch, branch_tol=branch_tol)
-    hyp = _require_A1_A3(lf, hypothesis_samples, (a, b))
+    hyp = _require_A1_A3(lf, _HYPOTHESIS_SAMPLES, (a, b))
     pair = boundary_pair_over_lambda(lf, np.linspace(a, b, samples),
                                      rtol=rtol, atol=atol)
     report = z2_index(pair, eps_trans=eps_trans)

@@ -335,7 +335,7 @@ def cmd_verify_theorem(cfg: dict, out_dir: Path) -> int:
         "index_crossings": list(rep.index.crossings),
         "stable_tau_doubling": rep.parity.stable_tau,
         "stable_N_doubling": rep.parity.stable_N,
-        "endpoint_kernel_dims": list(rep.parity.endpoint_kernel_dims),
+        "endpoint_margins": list(rep.parity.endpoint_margins),
         "tau": rep.parity.tau,
         "N": rep.parity.N,
         "hypotheses": _hypotheses_payload(rep.hypotheses),

@@ -35,7 +35,7 @@ class RankDeficient(InvalidInput):
 
 
 class NotHyperbolic(InvalidInput):
-    """A matrix has spectrum within ``delta`` of the imaginary axis."""
+    """A matrix has spectrum within 1e-8 of the imaginary axis."""
 
 
 class GapTooLarge(InvalidInput):

@@ -336,26 +336,29 @@ def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
     return sol.y[:, -1].reshape(n, n)
 
 
-def asymptotic_limits(fam: LinearFamily, lam: float,
-                      delta: float = 1e-8) -> AsymptoticLimits:
+def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
     """Limit matrices S^-, S^+ with their spectral splittings.
 
     Reads the family off at +-T and checks it has settled:
     ||S(+-T) - S(+-T/2)|| <= 1e-6.  T starts at t_max and doubles until
     the check passes (a bounded number of times).
 
-    The family keeps each result, keyed by (lambda, delta), and returns
-    the same read-only object on a later call; a failure is not kept,
-    so it raises on every call.
+    The family keeps each result, keyed by lambda, and returns the same
+    read-only object on a later call; a failure is not kept, so it
+    raises on every call.
 
     Raises
     ------
+    InvalidInput
+        If lambda is not finite; nothing is evaluated then.
     NotStabilized
         If the family keeps drifting at every horizon tried.
     NotHyperbolic
-        If a limit matrix has spectrum near the imaginary axis.
+        If a limit matrix fails the test of ``linalg.spectral_split``.
     """
-    key = (float(lam), delta)
+    key = float(lam)
+    if not np.isfinite(key):
+        raise InvalidInput(f"lambda must be finite, got {lam!r}")
     known = fam._limits.get(key)
     if known is not None:
         return known
@@ -371,8 +374,8 @@ def asymptotic_limits(fam: LinearFamily, lam: float,
             limits = AsymptoticLimits(
                 s_minus=_frozen_copy(s_minus),
                 s_plus=_frozen_copy(s_plus),
-                split_minus=spectral_split(s_minus, delta),
-                split_plus=spectral_split(s_plus, delta),
+                split_minus=spectral_split(s_minus),
+                split_plus=spectral_split(s_plus),
                 horizon=T,
             )
             fam._limits[key] = limits

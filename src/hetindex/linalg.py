@@ -56,6 +56,7 @@ DEGENERATE = 0
 
 _ORTHO_TOL = 1e-10
 _RANK_TOL = 1e-12
+_HYPERBOLIC_TOL = 1e-8   # least min |Re mu| spectral_split accepts
 #: Cosine of the largest principal angle at gap 0.5: sin = 0.5 there.
 _ALIGN_COS = np.sqrt(0.75)
 
@@ -225,33 +226,26 @@ def gap_distance(U: Frame, V: Frame) -> float:
     return float(_singular_values(B - A @ (A.T @ B))[0])
 
 
-def spectral_split(S, delta: float = 1e-8) -> SpectralSplit:
+def spectral_split(S) -> SpectralSplit:
     """Split R^n into invariant subspaces of S for Re > 0 and Re < 0.
 
     Uses an ordered real Schur decomposition twice, once per half
     plane, so each invariant subspace is read off the leading Schur
     vectors of its own reordering.
 
-    Parameters
-    ----------
-    S : (n, n) array_like
-    delta : float
-        Hyperbolicity threshold on min |Re mu|.
-
     Raises
     ------
     NotHyperbolic
-        If some eigenvalue has |Re mu| <= delta.
+        If some eigenvalue has |Re mu| <= ``_HYPERBOLIC_TOL`` (1e-8).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n = S.shape[0]
     if S.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got {S.shape}")
     gap = float(np.min(np.abs(np.linalg.eigvals(S).real))) if n else 0.0
-    if n and gap <= delta:
-        raise NotHyperbolic(
-            f"eigenvalue within {gap:.2e} of the imaginary axis (delta={delta})"
-        )
+    if n and gap <= _HYPERBOLIC_TOL:
+        raise NotHyperbolic(f"eigenvalue within {gap:.2e} of the imaginary "
+                            f"axis (threshold {_HYPERBOLIC_TOL})")
 
     def invariant(sort) -> Frame:
         _, Z, sdim = sla.schur(S, output="real", sort=sort)
@@ -281,6 +275,27 @@ def pair_matrix(V: Frame, W: Frame) -> np.ndarray:
     return np.hstack([V.columns, W.columns])
 
 
+def _signed_dets(M: np.ndarray, eps_trans: float) -> tuple:
+    """(dets, signs) of an (m, n, n) stack, checked as by :func:`det_sign`.
+
+    One stacked SVD finds the degenerate matrices, whose sign is
+    DEGENERATE; one stacked slogdet gives det = sign * exp(log|det|).
+    """
+    if not eps_trans > 0:
+        raise InvalidInput(f"eps_trans must be positive, got {eps_trans!r}")
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise DimensionMismatch(f"expected a square matrix, got {M.shape[1:]}")
+    if not np.isfinite(M).all():
+        raise InvalidInput("matrix has non-finite entries")
+    sign, logabs = np.linalg.slogdet(M)
+    if M.shape[1] == 0:
+        return sign, sign.astype(int)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    dets = sign * np.exp(logabs)
+    degenerate = sigma[:, -1] <= eps_trans * sigma[:, 0]
+    return dets, np.where(degenerate, DEGENERATE, sign.astype(int))
+
+
 def det_sign(M, eps_trans: float = 1e-6) -> int:
     """Sign of det M: +1, -1, or DEGENERATE (0).
 
@@ -294,21 +309,8 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
         If eps_trans is not positive, since a NaN would pass every
         matrix, or if M has a non-finite entry, which has no sign.
     """
-    if not eps_trans > 0:
-        raise InvalidInput(f"eps_trans must be positive, got {eps_trans!r}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidInput("matrix has non-finite entries")
-    if n == 0:
-        return 1
-    sigma = _singular_values(M)
-    if sigma[-1] <= eps_trans * sigma[0]:
-        return DEGENERATE
-    sign, _ = np.linalg.slogdet(M)
-    return int(sign)
+    return int(_signed_dets(M[None], eps_trans)[1][0])
 
 
 def _procrustes(M: np.ndarray) -> np.ndarray:

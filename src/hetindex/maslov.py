@@ -60,6 +60,8 @@ __all__ = [
 _LAGRANGIAN_TOL = 1e-8
 _CHART_GOOD = 0.2
 _CHART_MIN = 1e-3
+_FD_STEP = 1e-5        # central-difference step of the crossing form
+_KERNEL_TOL = 1e-6     # relative eigenvalue of B - A counted as kernel
 _FORM_TOL = 1e-8
 _CROSS_TOL = 1e-7
 _T_RESOLUTION = 1e-10
@@ -73,8 +75,9 @@ def symplectic_form_matrix(k: int) -> np.ndarray:
     return J
 
 
-def is_lagrangian(F: Frame, tol: float = _LAGRANGIAN_TOL) -> bool:
-    """Whether a k-frame in R^{2k} spans a Lagrangian subspace.
+def is_lagrangian(F: Frame) -> bool:
+    """Whether a k-frame in R^{2k} spans a Lagrangian subspace, to
+    ``_LAGRANGIAN_TOL`` (1e-8) in max |X^T Y - Y^T X|.
 
     Raises
     ------
@@ -87,7 +90,7 @@ def is_lagrangian(F: Frame, tol: float = _LAGRANGIAN_TOL) -> bool:
         )
     k = F.k
     X, Y = F.columns[:k], F.columns[k:]
-    return float(np.max(np.abs(X.T @ Y - Y.T @ X))) <= tol
+    return float(np.max(np.abs(X.T @ Y - Y.T @ X))) <= _LAGRANGIAN_TOL
 
 
 def graph_frame(A) -> Frame:
@@ -173,14 +176,13 @@ class CrossingData:
     chart: int
 
 
-def crossing_form(V, W, t0: float, h: float = 1e-5,
-                  kernel_tol: float = 1e-6,
-                  form_tol: float = _FORM_TOL) -> CrossingData:
+def crossing_form(V, W, t0: float) -> CrossingData:
     """Crossing form of two Lagrangian paths at a crossing instant.
 
     Both paths are rewritten as graphs of symmetric A(t), B(t) in a
     common chart; the form is the central-difference derivative of
-    B - A restricted to the kernel of B(t0) - A(t0).
+    B - A (step ``_FD_STEP``) restricted to the kernel of B(t0) - A(t0),
+    its eigenvalues within ``_KERNEL_TOL`` of 0 relative to the largest.
 
     Raises
     ------
@@ -189,7 +191,7 @@ def crossing_form(V, W, t0: float, h: float = 1e-5,
     InvalidInput
         If t0 is not a crossing (trivial kernel).
     DegenerateForm
-        If the restricted form has an eigenvalue within form_tol of 0.
+        If the restricted form has an eigenvalue within _FORM_TOL of 0.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
     Fv, Fw = vs(t0), ws(t0)
@@ -203,15 +205,15 @@ def crossing_form(V, W, t0: float, h: float = 1e-5,
         return _graph_matrix(vs(t), R), _graph_matrix(ws(t), R)
 
     A0, B0 = _graph_matrix(Fv, R), _graph_matrix(Fw, R)
-    Ap, Bp = AB(t0 + h)
-    Am, Bm = AB(t0 - h)
-    dA = (Ap - Am) / (2.0 * h)
-    dB = (Bp - Bm) / (2.0 * h)
+    Ap, Bp = AB(t0 + _FD_STEP)
+    Am, Bm = AB(t0 - _FD_STEP)
+    dA = (Ap - Am) / (2.0 * _FD_STEP)
+    dB = (Bp - Bm) / (2.0 * _FD_STEP)
 
     D = B0 - A0
     w, P = np.linalg.eigh(D)
     scale = max(1.0, float(np.max(np.abs(w))))
-    K = P[:, np.abs(w) <= kernel_tol * scale]
+    K = P[:, np.abs(w) <= _KERNEL_TOL * scale]
     if K.shape[1] == 0:
         raise InvalidInput(
             f"t0={t0} is not a crossing: ker(B - A) is trivial "
@@ -220,10 +222,10 @@ def crossing_form(V, W, t0: float, h: float = 1e-5,
     form = K.T @ (dB - dA) @ K
     form = 0.5 * (form + form.T)
     mu = np.linalg.eigvalsh(form)
-    if np.any(np.abs(mu) <= form_tol):
+    if np.any(np.abs(mu) <= _FORM_TOL):
         raise DegenerateForm(
             f"crossing form at t0={t0} has eigenvalue "
-            f"{float(np.min(np.abs(mu))):.2e} within {form_tol} of zero"
+            f"{float(np.min(np.abs(mu))):.2e} within {_FORM_TOL} of zero"
         )
     signature = int(np.sum(mu > 0) - np.sum(mu < 0))
 

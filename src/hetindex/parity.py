@@ -270,8 +270,8 @@ def sparse_det_sign(M: sp.spmatrix) -> int:
 class KernelReport:
     """Smallest singular values of a discretized operator.
 
-    ``dim`` counts relative singular values below ``rel_tol``; the
-    smallest few and sigma_max are retained as evidence.
+    ``dim`` counts relative singular values below ``rel_tol``, the
+    module's ``_KERNEL_TOL``; the smallest few and sigma_max are kept.
     """
 
     dim: int
@@ -287,6 +287,7 @@ class KernelReport:
 #: Relative singular value sigma_min / sigma_max below which an operator
 #: counts as singular, in the kernel count and the endpoint test alike.
 _KERNEL_TOL = 1e-6
+_KERNEL_COUNT = 4       # smallest singular values kernel_dimension finds
 _SIGMA_MAX_ITERS = 30   # power steps on A^T A
 _SIGMA_MIN_ITERS = 6    # inverse power steps through one LU
 
@@ -310,8 +311,7 @@ def _sigma_max_estimate(M: sp.spmatrix) -> float:
     return float(np.linalg.norm(M @ v))
 
 
-def kernel_dimension(op: DiscretizedOperator, rel_tol: float = _KERNEL_TOL,
-                     count: int = 4) -> KernelReport:
+def kernel_dimension(op: DiscretizedOperator) -> KernelReport:
     """Numerical kernel dimension via shift-inverted smallest squares.
 
     The smallest singular values come from a shift-invert eigensolve
@@ -322,7 +322,7 @@ def kernel_dimension(op: DiscretizedOperator, rel_tol: float = _KERNEL_TOL,
     """
     M = op.matrix
     size = M.shape[0]
-    count = min(count, size - 2)
+    count = min(_KERNEL_COUNT, size - 2)
     sigma_max = _sigma_max_estimate(M)
     lu = spla.splu(M)
     AtA = spla.LinearOperator(
@@ -332,9 +332,9 @@ def kernel_dimension(op: DiscretizedOperator, rel_tol: float = _KERNEL_TOL,
     vals = spla.eigsh(AtA, k=count, sigma=0, OPinv=OPinv,
                       return_eigenvectors=False)
     smallest = tuple(sorted(float(np.sqrt(abs(v))) for v in vals))
-    dim = int(np.sum(np.array(smallest) < rel_tol * sigma_max))
+    dim = int(np.sum(np.array(smallest) < _KERNEL_TOL * sigma_max))
     return KernelReport(dim=dim, smallest=smallest, sigma_max=sigma_max,
-                        rel_tol=rel_tol)
+                        rel_tol=_KERNEL_TOL)
 
 
 def _sigma_min_estimate(lu) -> float:
@@ -355,7 +355,8 @@ def _sigma_min_estimate(lu) -> float:
 
 
 def _factor_end(lam: float, M: sp.spmatrix) -> tuple:
-    """:func:`_signed_lu` of an endpoint operator, which must be invertible.
+    """:func:`_signed_lu` of an endpoint operator, which must be
+    invertible, and its margin sigma_min / sigma_max.
 
     Raises DegenerateEndpoint unless the sign is nonzero and
     sigma_min > _KERNEL_TOL * sigma_max (NaN fails the test).
@@ -369,12 +370,13 @@ def _factor_end(lam: float, M: sp.spmatrix) -> tuple:
             f"{sigma_max:.3g}, threshold {_KERNEL_TOL:g} sigma_max); the "
             "path must start and end at invertible operators"
         )
-    return sign, sigma_min
+    return sign, sigma_min, sigma_min / sigma_max
 
 
 # -- operator parity over a lambda sweep -------------------------------
 
 _LOCALIZE_TOL = 1e-3   # lambda-width to which a sign flip is bisected
+_HYPOTHESIS_SAMPLES = 101   # lambdas of verify_index_theorem's A1-A3 check
 
 
 @dataclass(frozen=True)
@@ -388,10 +390,11 @@ class ParityReport:
     just its two endpoint operators, over boundary frames aligned
     along the whole lambda-grid.
 
-    ``endpoint_kernel_dims`` is (0, 0) in every report returned: an
-    endpoint operator whose LU reads sigma_min <= 1e-6 sigma_max raises
-    instead.  ``sigma_mins`` (with ``track_sigma``) holds the sigma_min
-    estimate from each operator's LU, NaN where the sign is zero.
+    ``endpoint_margins`` holds sigma_min / sigma_max of the two end
+    operators of the main sweep, read from their LUs; both exceed
+    ``_KERNEL_TOL`` (1e-6), since an endpoint below it raises instead.
+    ``sigma_mins`` (with ``track_sigma``) holds the sigma_min estimate
+    from each operator's LU, NaN where the sign is zero.
     """
 
     value: int
@@ -400,7 +403,7 @@ class ParityReport:
     flips: tuple
     tau: float
     N: int
-    endpoint_kernel_dims: tuple
+    endpoint_margins: tuple
     stable_tau: bool | None = None
     stable_N: bool | None = None
     sigma_mins: np.ndarray | None = None
@@ -471,7 +474,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
     return ParityReport(value=value, lams=lams, det_signs=signs,
                         flips=tuple(flips), tau=tau, N=N,
-                        endpoint_kernel_dims=(0, 0),
+                        endpoint_margins=(results[0][2], results[-1][2]),
                         stable_tau=stable_tau, stable_N=stable_N,
                         sigma_mins=sigma)
 
@@ -546,8 +549,9 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
 def boundary_pair_over_lambda(fam: LinearFamily, lams: Sequence[float],
                               t: float = 0.0, rtol: float = 1e-9,
                               atol: float = 1e-12) -> SubspacePathPair:
-    """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths."""
-    lams = np.asarray(lams, dtype=float)
+    """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths;
+    ``lams`` is checked as by :func:`operator_parity`, before any work."""
+    lams = _checked_grid(lams)
 
     def path(which: str) -> SubspacePath:
         frames = subspaces_over_lambda(fam, lams, which, t, rtol, atol)
@@ -572,7 +576,6 @@ class TheoremReport:
 def verify_index_theorem(fam: LinearFamily,
                          lams: Sequence[float] | None = None,
                          tau: float = 15.0, N: int = 3000,
-                         hypothesis_samples: int = 101,
                          stability: bool = True,
                          track_sigma: bool = False,
                          rtol: float = 1e-9,
@@ -590,7 +593,7 @@ def verify_index_theorem(fam: LinearFamily,
     if lams is None:
         lams = np.linspace(0.0, 1.0, 201)
     lams = _checked_grid(lams)
-    hyp = _require_A1_A3(fam, hypothesis_samples, (lams[0], lams[-1]))
+    hyp = _require_A1_A3(fam, _HYPOTHESIS_SAMPLES, (lams[0], lams[-1]))
     parity = operator_parity(fam, lams, tau, N, stability=stability,
                              track_sigma=track_sigma,
                              rtol=rtol, atol=atol)

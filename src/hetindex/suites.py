@@ -15,7 +15,7 @@ identity violation is recorded as a failure, never redrawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 _DRAW_TRIES = 40
+#: ambient (or Lagrangian half) dimensions the suites draw from
+_PROPERTY_DIMS = (2, 3, 4, 5, 6)
+_FINITE_DIMS = (1, 2, 3, 4)
+_MASLOV_KS = (1, 2, 3)
+_LOOP_DIMS = (2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -111,24 +116,16 @@ def _rotation_sampler(K: np.ndarray, cols: np.ndarray) -> Callable:
     return sample
 
 
-def _draw_rotation_pair(rng: np.random.Generator, n: int, k: int,
-                        grid_points: int = 17):
+def _draw_rotation_pair(rng: np.random.Generator, n: int, k: int):
     """A transversal-end pair of rotating subspace paths, or None."""
     for _ in range(_DRAW_TRIES):
         vs = _rotation_sampler(_skew(rng, n, rng.uniform(0.5, 2.5)),
                                _orthonormal(rng, n, k))
         ws = _rotation_sampler(_skew(rng, n, rng.uniform(0.5, 2.5)),
                                _orthonormal(rng, n, n - k))
-        ends_ok = all(
-            det_sign(pair_matrix(vs(t), ws(t))) != DEGENERATE
-            for t in (0.0, 1.0)
-        )
-        if not ends_ok:
-            continue
-        grid = np.linspace(0.0, 1.0, grid_points)
-        pair = SubspacePathPair(V=path_from_sampler(vs, grid),
-                                W=path_from_sampler(ws, grid))
-        return pair, vs, ws
+        if all(det_sign(pair_matrix(vs(t), ws(t))) != DEGENERATE
+               for t in (0.0, 1.0)):
+            return _pair_from_samplers(vs, ws, 0.0, 1.0), vs, ws
     return None
 
 
@@ -217,8 +214,7 @@ _PROPERTIES = (
 )
 
 
-def suite_properties(trials: int = 500, dims: Sequence[int] = (2, 3, 4, 5, 6),
-                     seed: int = 0) -> list[SuiteResult]:
+def suite_properties(trials: int = 500, seed: int = 0) -> list[SuiteResult]:
     """Check the five index properties on random rotating-path pairs."""
     results = []
     for ordinal, (name, prop) in enumerate(_PROPERTIES):
@@ -226,7 +222,7 @@ def suite_properties(trials: int = 500, dims: Sequence[int] = (2, 3, 4, 5, 6),
         failures = []
         passes = 0
         for case in range(trials):
-            n = int(rng.choice(dims))
+            n = int(rng.choice(_PROPERTY_DIMS))
             k = int(rng.integers(1, n))
             drawn = _draw_rotation_pair(rng, n, k)
             if drawn is None:
@@ -250,14 +246,13 @@ def suite_properties(trials: int = 500, dims: Sequence[int] = (2, 3, 4, 5, 6),
 
 # -- finite-dimensional parity -----------------------------------------
 
-def suite_finite_parity(trials: int = 500, dims: Sequence[int] = (1, 2, 3, 4),
-                        seed: int = 0) -> SuiteResult:
+def suite_finite_parity(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Determinant route against graph route on random matrix paths."""
     rng = np.random.default_rng([seed, 202])
     failures = []
     passes = 0
     for case in range(trials):
-        m = int(rng.choice(dims))
+        m = int(rng.choice(_FINITE_DIMS))
         path = None
         for _ in range(_DRAW_TRIES):
             T0 = rng.standard_normal((m, m))
@@ -297,14 +292,13 @@ def _trig_symmetric(rng, k: int) -> Callable:
     return A
 
 
-def suite_maslov_mod2(trials: int = 200, ks: Sequence[int] = (1, 2, 3),
-                      seed: int = 0) -> SuiteResult:
+def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Z2-index against Maslov index mod 2 on random Lagrangian pairs."""
     rng = np.random.default_rng([seed, 303])
     failures = []
     passes = 0
     for case in range(trials):
-        k = int(rng.choice(ks))
+        k = int(rng.choice(_MASLOV_KS))
         outcome = None
         for _ in range(_DRAW_TRIES):
             Af = _trig_symmetric(rng, k)
@@ -332,14 +326,13 @@ def suite_maslov_mod2(trials: int = 200, ks: Sequence[int] = (1, 2, 3),
 
 # -- loop orientability ------------------------------------------------
 
-def suite_orientability(trials: int = 200, dims: Sequence[int] = (2, 3, 4),
-                        seed: int = 0) -> SuiteResult:
+def suite_orientability(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Orientability of the closed loop against the index of the pair."""
     rng = np.random.default_rng([seed, 404])
     failures = []
     passes = 0
     for case in range(trials):
-        n = int(rng.choice(dims))
+        n = int(rng.choice(_LOOP_DIMS))
         k = int(rng.integers(1, n))
         drawn = _draw_rotation_pair(rng, n, k)
         if drawn is None:
@@ -393,26 +386,18 @@ def _random_connecting_family(rng, n: int, k: int) -> LinearFamily:
                                       batched=batched)
 
 
-def suite_decomposition(extra_families: int = 20, seed: int = 0,
-                        include_poschl_teller: bool = True) -> SuiteResult:
+def suite_decomposition(extra_families: int = 20,
+                        seed: int = 0) -> SuiteResult:
     """Index over lambda == geo(S_0) + geo(S_1) + limit term, mod 2."""
     rng = np.random.default_rng([seed, 505])
     failures = []
-    passes = 0
-    total = 0
     lams = np.linspace(0.0, 1.0, 101)
-
-    if include_poschl_teller:
-        total += 1
-        rep = decomposition_check(poschl_teller_family(), lams=lams,
-                                  samples=151)
-        if rep.holds:
-            passes += 1
-        else:
-            failures.append(("poschl-teller", "decomposition violated"))
+    rep = decomposition_check(poschl_teller_family(), lams=lams, samples=151)
+    passes = int(rep.holds)
+    if not rep.holds:
+        failures.append(("poschl-teller", "decomposition violated"))
 
     for case in range(extra_families):
-        total += 1
         done = False
         for _ in range(_DRAW_TRIES):
             n = int(rng.integers(2, 4))
@@ -430,7 +415,7 @@ def suite_decomposition(extra_families: int = 20, seed: int = 0,
             break
         if not done:
             failures.append((case, "no nondegenerate draw"))
-    return SuiteResult(name="index-decomposition", total=total,
+    return SuiteResult(name="index-decomposition", total=1 + extra_families,
                        passes=passes, failures=tuple(failures))
 
 

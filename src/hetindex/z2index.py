@@ -46,6 +46,7 @@ from .flow import (
 from .linalg import (
     DEGENERATE,
     Frame,
+    _signed_dets,
     align_chain,
     align_frame,
     det_sign,
@@ -156,10 +157,12 @@ class ClosedLoop:
 
 # -- core refinement pipeline ------------------------------------------
 
-def _traced(v: Frame, w: Frame, eps_trans: float) -> tuple:
-    """A chained grid sample (v, w) with det M and its sign."""
-    M = pair_matrix(v, w)
-    return v, w, np.linalg.det(M), det_sign(M, eps_trans)
+def _traced(frames: Sequence[tuple], eps_trans: float) -> list:
+    """Chained (v, w) samples as (v, w, det M, sign), in one stacked call."""
+    dets, signs = _signed_dets(
+        np.stack([pair_matrix(v, w) for v, w in frames]), eps_trans)
+    return [(v, w, d, s) for (v, w), d, s
+            in zip(frames, dets.tolist(), signs.tolist())]
 
 
 def _sign_crossings(ts, signs) -> tuple:
@@ -196,8 +199,8 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
 
     # orientation sweep: chain Procrustes from the left end
     v_raw, w_raw = zip(*pts)
-    chain = [_traced(v, w, eps_trans)
-             for v, w in zip(align_chain(v_raw), align_chain(w_raw))]
+    chain = _traced(list(zip(align_chain(v_raw), align_chain(w_raw))),
+                    eps_trans)
 
     # crossing localization: bisect clean sign flips, chaining each
     # midpoint to its left neighbour
@@ -205,9 +208,9 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
         return DEGENERATE not in (a[3], b[3]) and a[3] != b[3]
 
     def sample(mids, lefts):
-        return [_traced(align_frame(left[0], vs(t)),
-                        align_frame(left[1], ws(t)), eps_trans)
-                for t, left in zip(mids, lefts)]
+        return _traced([(align_frame(left[0], vs(t)),
+                         align_frame(left[1], ws(t)))
+                        for t, left in zip(mids, lefts)], eps_trans)
 
     ts, chain, depths = _bisect(ts, chain, flips, sample, depths)
 
@@ -389,9 +392,8 @@ def _sign_constant_along(frames: Sequence[tuple],
         chain = zip(align_chain(v_raw), align_chain(w_raw))
     except GapTooLarge:
         return False
-    signs = (det_sign(pair_matrix(v, w), eps_trans) for v, w in chain)
-    s0 = next(signs)
-    return s0 != DEGENERATE and all(s == s0 for s in signs)
+    signs = [s for *_, s in _traced(list(chain), eps_trans)]
+    return signs[0] != DEGENERATE and all(s == signs[0] for s in signs)
 
 
 _PLATEAU = 0.05        # first plateau width tried by close_loop

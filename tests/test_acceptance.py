@@ -104,7 +104,7 @@ def test_criterion_03_kernel_at_coincidence():
 
 
 def test_criterion_04_index_properties():
-    results = suite_properties(trials=500, dims=(2, 3, 4, 5, 6), seed=0)
+    results = suite_properties(trials=500, seed=0)
     ok = all(r.ok for r in results)
     detail = "; ".join(r.summary() for r in results)
     announce(4, ok, detail)
@@ -112,7 +112,7 @@ def test_criterion_04_index_properties():
 
 
 def test_criterion_05_maslov_mod2():
-    r = suite_maslov_mod2(trials=200, ks=(1, 2, 3), seed=0)
+    r = suite_maslov_mod2(trials=200, seed=0)
     announce(5, r.ok, r.summary())
     assert r.ok, r.failures[:5]
 

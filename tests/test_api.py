@@ -1,0 +1,180 @@
+"""Guard against knob creep in the public API.
+
+Every parameter with a default of a public function or class is listed
+below.  A new optional parameter fails this test until the same change
+adds it to the list, so each one is a decision, not an accident.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import hetindex
+
+#: module.qualname(parameter) of every optional public parameter
+OPTIONAL = {
+    "bifurcation.NonlinearFamily(lam_range)",
+    "bifurcation.NonlinearFamily(t_max)",
+    "bifurcation.NonlinearFamily.from_sources(lam_range)",
+    "bifurcation.NonlinearFamily.from_sources(t_max)",
+    "bifurcation.detect_bifurcation(atol)",
+    "bifurcation.detect_bifurcation(branch_tol)",
+    "bifurcation.detect_bifurcation(eps_trans)",
+    "bifurcation.detect_bifurcation(lam_range)",
+    "bifurcation.detect_bifurcation(rtol)",
+    "bifurcation.detect_bifurcation(samples)",
+    "bifurcation.linearize_along(branch_tol)",
+    "bifurcation.validate_branch(branch_tol)",
+    "cli.cmd_demo(list_only)",
+    "cli.main(argv)",
+    "cli.resolve_config(origin)",
+    "errors.BoundaryDegenerate(condition)",
+    "errors.HypothesisFailure(assumption)",
+    "errors.IrregularCrossing(instant)",
+    "errors.ParseError(expected)",
+    "expr.parse(variables)",
+    "expr.parse_matrix(variables)",
+    "flow.HypothesisReport(note)",
+    "flow.LinearFamily(_eval)",
+    "flow.LinearFamily(matrix)",
+    "flow.LinearFamily(t_max)",
+    "flow.LinearFamily.from_callable(batched)",
+    "flow.LinearFamily.from_callable(t_max)",
+    "flow.LinearFamily.from_matrix_expr(t_max)",
+    "flow.check_A1_A3(lam_range)",
+    "flow.check_A1_A3(samples)",
+    "flow.fundamental_solution(atol)",
+    "flow.fundamental_solution(rtol)",
+    "flow.invariant_subspace_path(atol)",
+    "flow.invariant_subspace_path(rtol)",
+    "flow.subspace_at(atol)",
+    "flow.subspace_at(rtol)",
+    "flow.subspaces_over_lambda(atol)",
+    "flow.subspaces_over_lambda(rtol)",
+    "linalg.SpectralSplit(gap)",
+    "linalg.det_sign(eps_trans)",
+    "maslov.Mod2Report(index_report)",
+    "maslov.crossing_census(cross_tol)",
+    "maslov.crossing_census(eps_trans)",
+    "maslov.crossing_census(interval)",
+    "maslov.crossing_census(samples)",
+    "maslov.maslov_index(cross_tol)",
+    "maslov.maslov_index(eps_trans)",
+    "maslov.maslov_index(interval)",
+    "maslov.maslov_index(samples)",
+    "maslov.mod2_compare(cross_tol)",
+    "maslov.mod2_compare(eps_trans)",
+    "maslov.mod2_compare(interval)",
+    "maslov.mod2_compare(samples)",
+    "parity.ParityReport(sigma_mins)",
+    "parity.ParityReport(stable_N)",
+    "parity.ParityReport(stable_tau)",
+    "parity.boundary_pair_over_lambda(atol)",
+    "parity.boundary_pair_over_lambda(rtol)",
+    "parity.boundary_pair_over_lambda(t)",
+    "parity.decomposition_check(lams)",
+    "parity.decomposition_check(samples)",
+    "parity.finite_parity(eps_trans)",
+    "parity.finite_parity(samples)",
+    "parity.operator_parity(N)",
+    "parity.operator_parity(atol)",
+    "parity.operator_parity(lams)",
+    "parity.operator_parity(rtol)",
+    "parity.operator_parity(stability)",
+    "parity.operator_parity(tau)",
+    "parity.operator_parity(track_sigma)",
+    "parity.verify_index_theorem(N)",
+    "parity.verify_index_theorem(atol)",
+    "parity.verify_index_theorem(lams)",
+    "parity.verify_index_theorem(rtol)",
+    "parity.verify_index_theorem(stability)",
+    "parity.verify_index_theorem(tau)",
+    "parity.verify_index_theorem(track_sigma)",
+    "suites.poschl_teller_family(depth)",
+    "suites.poschl_teller_family(t_max)",
+    "suites.run_all(seed)",
+    "suites.suite_decomposition(extra_families)",
+    "suites.suite_decomposition(seed)",
+    "suites.suite_finite_parity(seed)",
+    "suites.suite_finite_parity(trials)",
+    "suites.suite_maslov_mod2(seed)",
+    "suites.suite_maslov_mod2(trials)",
+    "suites.suite_orientability(seed)",
+    "suites.suite_orientability(trials)",
+    "suites.suite_properties(seed)",
+    "suites.suite_properties(trials)",
+    "z2index.bundle_orientability(eps_trans)",
+    "z2index.close_loop(eps_trans)",
+    "z2index.geometric_parity(atol)",
+    "z2index.geometric_parity(eps_trans)",
+    "z2index.geometric_parity(rtol)",
+    "z2index.geometric_parity(samples)",
+    "z2index.z2_index(eps_trans)",
+    "z2index.z2_index_unbounded(eps_trans)",
+}
+
+#: parameters turned into module constants, since no caller set them
+REMOVED = {
+    "linalg.spectral_split(delta)",
+    "flow.asymptotic_limits(delta)",
+    "maslov.crossing_form(h)",
+    "maslov.crossing_form(kernel_tol)",
+    "maslov.crossing_form(form_tol)",
+    "maslov.is_lagrangian(tol)",
+    "parity.kernel_dimension(rel_tol)",
+    "parity.kernel_dimension(count)",
+    "parity.verify_index_theorem(hypothesis_samples)",
+    "bifurcation.detect_bifurcation(hypothesis_samples)",
+    "bifurcation.check_restpoints(lam_samples)",
+    "suites.suite_properties(dims)",
+    "suites.suite_finite_parity(dims)",
+    "suites.suite_orientability(dims)",
+    "suites.suite_maslov_mod2(ks)",
+    "suites.suite_decomposition(include_poschl_teller)",
+}
+
+
+def _with_defaults(obj, qual: str) -> set:
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return set()
+    return {f"{qual}({p.name})" for p in params
+            if p.default is not inspect.Parameter.empty}
+
+
+def optional_parameters() -> set:
+    """Optional parameters of the public names of the package and of
+    each of its modules (those in ``__all__`` where a module has one),
+    with the public methods of the classes among them."""
+    modules = [hetindex] + [importlib.import_module(f"hetindex.{m.name}")
+                            for m in pkgutil.iter_modules(hetindex.__path__)]
+    found = set()
+    for mod in modules:
+        names = getattr(mod, "__all__",
+                        [n for n in vars(mod) if not n.startswith("_")])
+        for name in names:
+            obj = getattr(mod, name)
+            if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+                continue
+            if not obj.__module__.startswith("hetindex."):
+                continue
+            qual = (obj.__module__.removeprefix("hetindex.") + "."
+                    + obj.__qualname__)
+            found |= _with_defaults(obj, qual)
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        found |= _with_defaults(member, f"{qual}.{attr}")
+    return found
+
+
+def test_optional_parameters_are_the_listed_ones():
+    found = optional_parameters()
+    assert sorted(found - OPTIONAL) == [], "new optional parameters"
+    assert sorted(OPTIONAL - found) == [], "listed but gone"
+
+
+def test_removed_parameters_stay_removed():
+    assert not REMOVED & optional_parameters()

@@ -157,7 +157,8 @@ def test_verify_theorem_command(tmp_path):
     assert report["result"]["agree"] is True
     assert report["result"]["stable_tau_doubling"] is True
     assert report["result"]["stable_N_doubling"] is True
-    assert report["result"]["endpoint_kernel_dims"] == [0, 0]
+    assert all(m > 1e-6 for m in report["result"]["endpoint_margins"])
+    assert len(report["result"]["endpoint_margins"]) == 2
     assert report["result"]["hypotheses"]["lam_range"] == [0.0, 1.0]
     assert report["config"]["lam_range"] == [0.0, 1.0]
     rows = read_csv_rows(tmp_path / "out")

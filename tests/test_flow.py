@@ -349,8 +349,6 @@ def test_asymptotic_limits_memo_returns_the_first_result():
     assert asymptotic_limits(fam, np.float64(0.25)) is first
     assert len(calls) == evaluations
     assert asymptotic_limits(fam, 0.5) is not first
-    # another delta is another split
-    assert asymptotic_limits(fam, 0.25, delta=1e-6) is not first
 
 
 def test_asymptotic_limits_memo_keeps_no_failure():

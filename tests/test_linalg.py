@@ -112,7 +112,7 @@ def test_spectral_split_rejects_rotation():
 
 def test_spectral_split_rejects_near_zero_eigenvalue():
     with pytest.raises(NotHyperbolic):
-        spectral_split(np.diag([1e-12, 1.0]), delta=1e-8)
+        spectral_split(np.diag([1e-12, 1.0]))
 
 
 def test_det_sign_basic():

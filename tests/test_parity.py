@@ -15,6 +15,7 @@ from hetindex import (
     decomposition_check,
     discretize,
     finite_parity,
+    geometric_parity,
     kernel_dimension,
     operator_parity,
     parse_matrix,
@@ -339,6 +340,20 @@ def test_operator_parity_factors_each_operator_once(monkeypatch):
 _GRID = np.linspace(0.0, 1.0, 21)
 
 
+@pytest.fixture
+def transports(monkeypatch):
+    """One entry per ``flow._transport_batched`` call."""
+    calls = []
+    real = flowmod._transport_batched
+
+    def counting_transport(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flowmod, "_transport_batched", counting_transport)
+    return calls
+
+
 @pytest.mark.parametrize("call", [
     lambda fam: operator_parity(fam, _GRID[::-1], tau=8.0, N=400),
     lambda fam: operator_parity(fam, [0.0, 0.9, 0.5, 1.0], tau=8.0, N=400),
@@ -351,22 +366,37 @@ _GRID = np.linspace(0.0, 1.0, 21)
     lambda fam: discretize(fam, 0.3, tau=0.0, N=400),
     lambda fam: discretize(fam, 0.3, tau=8.0, N=1),
     lambda fam: verify_index_theorem(fam, _GRID[::-1], tau=8.0, N=400),
+    lambda fam: boundary_pair_over_lambda(fam, _GRID[::-1]),
+    lambda fam: boundary_pair_over_lambda(fam, [0.5]),
+    lambda fam: decomposition_check(fam, _GRID[::-1]),
+    lambda fam: decomposition_check(fam, [0.5]),
 ], ids=["decreasing", "unsorted", "one-lambda", "nan-lambda", "tau-0",
         "tau-inf", "N-1", "N-float", "discretize-tau-0", "discretize-N-1",
-        "theorem-decreasing"])
-def test_operator_route_refuses_malformed_input(call, monkeypatch):
+        "theorem-decreasing", "pair-decreasing", "pair-one-lambda",
+        "decomposition-decreasing", "decomposition-one-lambda"])
+def test_operator_route_refuses_malformed_input(call, transports):
     # refused before any boundary frame is transported
-    transports = []
-    real = flowmod._transport_batched
-
-    def counting_transport(*args, **kwargs):
-        transports.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flowmod, "_transport_batched", counting_transport)
     with pytest.raises(InvalidInput):
         call(poschl_teller_family())
     assert transports == []
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda fam, lam: flowmod.asymptotic_limits(fam, lam),
+    lambda fam, lam: flowmod.subspace_at(fam, lam, "stable", 0.0),
+    lambda fam, lam: geometric_parity(fam, lam),
+    lambda fam, lam: boundary_pair_over_lambda(fam, [0.0, lam]),
+    lambda fam, lam: decomposition_check(fam, [0.0, lam]),
+], ids=["limits", "subspace_at", "geometric", "boundary-pair",
+        "decomposition"])
+def test_non_finite_lambda_is_refused(call, lam, transports):
+    fam = poschl_teller_family()
+    with pytest.raises(InvalidInput):
+        call(fam, lam)
+    assert transports == []
+    assert fam._limits == {}
 
 
 # -- the index theorem -------------------------------------------------
