@@ -10,9 +10,13 @@ two independent ways and cross-checked:
   E^u(-tau), x(tau) to E^s(tau)), whose determinant sign is tracked
   over a lambda-grid with lambda-aligned boundary frames.
 
-The determinant sign of the large sparse matrix comes from a pivoted
-LU factorization (permutation parities times pivot signs); magnitudes
-are discarded, so no overflow for any grid size.  The index-theorem
+The determinant signs of a sweep come from block elimination of the
+block-bidiagonal matrix: the unstable frame E^u(-tau) is pushed through
+the Crank-Nicolson (Cayley) steps of every lambda at once, with QR
+renormalization, so magnitudes never overflow.  A pivoted sparse LU
+(permutation parities times pivot signs) runs only on end operators,
+whose invertibility it certifies, and with ``track_sigma``; it is also
+the public ``sparse_det_sign`` and the tests' oracle.  The index-theorem
 verifier compares the operator parity with the Z2-index of the
 boundary-subspace pair lambda -> (E^s(0), E^u(0)), and the
 decomposition checker splits that index into geometric parities of the
@@ -318,7 +322,7 @@ def kernel_dimension(op: DiscretizedOperator) -> KernelReport:
     of A^T A with the inverse applied through one sparse LU of A.  This
     is the kernel measurement (criteria 3 and 9) and the oracle the
     endpoint test of :func:`operator_parity` is checked against; that
-    test itself reads sigma_min from the LU its sign came from.
+    test itself reads sigma_min from the endpoint operator's one LU.
     """
     M = op.matrix
     size = M.shape[0]
@@ -373,6 +377,61 @@ def _factor_end(lam: float, M: sp.spmatrix) -> tuple:
     return sign, sigma_min, sigma_min / sigma_max
 
 
+_BLOCK_STEPS = 32   # CN steps per S evaluation and QR renormalization
+
+
+def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
+                 frames: tuple) -> np.ndarray:
+    """Determinant signs of the operators at ``lams``, by block
+    elimination of the block-bidiagonal Crank-Nicolson matrix:
+
+        sign det M = (-1)^(k N n) prod_i sign det(I - h S_i / 2)
+                     sign det[B_u E_u] sign det(B_s^T Phi E_u)
+
+    Phi E_u is E^u(-tau) pushed through the Cayley steps
+    Y <- 2 (I - h S_i / 2)^-1 Y - Y, all lambdas at once as an (m, n, k)
+    stack.  S is evaluated one chunk of steps at a time, and each chunk
+    ends in a stacked QR whose R-diagonal signs enter the product.
+    det(I - E) > 0 whenever ||E||_2 < 1, so a factor's determinant is
+    taken only where h ||S_i||_F / 2 >= 1; a lambda with an exactly
+    singular factor is signed by the sparse LU of its operator instead.
+    ``frames`` is (E^u, E^s, B_u, B_s) per lambda.
+    """
+    e_u, _, b_u, b_s = frames
+    n, k = fam.n, fam.k
+    h = 2.0 * tau / N
+    Y = np.array([f.columns for f in e_u])
+    B = np.array([f.columns for f in b_u])
+    sign = np.linalg.slogdet(np.concatenate([B, Y], axis=2))[0]
+    if k * N * n % 2:
+        sign = -sign
+    singular = np.zeros(len(lams), dtype=bool)
+    eye = np.eye(n)
+    for start in range(0, N, _BLOCK_STEPS):
+        mids = -tau + h * (np.arange(start, min(start + _BLOCK_STEPS, N))
+                           + 0.5)
+        half = 0.5 * h * fam.evaluate_many(lams[:, None], mids[None, :])
+        L = eye - half
+        big = np.linalg.norm(half, axis=(-2, -1)) >= 1.0
+        if big.any():
+            dets = np.ones(big.shape)
+            dets[big] = np.linalg.slogdet(L[big])[0]
+            singular |= np.any(dets == 0.0, axis=1)
+            sign *= np.prod(dets, axis=1)
+            L[dets == 0.0] = eye
+        C = 2.0 * np.linalg.inv(L) - eye
+        for j in range(C.shape[1]):
+            Y = C[:, j] @ Y
+        Y, R = np.linalg.qr(Y)
+        sign *= np.prod(np.sign(np.diagonal(R, axis1=1, axis2=2)), axis=1)
+    BsT = np.array([f.columns.T for f in b_s])
+    signs = (sign * np.linalg.slogdet(BsT @ Y)[0]).astype(int)
+    for i in np.flatnonzero(singular):
+        M, = _operators(fam, lams[i:i + 1], tau, N, [b_u[i]], [b_s[i]])
+        signs[i] = _signed_lu(M)[0]
+    return signs
+
+
 # -- operator parity over a lambda sweep -------------------------------
 
 _LOCALIZE_TOL = 1e-3   # lambda-width to which a sign flip is bisected
@@ -390,11 +449,12 @@ class ParityReport:
     just its two endpoint operators, over boundary frames aligned
     along the whole lambda-grid.
 
-    ``endpoint_margins`` holds sigma_min / sigma_max of the two end
-    operators of the main sweep, read from their LUs; both exceed
-    ``_KERNEL_TOL`` (1e-6), since an endpoint below it raises instead.
-    ``sigma_mins`` (with ``track_sigma``) holds the sigma_min estimate
-    from each operator's LU, NaN where the sign is zero.
+    ``det_signs`` come from block elimination.  ``endpoint_margins``
+    holds sigma_min / sigma_max of the two end operators of the main
+    sweep, read from their LUs; both exceed ``_KERNEL_TOL`` (1e-6),
+    since an endpoint below it raises instead.  ``sigma_mins`` (with
+    ``track_sigma``) holds the sigma_min estimate from each operator's
+    LU, NaN where the LU sign is zero.
     """
 
     value: int
@@ -421,11 +481,13 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     value compares the endpoint signs; interior flips are localized by
     bisection to a lambda-interval of width 1e-3.
 
-    Each operator is factored once, by one sparse LU.  The LU gives the
-    determinant sign and, at the two ends (and at every lambda with
-    ``track_sigma``), a sigma_min estimate by inverse iteration.  The
-    endpoint invertibility test reads that estimate: a nonzero sign and
-    sigma_min > 1e-6 sigma_max.  :func:`kernel_dimension` is not run.
+    Every sign, of the grid and of the bisection midpoints, comes from
+    block elimination (``_block_signs``).  A sparse LU factors only the
+    two end operators of the sweep and of each doubling re-run, plus
+    every operator with ``track_sigma``, and gives a sigma_min
+    estimate by inverse iteration.  The endpoint invertibility test
+    reads that estimate: a nonzero sign and sigma_min > 1e-6 sigma_max.
+    :func:`kernel_dimension` is not run.
 
     Raises
     ------
@@ -436,6 +498,9 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     DegenerateEndpoint
         If an endpoint operator fails the invertibility test; the
         message names its sigma_min and sigma_max.
+    InternalMismatch
+        If the LU sign of an end operator of the sweep differs from its
+        block-elimination sign (internal bug trap).
     UnstableTruncation
         If doubling tau or N changes the value (only when
         ``stability`` is set).
@@ -445,13 +510,24 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
     lams = _checked_grid(lams)
     _check_truncation(tau, N)
     frames = _boundary_frames(fam, lams, tau, rtol, atol)
+    signs = _block_signs(fam, lams, tau, N, frames)
 
     ends = (0, len(lams) - 1)
-    ops = _operators(fam, lams, tau, N, *frames[2:])
-    results = [_factor_end(lams[i], M) if i in ends
-               else _signed_lu(M, track_sigma) for i, M in enumerate(ops)]
-    signs = np.array([r[0] for r in results], dtype=int)
-    sigma = np.array([r[1] for r in results]) if track_sigma else None
+    factored = range(len(lams)) if track_sigma else ends
+    ops = _operators(fam, lams[list(factored)], tau, N,
+                     *([f[i] for i in factored] for f in frames[2:]))
+    results = {i: _factor_end(lams[i], M) if i in ends
+               else _signed_lu(M, sigma=True)
+               for i, M in zip(factored, ops)}
+    for i in ends:
+        if results[i][0] != signs[i]:
+            raise InternalMismatch(
+                f"block elimination (sign {signs[i]}) and sparse LU (sign "
+                f"{results[i][0]}) disagree on the endpoint operator at "
+                f"lambda={lams[i]:g}"
+            )
+    sigma = (np.array([results[i][1] for i in factored]) if track_sigma
+             else None)
     value = 0 if signs[0] == signs[-1] else 1
 
     flips = _localize_flips(fam, lams, signs, tau, N, frames, rtol, atol)
@@ -474,7 +550,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
 
     return ParityReport(value=value, lams=lams, det_signs=signs,
                         flips=tuple(flips), tau=tau, N=N,
-                        endpoint_margins=(results[0][2], results[-1][2]),
+                        endpoint_margins=tuple(results[i][2] for i in ends),
                         stable_tau=stable_tau, stable_N=stable_N,
                         sigma_mins=sigma)
 
@@ -515,7 +591,9 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     """Sorted sign changes lambda*: interior zero-sign grid points, and
     each sign change between nonzero-sign grid points bisected to an
     interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
-    b_u, b_s); a zero-sign midpoint takes its left end's sign.
+    b_u, b_s); each round's midpoints are signed by one
+    :func:`_block_signs` call over the E^u frames their B_u come from,
+    and a zero-sign midpoint takes its left end's sign.
     """
     flips = [float(lams[i]) for i in range(1, len(lams) - 1)
              if signs[i] == 0]
@@ -527,15 +605,18 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
         return a[1] != b[1] and b[0] - a[0] > _LOCALIZE_TOL
 
     def sample_mids(mids, lefts):
-        fresh = [
-            (align_frame(left[2], orthogonal_complement(
-                subspace_at(fam, lam, "unstable", -tau, rtol, atol))),
-             align_frame(left[3], orthogonal_complement(
-                 subspace_at(fam, lam, "stable", tau, rtol, atol))))
-            for lam, left in zip(mids, lefts)]
-        ops = _operators(fam, mids, tau, N, *zip(*fresh))
-        return [(lam, sparse_det_sign(M) or left[1]) + f
-                for lam, left, f, M in zip(mids, lefts, fresh, ops)]
+        e_u = [subspace_at(fam, lam, "unstable", -tau, rtol, atol)
+               for lam in mids]
+        e_s = [subspace_at(fam, lam, "stable", tau, rtol, atol)
+               for lam in mids]
+        b_u = [align_frame(left[2], orthogonal_complement(f))
+               for left, f in zip(lefts, e_u)]
+        b_s = [align_frame(left[3], orthogonal_complement(f))
+               for left, f in zip(lefts, e_s)]
+        signs = _block_signs(fam, np.array(mids), tau, N,
+                             (e_u, e_s, b_u, b_s))
+        return [(lam, s or left[1], bu, bs)
+                for lam, s, left, bu, bs in zip(mids, signs, lefts, b_u, b_s)]
 
     _, samples, _ = _bisect([s[0] for s in samples], samples, split,
                             sample_mids)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import block_diag
 
 from .errors import (
     BoundaryDegenerate,
@@ -110,9 +110,20 @@ def _skew(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     return scale * K / norm if norm > 0 else K
 
 
+def _skew_expm(K: np.ndarray) -> Callable:
+    """t -> expm(t K) for a skew-symmetric K, from one eigendecomposition
+    iK = V diag(mu) V^H of the Hermitian iK, so that
+    expm(t K) = V diag(exp(-i mu t)) V^H."""
+    mu, V = np.linalg.eigh(1j * K)
+    Vh = V.conj().T
+    return lambda t: np.real((V * np.exp(-1j * mu * t)) @ Vh)
+
+
 def _rotation_sampler(K: np.ndarray, cols: np.ndarray) -> Callable:
+    rotation = _skew_expm(K)
+
     def sample(t: float) -> Frame:
-        return Frame(expm(t * K) @ cols)
+        return Frame(rotation(t) @ cols)
     return sample
 
 
@@ -153,13 +164,13 @@ def _prop_reparametrization(rng, pair, vs, ws) -> bool:
 
 def _prop_homotopy(rng, pair, vs, ws) -> bool:
     n = pair.n
-    K = _skew(rng, n, rng.uniform(0.5, 1.5))
+    rotation = _skew_expm(_skew(rng, n, rng.uniform(0.5, 1.5)))
 
     def moved(t: float) -> Frame:
         # the rotation vanishes at both endpoints, so this is a
         # homotopy rel endpoints of the V-path
         angle = np.sin(np.pi * t) ** 2
-        return Frame(expm(angle * K) @ vs(t).columns)
+        return Frame(rotation(angle) @ vs(t).columns)
 
     deformed = _pair_from_samplers(moved, ws, 0.0, 1.0, points=33)
     return z2_index(deformed).value == z2_index(pair).value

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hetindex import (
     DegenerateEndpoint,
     HypothesisFailure,
+    InternalMismatch,
     InvalidInput,
     LinearFamily,
     UnstableTruncation,
@@ -141,6 +142,88 @@ def test_sparse_det_sign_matches_slogdet_on_operator(lam):
     sign, _ = np.linalg.slogdet(op.matrix.toarray())
     assert sign != 0
     assert sparse_det_sign(op.matrix) == int(sign)
+
+
+# -- block-elimination signs against the sparse LU ---------------------
+
+def _block_and_lu_signs(fam, lams, tau, N):
+    """(_block_signs, _signed_lu signs) of every operator of a sweep."""
+    lams = np.asarray(lams, dtype=float)
+    frames = paritymod._boundary_frames(fam, lams, tau, 1e-9, 1e-12)
+    block = paritymod._block_signs(fam, lams, tau, N, frames)
+    lu = [paritymod._signed_lu(M)[0]
+          for M in paritymod._operators(fam, lams, tau, N, *frames[2:])]
+    return block.tolist(), lu
+
+
+@pytest.mark.parametrize("N", [1500, 3000])
+def test_block_signs_match_lu_on_theorem_grid(N):
+    block, lu = _block_and_lu_signs(poschl_teller_family(),
+                                    np.linspace(0.0, 1.0, 201), 15.0, N)
+    assert block == lu
+    assert block[0] == -block[-1] and 0 not in block
+
+
+def test_block_signs_match_lu_with_two_flips():
+    block, lu = _block_and_lu_signs(poschl_teller_family("8*lambda"),
+                                    np.linspace(0.0, 1.0, 41), 8.0, 400)
+    assert block == lu
+    assert sum(a != b for a, b in zip(block, block[1:])) == 2
+
+
+def test_block_signs_match_lu_on_positive_potential_demo():
+    from hetindex.cli import DEMOS
+
+    cfg = DEMOS["positive-potential"]["config"]
+    block, lu = _block_and_lu_signs(
+        LinearFamily.from_matrix_expr(parse_matrix(cfg["S"]), k=cfg["k"]),
+        np.linspace(0.0, 1.0, cfg["lam_samples"]), cfg["tau"], cfg["N"])
+    assert block == lu
+
+
+@pytest.mark.parametrize("N", [301, 400], ids=["odd-N", "even-N"])
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
+                                  (4, 3)])
+def test_block_signs_match_lu_on_connecting_families(n, k, N):
+    # (n, k) = (3, 1) at odd N is the one case where (-1)^(k N n) is -1;
+    # a wrong prefactor can pass every other case
+    from hetindex.suites import _random_connecting_family
+
+    fam = _random_connecting_family(np.random.default_rng([n + k, 505]),
+                                    n, k)
+    block, lu = _block_and_lu_signs(fam, np.linspace(-3.0, 3.0, 9), 8.0, N)
+    assert block == lu
+
+
+def test_block_signs_sign_a_singular_factor_by_lu(monkeypatch):
+    # make I - h S/2 exactly singular at one step of one lambda: that
+    # lambda, and only it, is signed by the sparse LU of its operator
+    fam, tau, N = poschl_teller_family(), 8.0, 401
+    lams = np.linspace(0.0, 1.0, 5)
+    frames = paritymod._boundary_frames(fam, lams, tau, 1e-9, 1e-12)
+    h = 2.0 * tau / N
+    t_bad = -tau + h * 100.5
+    real = flowmod.LinearFamily.evaluate_many
+
+    def singular_step(self, lam, t):
+        out = real(self, lam, t)
+        lam_b, t_b = np.broadcast_arrays(lam, t)
+        out[(lam_b == lams[2]) & (t_b == t_bad)] = np.diag([2.0 / h, 0.0])
+        return out
+
+    monkeypatch.setattr(flowmod.LinearFamily, "evaluate_many", singular_step)
+    real_lu, lu_sizes = paritymod._signed_lu, []
+
+    def counting_lu(M, sigma=False):
+        lu_sizes.append(M.shape[0])
+        return real_lu(M, sigma)
+
+    monkeypatch.setattr(paritymod, "_signed_lu", counting_lu)
+    block = paritymod._block_signs(fam, lams, tau, N, frames)
+    assert lu_sizes == [(N + 1) * 2]
+    lu = [real_lu(M)[0]
+          for M in paritymod._operators(fam, lams, tau, N, *frames[2:])]
+    assert block.tolist() == lu
 
 
 # -- discretized operator ----------------------------------------------
@@ -280,7 +363,9 @@ def test_track_sigma_factorizes_once_per_operator(monkeypatch):
         rep = operator_parity(fam, lams=lams, tau=8.0, N=400,
                               stability=False, track_sigma=track)
         counts[track] = len(calls)
-    assert counts[True] == counts[False]
+    # signs come from block elimination: the LU runs on the two ends
+    # only, or on every operator once when sigma_min is tracked
+    assert counts == {False: 2, True: len(lams)}
 
     # the estimate is the one a fresh factorization of each operator gives
     b_u, b_s = paritymod._boundary_frames(fam, lams, 8.0, 1e-9, 1e-12)[2:]
@@ -310,18 +395,19 @@ def test_endpoint_test_agrees_with_kernel_dimension(tau, N):
         assert ratio == pytest.approx(oracle.relative[0], rel=0.02), lam
 
 
-def test_operator_parity_factors_each_operator_once(monkeypatch):
-    # the endpoint test of the sweep and of both doubling re-runs reads
-    # the LU that signed the operator: no second LU, no eigensolve
+def test_operator_parity_factors_only_endpoint_operators(monkeypatch):
+    # sweep and bisection signs come from block elimination; the LU runs
+    # once on each end operator of the sweep and of both doubling
+    # re-runs, for the endpoint test, and no eigensolve runs
     def no_eigsh(*args, **kwargs):
         raise AssertionError("eigsh called")
 
     lus, ops = [], []
     real_splu, real_assemble = spla.splu, paritymod._assemble
 
-    def counting_splu(*args, **kwargs):
-        lus.append(1)
-        return real_splu(*args, **kwargs)
+    def counting_splu(M, *args, **kwargs):
+        lus.append(M.shape[0])
+        return real_splu(M, *args, **kwargs)
 
     def counting_assemble(*args, **kwargs):
         ops.append(1)
@@ -333,8 +419,19 @@ def test_operator_parity_factors_each_operator_once(monkeypatch):
     rep = operator_parity(poschl_teller_family(),
                           np.linspace(0.0, 1.0, 21), tau=8.0, N=400)
     assert rep.value == 1 and rep.stable_tau and rep.stable_N
-    assert len(ops) > 21 + 4          # sweep, bisection and both re-runs
-    assert len(lus) == len(ops)
+    assert len(rep.flips) == 1
+    assert sorted(lus) == [401 * 2] * 2 + [801 * 2] * 4
+    assert len(ops) == 6
+
+
+def test_endpoint_lu_sign_guards_block_signs(monkeypatch):
+    # the endpoint LU is a free reference check on the block route
+    real = paritymod._block_signs
+    monkeypatch.setattr(paritymod, "_block_signs",
+                        lambda *args: -real(*args))
+    with pytest.raises(InternalMismatch, match="lambda=0"):
+        operator_parity(poschl_teller_family(), np.linspace(0.0, 1.0, 21),
+                        tau=8.0, N=400, stability=False)
 
 
 _GRID = np.linspace(0.0, 1.0, 21)
