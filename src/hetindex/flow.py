@@ -19,7 +19,7 @@ forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -88,8 +88,9 @@ class LinearFamily:
         The expression grid of an expression family.
 
     Each family keeps the results of :func:`asymptotic_limits`, which
-    depend on the family and lambda only; a family made by
-    ``dataclasses.replace`` starts with none.
+    depend on the family and lambda only, and the spectral split of
+    each distinct limit matrix, keyed by its shape and bytes; a family
+    made by ``dataclasses.replace`` starts with neither.
     """
 
     n: int
@@ -98,6 +99,7 @@ class LinearFamily:
     matrix: MatrixExpr | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
     _limits: dict = field(init=False, repr=False, compare=False)
+    _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
@@ -105,6 +107,7 @@ class LinearFamily:
         if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
         object.__setattr__(self, "_limits", {})
+        object.__setattr__(self, "_splits", {})
 
     @staticmethod
     def from_matrix_expr(m: MatrixExpr, k: int, t_max: float = 20.0) -> "LinearFamily":
@@ -143,7 +146,11 @@ class LinearFamily:
 
 
 def _pointwise(f: Callable, n: int) -> Callable:
-    """Broadcasting evaluator calling ``f(lam, t)`` once per point."""
+    """Broadcasting evaluator calling ``f(lam, t)`` once per point.
+
+    A point whose value is not (n, n) raises DimensionMismatch, rather
+    than being broadcast into its slot.
+    """
     def run(lam, t):
         if np.ndim(lam) == 0 and np.ndim(t) == 0:
             return f(lam, t)
@@ -151,7 +158,11 @@ def _pointwise(f: Callable, n: int) -> Callable:
                                          np.asarray(t, float))
         out = np.empty(lam_b.shape + (n, n))
         for idx in np.ndindex(lam_b.shape):
-            out[idx] = f(float(lam_b[idx]), float(t_b[idx]))
+            S = f(float(lam_b[idx]), float(t_b[idx]))
+            if np.shape(S) != (n, n):
+                raise DimensionMismatch(f"evaluator returned "
+                                        f"{np.shape(S)}, expected {(n, n)}")
+            out[idx] = S
         return out
 
     return run
@@ -343,9 +354,12 @@ def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
     ||S(+-T) - S(+-T/2)|| <= 1e-6.  T starts at t_max and doubles until
     the check passes (a bounded number of times).
 
-    The family keeps each result, keyed by lambda, and returns the same
+    The one-lambda case of the private ``_limits_over_lambda``.  The
+    family keeps each result, keyed by lambda, and returns the same
     read-only object on a later call; a failure is not kept, so it
-    raises on every call.
+    raises on every call.  The family also keeps the split of each
+    distinct limit matrix, so lambdas that share a limit matrix share
+    its split.
 
     Raises
     ------
@@ -356,34 +370,96 @@ def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
     NotHyperbolic
         If a limit matrix fails the test of ``linalg.spectral_split``.
     """
-    key = float(lam)
-    if not np.isfinite(key):
-        raise InvalidInput(f"lambda must be finite, got {lam!r}")
-    known = fam._limits.get(key)
-    if known is not None:
-        return known
+    return _unwrap(_limits_over_lambda(fam, [lam])[0])
+
+
+class _Failure(NamedTuple):
+    """Why the limits at one lambda fail: the error to raise, and its message."""
+
+    error: type
+    message: str
+
+
+def _unwrap(limits):
+    """``limits``, unless it is a :class:`_Failure`, whose error is raised."""
+    if isinstance(limits, _Failure):
+        raise limits.error(limits.message)
+    return limits
+
+
+# S is read off at these multiples of the horizon T: the limits at -T
+# and T, and the points at -T/2 and T/2 that they must have settled to
+_PROBES = np.array([-1.0, 1.0, -0.5, 0.5])
+
+
+def _limits_over_lambda(fam: LinearFamily, lams: Sequence[float]) -> list:
+    """:func:`asymptotic_limits` at every lambda, as one entry per lambda.
+
+    An entry is the lambda's AsymptoticLimits, or the :class:`_Failure`
+    that :func:`asymptotic_limits` raises for it; a caller raises the
+    first failure in grid order to act as a loop over lambda would.
+    The lambdas not yet kept are evaluated at all four probe instants
+    in one call per horizon, and only the ones still drifting go on to
+    the next horizon.  Each success is kept under its lambda; an error
+    of the evaluator itself is raised for the whole call.
+    """
+    out, todo = [], {}
+    for lam in lams:
+        key = float(lam)
+        if not np.isfinite(key):
+            out.append(_Failure(InvalidInput,
+                                f"lambda must be finite, got {lam!r}"))
+            continue
+        out.append(fam._limits.get(key))
+        if out[-1] is None:
+            todo.setdefault(key, lam)
+    if not todo:
+        return out
+    fresh = {}
+    keys = list(todo)
     T = fam.t_max
     for _ in range(_ESCALATION_CAP):
-        s_minus = fam.evaluate(lam, -T)
-        s_plus = fam.evaluate(lam, T)
-        drift = max(
-            np.linalg.norm(s_minus - fam.evaluate(lam, -T / 2), 2),
-            np.linalg.norm(s_plus - fam.evaluate(lam, T / 2), 2),
-        )
-        if drift <= _STAB_TOL:
-            limits = AsymptoticLimits(
-                s_minus=_frozen_copy(s_minus),
-                s_plus=_frozen_copy(s_plus),
-                split_minus=spectral_split(s_minus),
-                split_plus=spectral_split(s_plus),
-                horizon=T,
+        S = fam.evaluate_many(np.array(keys)[:, None], T * _PROBES)
+        if S.shape != (len(keys), len(_PROBES), fam.n, fam.n):
+            raise DimensionMismatch(
+                f"evaluator returned {S.shape}, expected "
+                f"{(len(keys), len(_PROBES), fam.n, fam.n)}"
             )
-            fam._limits[key] = limits
-            return limits
+        d = np.linalg.norm(S[:, :2] - S[:, 2:], 2, axis=(-2, -1))
+        # max(d_minus, d_plus) as Python's max takes it, NaN included
+        drift = np.where(d[:, 1] > d[:, 0], d[:, 1], d[:, 0])
+        settled = drift <= _STAB_TOL
+        for i in np.flatnonzero(settled):
+            s_minus, s_plus = _frozen_copy(S[i, 0]), _frozen_copy(S[i, 1])
+            try:
+                fresh[keys[i]] = AsymptoticLimits(
+                    s_minus=s_minus, s_plus=s_plus,
+                    split_minus=_split(fam, s_minus),
+                    split_plus=_split(fam, s_plus), horizon=T)
+            except NotHyperbolic as exc:
+                fresh[keys[i]] = _Failure(NotHyperbolic, str(exc))
+        keys = [key for key, ok in zip(keys, settled) if not ok]
+        drift = drift[~settled]
+        if not keys:
+            break
         T *= 2.0
-    raise NotStabilized(
-        f"family still drifting {drift:.2e} at t = +-{T / 2:.0f} (lambda={lam})"
-    )
+    for key, d in zip(keys, drift):
+        fresh[key] = _Failure(
+            NotStabilized, f"family still drifting {d:.2e} at "
+                           f"t = +-{T / 2:.0f} (lambda={todo[key]})")
+    fam._limits.update((key, limits) for key, limits in fresh.items()
+                       if isinstance(limits, AsymptoticLimits))
+    return [fresh[float(lam)] if known is None else known
+            for lam, known in zip(lams, out)]
+
+
+def _split(fam: LinearFamily, S: np.ndarray) -> SpectralSplit:
+    """``spectral_split(S)``, once per distinct matrix of the family."""
+    key = (S.shape, S.tobytes())
+    split = fam._splits.get(key)
+    if split is None:
+        split = fam._splits[key] = spectral_split(S)
+    return split
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -398,17 +474,14 @@ def _leg_points(t_from: float, t_to: float) -> np.ndarray:
     return np.linspace(t_from, t_to, legs + 1)
 
 
-def _seed(fam: LinearFamily, lam: float, which: str,
-          far: float) -> tuple[Frame, float, AsymptoticLimits]:
-    """Seed frame at the attracting end, horizon beyond |far|."""
-    limits = asymptotic_limits(fam, lam)
+def _seed(limits: AsymptoticLimits, which: str,
+          far: float) -> tuple[Frame, float]:
+    """Seed frame at the attracting end, and its instant beyond |far|."""
     T = max(limits.horizon, abs(far) + _SEED_MARGIN)
     if which == "stable":
-        seed = limits.split_plus.v_minus
-        return seed, T, limits
+        return limits.split_plus.v_minus, T
     if which == "unstable":
-        seed = limits.split_minus.v_plus
-        return seed, -T, limits
+        return limits.split_minus.v_plus, -T
     raise InvalidInput(f"which must be 'stable' or 'unstable', got {which!r}")
 
 
@@ -457,7 +530,8 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     """
     grid = _checked_grid(grid)
     stable = which == "stable"
-    seed, t0, limits = _seed(fam, lam, which, grid[-1] if stable else grid[0])
+    limits = asymptotic_limits(fam, lam)
+    seed, t0 = _seed(limits, which, grid[-1] if stable else grid[0])
     _check_declared_dims(fam, limits)
     t_end = grid[0] if stable else grid[-1]
     _, legs = _transport_batched(fam, np.array([float(lam)]),
@@ -565,14 +639,26 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
                           atol: float = _DEFAULT_ATOL) -> list[Frame]:
     """E^s(t) or E^u(t) for every lambda (frame orientation arbitrary).
 
-    A caller that tracks a determinant sign across the sweep aligns the
-    frames along lambda itself.
+    The limits of all lambdas come from one batched call; a failing
+    lambda raises as :func:`asymptotic_limits` would, the first in grid
+    order.  A caller that tracks a determinant sign across the sweep
+    aligns the frames along lambda itself.
+
+    Raises
+    ------
+    InvalidInput
+        Unless ``lams`` is a non-empty 1-d sequence; nothing is
+        evaluated then.
     """
     lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not len(lams):
+        raise InvalidInput(f"lambdas must be a non-empty 1-d sequence, "
+                           f"got shape {lams.shape}")
     seeds = []
     t0 = None
-    for lam in lams:
-        seed, t0_cur, limits = _seed(fam, lam, which, t)
+    for limits in _limits_over_lambda(fam, lams):
+        limits = _unwrap(limits)
+        seed, t0_cur = _seed(limits, which, t)
         _check_declared_dims(fam, limits)
         seeds.append(seed.columns)
         t0 = t0_cur if t0 is None else (max(t0, t0_cur) if t0_cur > 0
@@ -592,18 +678,24 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
     hyperbolic, and the limit dimensions must match the declared k:
     dim v_plus(S^-) = k and dim v_minus(S^+) = n - k.  The report can
     only speak for the sampled grid, hence its fixed note.
+
+    Raises
+    ------
+    InvalidInput
+        Unless ``samples`` is an integer >= 1; nothing is evaluated then.
     """
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < 1):
+        raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
     violations = []
     min_gap = np.inf
-    for lam in np.linspace(*lam_range, samples):
-        try:
-            limits = asymptotic_limits(fam, lam)
-        except NotStabilized as exc:
-            violations.append((lam, "A1", str(exc)))
+    lams = np.linspace(*lam_range, samples)
+    for lam, limits in zip(lams, _limits_over_lambda(fam, lams)):
+        if (isinstance(limits, _Failure)
+                and issubclass(limits.error, (NotStabilized, NotHyperbolic))):
+            violations.append((lam, "A1", limits.message))
             continue
-        except NotHyperbolic as exc:
-            violations.append((lam, "A1", str(exc)))
-            continue
+        limits = _unwrap(limits)
         min_gap = min(min_gap, limits.split_minus.gap, limits.split_plus.gap)
         ku = limits.split_minus.v_plus.k
         ks = limits.split_plus.v_minus.k

@@ -45,7 +45,9 @@ from .flow import (
     SubspacePath,
     _bisect,
     _checked_grid,
+    _limits_over_lambda,
     _require_A1_A3,
+    _unwrap,
     asymptotic_limits,
     path_from_sampler,
     subspace_at,
@@ -720,7 +722,7 @@ def decomposition_check(fam: LinearFamily,
     geo0 = geometric_parity(fam, float(lams[0]), samples=samples)
     geo1 = geometric_parity(fam, float(lams[-1]), samples=samples)
 
-    limits = [asymptotic_limits(fam, lam) for lam in lams]
+    limits = [_unwrap(x) for x in _limits_over_lambda(fam, lams)]
     drift = max(
         max(np.linalg.norm(L.s_minus - limits[0].s_minus, 2) for L in limits),
         max(np.linalg.norm(L.s_plus - limits[0].s_plus, 2) for L in limits),

@@ -2,6 +2,9 @@
 
 import dataclasses
 import gc
+import importlib.util
+import pathlib
+import sys
 import weakref
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from hetindex import (
+    DimensionMismatch,
     DomainError,
     Frame,
     GapTooLarge,
@@ -374,6 +378,14 @@ def test_asymptotic_limits_memo_is_per_family():
     assert asymptotic_limits(fam, 0.0) is first
 
 
+@pytest.mark.parametrize("value", [1.0, np.eye(3)], ids=["scalar", "3x3"])
+def test_asymptotic_limits_refuse_a_misshapen_evaluator(value):
+    fam = LinearFamily.from_callable(lambda lam, t: value, n=2, k=1)
+    with pytest.raises(DimensionMismatch, match="evaluator returned"):
+        asymptotic_limits(fam, 0.0)
+    assert fam._limits == {}
+
+
 def test_asymptotic_limits_are_read_only():
     owned = np.diag([1.0, -1.0])
     fam = LinearFamily.from_callable(lambda lam, t: owned, n=2, k=1)
@@ -384,3 +396,209 @@ def test_asymptotic_limits_are_read_only():
             a[0, 0] = 7.0
     # the evaluator's own array stays the caller's to write
     owned[0, 0] = 2.0
+
+
+# -- limits over lambda in one call ------------------------------------
+
+def _loop_limits(fam, lam):
+    """The per-lambda loop that ``_limits_over_lambda`` replaces: four
+    scalar evaluations per horizon and one split per limit matrix."""
+    key = float(lam)
+    if not np.isfinite(key):
+        raise InvalidInput(f"lambda must be finite, got {lam!r}")
+    T = fam.t_max
+    for _ in range(flow._ESCALATION_CAP):
+        s_minus = fam.evaluate(lam, -T)
+        s_plus = fam.evaluate(lam, T)
+        drift = max(
+            np.linalg.norm(s_minus - fam.evaluate(lam, -T / 2), 2),
+            np.linalg.norm(s_plus - fam.evaluate(lam, T / 2), 2),
+        )
+        if drift <= flow._STAB_TOL:
+            return flow.AsymptoticLimits(
+                s_minus=np.array(s_minus), s_plus=np.array(s_plus),
+                split_minus=flow.spectral_split(s_minus),
+                split_plus=flow.spectral_split(s_plus), horizon=T)
+        T *= 2.0
+    raise NotStabilized(
+        f"family still drifting {drift:.2e} at t = +-{T / 2:.0f} (lambda={lam})"
+    )
+
+
+def _assert_same_limits(got, want):
+    assert got.horizon == want.horizon
+    for a, b in ((got.s_minus, want.s_minus), (got.s_plus, want.s_plus)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in ((got.split_minus, want.split_minus),
+                 (got.split_plus, want.split_plus)):
+        assert a.gap == b.gap
+        for f, g in ((a.v_plus, b.v_plus), (a.v_minus, b.v_minus)):
+            assert f.columns.tobytes() == g.columns.tobytes()
+
+
+def _cubic_linearization():
+    from hetindex import Branch, NonlinearFamily, linearize_along
+    from hetindex.cli import resolve_config
+
+    cfg = resolve_config(DEMOS["cubic-schrodinger"]["config"])
+    nf = NonlinearFamily.from_sources(cfg["g"], cfg["z_minus"],
+                                      cfg["z_plus"], t_max=cfg["t_max"],
+                                      lam_range=tuple(cfg["lam_range"]))
+    return linearize_along(nf, Branch.from_sources(cfg["branch"]))
+
+
+def _orbit_draw(index):
+    # the benchmark's connecting families, loaded from its source
+    workloads = sys.modules.get("_bench_workloads")
+    if workloads is None:
+        path = (pathlib.Path(__file__).parents[1] / "perfbench"
+                / "workloads.py")
+        spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    return workloads.connecting_family(*workloads.ORBIT_DRAWS[index])
+
+
+def _slow_decay_family():
+    # the sech(lambda t) entry settles later the smaller lambda is, so
+    # the horizons over the grid run from 20 up to 1280
+    return LinearFamily.from_matrix_expr(
+        parse_matrix([["-tanh(t)", "sech(lambda*t)"], ["0", "tanh(t)"]]), k=1)
+
+
+@pytest.mark.parametrize("make,lams", [
+    (poschl_teller_family, np.linspace(0.0, 1.0, 201)),
+    (_cubic_linearization, np.linspace(0.0, 1.0, 201)),
+    (lambda: _orbit_draw(0), np.linspace(0.0, 1.0, 101)),
+    (lambda: _orbit_draw(1), np.linspace(0.0, 1.0, 101)),
+    (_slow_decay_family, np.linspace(0.0, 1.0, 41)),
+], ids=["poschl-teller", "cubic", "orbit-draw-0", "orbit-draw-1",
+        "slow-decay"])
+def test_limits_over_lambda_equal_the_per_lambda_loop(make, lams):
+    got = flow._limits_over_lambda(make(), lams)
+    fam = make()
+    for lam, limits in zip(lams, got):
+        _assert_same_limits(limits, _loop_limits(fam, lam))
+        assert not limits.s_minus.flags.writeable
+        assert not limits.s_plus.flags.writeable
+
+
+def test_limits_over_lambda_escalate_only_the_drifting_lambdas():
+    lams = np.linspace(0.0, 1.0, 41)
+    horizons = [L.horizon for L in flow._limits_over_lambda(
+        _slow_decay_family(), lams)]
+    assert horizons == [_loop_limits(_slow_decay_family(), lam).horizon
+                        for lam in lams]
+    assert horizons[0] == 20.0 and max(horizons) > 2 * min(horizons[1:])
+    assert len(set(horizons)) >= 4
+
+
+def _mixed_failures_family():
+    # lambda = 0.5 settles onto a non-hyperbolic limit; every other
+    # lambda but 0 keeps drifting
+    return LinearFamily.from_matrix_expr(parse_matrix(
+        [["lambda - 0.5", "0"],
+         ["0", "1 + lambda*(lambda - 0.5)*sin(t)"]]), k=1)
+
+
+@pytest.mark.parametrize("lams", [
+    [0.0, 0.5, 0.8], [0.0, 0.8, 0.5], [0.8, 0.0, 0.5], [0.0, np.nan, 0.5],
+    [0.5, 0.0, np.inf]])
+def test_limits_over_lambda_raise_the_loop_s_first_failure(lams):
+    lams = np.asarray(lams)
+    with pytest.raises(Exception) as want:
+        for lam in lams:
+            _loop_limits(_mixed_failures_family(), lam)
+    fam = _mixed_failures_family()
+    for call in (
+            lambda: [flow._unwrap(x)
+                     for x in flow._limits_over_lambda(fam, lams)],
+            lambda: subspaces_over_lambda(fam, lams, "stable", 0.0)):
+        with pytest.raises(Exception) as got:
+            call()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+    # only successes are kept
+    assert list(fam._limits) == [0.0]
+
+
+def test_check_hypotheses_reports_each_failing_lambda_as_the_loop_does():
+    fam = _mixed_failures_family()
+    rep = check_A1_A3(fam, samples=5)
+    want = []
+    for lam in np.linspace(0.0, 1.0, 5):
+        try:
+            _loop_limits(fam, lam)
+        except (NotStabilized, NotHyperbolic) as exc:
+            want.append((lam, "A1", str(exc)))
+    assert rep.violations == tuple(want)
+    assert [v[0] for v in rep.violations] == [0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.0, True, None])
+def test_check_hypotheses_refuses_a_vacuous_sample_count(samples):
+    calls = []
+
+    def S(lam, t):
+        calls.append((lam, t))
+        return np.diag([-np.tanh(t), np.tanh(t)])
+
+    fam = LinearFamily.from_callable(S, n=2, k=1)
+    with pytest.raises(InvalidInput, match="samples"):
+        check_A1_A3(fam, samples=samples)
+    assert calls == [] and fam._limits == {}
+    assert check_A1_A3(fam, samples=1).lambdas_checked == 1
+
+
+def test_one_split_per_distinct_limit_matrix(monkeypatch):
+    splits = []
+    real = flow.spectral_split
+
+    def counting(S):
+        splits.append(np.array(S))
+        return real(S)
+
+    monkeypatch.setattr(flow, "spectral_split", counting)
+    fam = poschl_teller_family()
+    limits = flow._limits_over_lambda(fam, np.linspace(0.0, 1.0, 201))
+    # S^- and S^+ are bitwise [[0, 1], [1, 0]] at every lambda
+    assert len(splits) == 1
+    assert {id(L.split_minus) for L in limits} == {id(L.split_plus)
+                                                   for L in limits}
+    # past lambda = 1.3 the (2, 1) entry rounds to 1 - 2^-53 instead
+    check_A1_A3(fam, samples=201, lam_range=(0.0, 2.0))
+    distinct = {L.s_minus.tobytes() for L in fam._limits.values()}
+    distinct |= {L.s_plus.tobytes() for L in fam._limits.values()}
+    assert len(splits) == len(distinct) == len(fam._splits) == 2
+    # a family made by replace starts with no splits
+    other = dataclasses.replace(fam)
+    assert other._splits == {} and other._limits == {}
+    flow._limits_over_lambda(other, [0.3])
+    assert len(splits) == 3
+
+
+def test_lambda_dependent_limits_get_their_own_splits(monkeypatch):
+    splits = []
+    real = flow.spectral_split
+    monkeypatch.setattr(flow, "spectral_split",
+                        lambda S: splits.append(1) or real(S))
+    # S^- = diag(1 + lambda, -1), S^+ = [[-1, lambda], [lambda, 2]]
+    fam = LinearFamily.from_matrix_expr(parse_matrix(
+        [["tanh(-t) + lambda*(1 - tanh(t))/2", "lambda*(1 + tanh(t))/2"],
+         ["lambda*(1 + tanh(t))/2", "(1 + 3*tanh(t))/2"]]), k=1)
+    lams = np.linspace(0.0, 1.0, 11)
+    got = flow._limits_over_lambda(fam, lams)
+    assert len(splits) == 2 * len(lams)
+    for lam, limits in zip(lams, got):
+        _assert_same_limits(limits, _loop_limits(fam, lam))
+        for S, split in ((limits.s_minus, limits.split_minus),
+                         (limits.s_plus, limits.split_plus)):
+            for V, sign in ((split.v_plus, 1.0), (split.v_minus, -1.0)):
+                X = V.columns
+                # invariant, with the eigenvalues of the right sign
+                R = X.T @ S @ X
+                assert np.allclose(S @ X, X @ R, atol=1e-12)
+                assert np.all(sign * np.linalg.eigvals(R).real > 0)

@@ -496,6 +496,16 @@ def test_non_finite_lambda_is_refused(call, lam, transports):
     assert fam._limits == {}
 
 
+@pytest.mark.parametrize("lams", [[], np.zeros((3, 2)), 0.5],
+                         ids=["empty", "2-d", "scalar"])
+def test_malformed_lambdas_are_refused(lams, transports):
+    fam = poschl_teller_family()
+    with pytest.raises(InvalidInput, match="1-d"):
+        flowmod.subspaces_over_lambda(fam, lams, "stable", 0.0)
+    assert transports == []
+    assert fam._limits == {} and fam._splits == {}
+
+
 # -- the index theorem -------------------------------------------------
 
 def test_boundary_pair_crossing_location():
