@@ -87,10 +87,9 @@ class LinearFamily:
     matrix : MatrixExpr or None
         The expression grid of an expression family.
 
-    Each family keeps the results of :func:`asymptotic_limits`, which
-    depend on the family and lambda only, and the spectral split of
-    each distinct limit matrix, keyed by its shape and bytes; a family
-    made by ``dataclasses.replace`` starts with neither.
+    Each family keeps the spectral split of each distinct limit
+    matrix, keyed by its shape and bytes, and nothing else; a family
+    made by ``dataclasses.replace`` starts with none.
     """
 
     n: int
@@ -98,7 +97,6 @@ class LinearFamily:
     t_max: float = 20.0
     matrix: MatrixExpr | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
-    _limits: dict = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,7 +104,6 @@ class LinearFamily:
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
         if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
-        object.__setattr__(self, "_limits", {})
         object.__setattr__(self, "_splits", {})
 
     @staticmethod
@@ -354,12 +351,11 @@ def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
     ||S(+-T) - S(+-T/2)|| <= 1e-6.  T starts at t_max and doubles until
     the check passes (a bounded number of times).
 
-    The one-lambda case of the private ``_limits_over_lambda``.  The
-    family keeps each result, keyed by lambda, and returns the same
-    read-only object on a later call; a failure is not kept, so it
-    raises on every call.  The family also keeps the split of each
-    distinct limit matrix, so lambdas that share a limit matrix share
-    its split.
+    The one-lambda case of the private ``_limits_over_lambda``.  Each
+    call evaluates the family afresh and returns read-only limit
+    matrices.  The family keeps the split of each distinct limit
+    matrix, so lambdas and calls that share a limit matrix share its
+    split.
 
     Raises
     ------
@@ -398,59 +394,47 @@ def _limits_over_lambda(fam: LinearFamily, lams: Sequence[float]) -> list:
     An entry is the lambda's AsymptoticLimits, or the :class:`_Failure`
     that :func:`asymptotic_limits` raises for it; a caller raises the
     first failure in grid order to act as a loop over lambda would.
-    The lambdas not yet kept are evaluated at all four probe instants
-    in one call per horizon, and only the ones still drifting go on to
-    the next horizon.  Each success is kept under its lambda; an error
-    of the evaluator itself is raised for the whole call.
+    The finite lambdas are evaluated at all four probe instants in one
+    call per horizon, and only the ones still drifting go on to the
+    next horizon.  An error of the evaluator itself is raised for the
+    whole call.
     """
-    out, todo = [], {}
-    for lam in lams:
-        key = float(lam)
-        if not np.isfinite(key):
-            out.append(_Failure(InvalidInput,
-                                f"lambda must be finite, got {lam!r}"))
-            continue
-        out.append(fam._limits.get(key))
-        if out[-1] is None:
-            todo.setdefault(key, lam)
-    if not todo:
-        return out
-    fresh = {}
-    keys = list(todo)
+    keys = np.array([float(lam) for lam in lams])
+    finite = np.isfinite(keys)
+    out = [None if ok else _Failure(InvalidInput,
+                                    f"lambda must be finite, got {lam!r}")
+           for lam, ok in zip(lams, finite)]
+    todo = np.flatnonzero(finite)
     T = fam.t_max
     for _ in range(_ESCALATION_CAP):
-        S = fam.evaluate_many(np.array(keys)[:, None], T * _PROBES)
-        if S.shape != (len(keys), len(_PROBES), fam.n, fam.n):
+        if not len(todo):
+            return out
+        S = fam.evaluate_many(keys[todo][:, None], T * _PROBES)
+        if S.shape != (len(todo), len(_PROBES), fam.n, fam.n):
             raise DimensionMismatch(
                 f"evaluator returned {S.shape}, expected "
-                f"{(len(keys), len(_PROBES), fam.n, fam.n)}"
+                f"{(len(todo), len(_PROBES), fam.n, fam.n)}"
             )
         d = np.linalg.norm(S[:, :2] - S[:, 2:], 2, axis=(-2, -1))
         # max(d_minus, d_plus) as Python's max takes it, NaN included
         drift = np.where(d[:, 1] > d[:, 0], d[:, 1], d[:, 0])
         settled = drift <= _STAB_TOL
-        for i in np.flatnonzero(settled):
-            s_minus, s_plus = _frozen_copy(S[i, 0]), _frozen_copy(S[i, 1])
+        for j in np.flatnonzero(settled):
+            s_minus, s_plus = _frozen_copy(S[j, 0]), _frozen_copy(S[j, 1])
             try:
-                fresh[keys[i]] = AsymptoticLimits(
+                out[todo[j]] = AsymptoticLimits(
                     s_minus=s_minus, s_plus=s_plus,
                     split_minus=_split(fam, s_minus),
                     split_plus=_split(fam, s_plus), horizon=T)
             except NotHyperbolic as exc:
-                fresh[keys[i]] = _Failure(NotHyperbolic, str(exc))
-        keys = [key for key, ok in zip(keys, settled) if not ok]
-        drift = drift[~settled]
-        if not keys:
-            break
+                out[todo[j]] = _Failure(NotHyperbolic, str(exc))
+        todo, drift = todo[~settled], drift[~settled]
         T *= 2.0
-    for key, d in zip(keys, drift):
-        fresh[key] = _Failure(
+    for i, d in zip(todo, drift):
+        out[i] = _Failure(
             NotStabilized, f"family still drifting {d:.2e} at "
-                           f"t = +-{T / 2:.0f} (lambda={todo[key]})")
-    fam._limits.update((key, limits) for key, limits in fresh.items()
-                       if isinstance(limits, AsymptoticLimits))
-    return [fresh[float(lam)] if known is None else known
-            for lam, known in zip(lams, out)]
+                           f"t = +-{T / 2:.0f} (lambda={lams[i]})")
+    return out
 
 
 def _split(fam: LinearFamily, S: np.ndarray) -> SpectralSplit:
@@ -665,7 +649,9 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
                                         else min(t0, t0_cur))
     cols, _ = _transport_batched(fam, lams, np.asarray(seeds), t0, t,
                                  rtol, atol)
-    return [Frame(c) for c in cols]
+    # QR factors times polar factors: orthonormal by construction, and
+    # finite, since the solve raises on a non-finite state
+    return [Frame._trusted(c) for c in cols]
 
 
 # -- hypothesis checks -------------------------------------------------

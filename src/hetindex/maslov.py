@@ -2,8 +2,8 @@
 
 The ambient space is R^{2k} with the standard symplectic form
 omega(u, v) = <J u, v>, J = [[0, I], [-I, 0]], pairing coordinate i
-with coordinate k + i.  A Lagrangian path is given either as a
-callable t -> Frame or as a SubspacePath of Lagrangian frames.
+with coordinate k + i.  A Lagrangian path is a callable t -> Frame,
+read over an interval that the caller states.
 
 Near a crossing both paths are rewritten as graphs of symmetric
 matrices A(t), B(t) in a common chart; among the k + 1 standard chart
@@ -32,7 +32,7 @@ from .errors import (
     IrregularCrossing,
     NotGraphical,
 )
-from .flow import SubspacePath, path_from_sampler
+from .flow import _checked_grid, path_from_sampler
 from .linalg import (
     DEGENERATE,
     Frame,
@@ -154,11 +154,9 @@ def _graph_matrix(F: Frame, R: np.ndarray) -> np.ndarray:
 
 
 def _as_sampler(path) -> Callable[[float], Frame]:
-    if isinstance(path, SubspacePath):
-        return path.sampler
     if callable(path):
         return path
-    raise InvalidInput("path must be a SubspacePath or a callable t -> Frame")
+    raise InvalidInput("path must be a callable t -> Frame")
 
 
 @dataclass(frozen=True)
@@ -293,33 +291,28 @@ def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: list, raw_w: list,
     return sorted(found)
 
 
-def _interval(V, interval) -> tuple[float, float]:
-    """The given interval, else the grid span of a SubspacePath."""
-    if interval is not None:
-        return interval
-    if isinstance(V, SubspacePath):
-        return float(V.grid[0]), float(V.grid[-1])
-    raise InvalidInput("interval required for callable paths")
-
-
-def crossing_census(V, W, interval: tuple[float, float] | None = None,
+def crossing_census(V, W, interval: tuple[float, float],
                     samples: int = 401, cross_tol: float = _CROSS_TOL,
                     eps_trans: float = 1e-6) -> tuple[CrossingData, ...]:
     """All interior crossings with their forms, in increasing order.
 
     Crossings are located by a determinant-sign scan with bisection
     plus a dip scan of sigma_min of the pair matrix (which catches
-    even-order crossings the determinant cannot see).
+    even-order crossings the determinant cannot see).  The scan reads
+    both paths at ``samples`` evenly spaced instants of ``interval``.
 
     Raises
     ------
+    InvalidInput
+        Unless the scan instants are two or more finite, strictly
+        increasing values; neither path is read then.
     DegenerateEndpoint
         If an endpoint is itself a crossing.
     IrregularCrossing
         If some crossing has a degenerate form; carries the instant.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    ts = np.linspace(*_interval(V, interval), samples)
+    ts = _checked_grid(np.linspace(*interval, samples))
     raw_v = [vs(t) for t in ts]
     raw_w = [ws(t) for t in ts]
     for i, name in ((0, "left"), (-1, "right")):
@@ -340,7 +333,7 @@ def crossing_census(V, W, interval: tuple[float, float] | None = None,
     return tuple(out)
 
 
-def maslov_index(V, W, interval: tuple[float, float] | None = None,
+def maslov_index(V, W, interval: tuple[float, float],
                  samples: int = 401, cross_tol: float = _CROSS_TOL,
                  eps_trans: float = 1e-6) -> int:
     """Maslov index: sum of crossing-form signatures over the interior.
@@ -367,7 +360,7 @@ class Mod2Report:
     index_report: IndexReport | None = None
 
 
-def mod2_compare(V, W, interval: tuple[float, float] | None = None,
+def mod2_compare(V, W, interval: tuple[float, float],
                  samples: int = 401, eps_trans: float = 1e-6,
                  cross_tol: float = _CROSS_TOL) -> Mod2Report:
     """Compare the Z2-index with the Maslov index mod 2.
@@ -377,8 +370,7 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
     frame chain, the Maslov index from crossing-form signatures.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    a, b = _interval(V, interval)
-    grid = np.linspace(a, b, samples)
+    grid = np.linspace(*interval, samples)
     pair = SubspacePathPair(
         V=path_from_sampler(vs, grid),
         W=path_from_sampler(ws, grid),
@@ -387,7 +379,7 @@ def mod2_compare(V, W, interval: tuple[float, float] | None = None,
 
     # the census scans the instants of ``grid``: reuse the frames there
     census = crossing_census(_held(pair.V), _held(pair.W),
-                             interval=(a, b), samples=samples,
+                             interval=interval, samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
     mas = sum(d.signature for d in census)
     return Mod2Report(

@@ -471,7 +471,7 @@ class ParityReport:
     sigma_mins: np.ndarray | None = None
 
 
-def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
+def operator_parity(fam: LinearFamily, lams: Sequence[float],
                     tau: float = 15.0, N: int = 3000,
                     stability: bool = True,
                     track_sigma: bool = False,
@@ -507,8 +507,6 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float] | None = None,
         If doubling tau or N changes the value (only when
         ``stability`` is set).
     """
-    if lams is None:
-        lams = np.linspace(0.0, 1.0, 201)
     lams = _checked_grid(lams)
     _check_truncation(tau, N)
     frames = _boundary_frames(fam, lams, tau, rtol, atol)
@@ -593,9 +591,10 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     """Sorted sign changes lambda*: interior zero-sign grid points, and
     each sign change between nonzero-sign grid points bisected to an
     interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
-    b_u, b_s); each round's midpoints are signed by one
-    :func:`_block_signs` call over the E^u frames their B_u come from,
-    and a zero-sign midpoint takes its left end's sign.
+    b_u, b_s); each round samples its midpoints with one
+    :func:`subspaces_over_lambda` call per side and signs them with one
+    :func:`_block_signs` call over the E^u frames their B_u come from;
+    a zero-sign midpoint takes its left end's sign.
     """
     flips = [float(lams[i]) for i in range(1, len(lams) - 1)
              if signs[i] == 0]
@@ -607,10 +606,8 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
         return a[1] != b[1] and b[0] - a[0] > _LOCALIZE_TOL
 
     def sample_mids(mids, lefts):
-        e_u = [subspace_at(fam, lam, "unstable", -tau, rtol, atol)
-               for lam in mids]
-        e_s = [subspace_at(fam, lam, "stable", tau, rtol, atol)
-               for lam in mids]
+        e_u = subspaces_over_lambda(fam, mids, "unstable", -tau, rtol, atol)
+        e_s = subspaces_over_lambda(fam, mids, "stable", tau, rtol, atol)
         b_u = [align_frame(left[2], orthogonal_complement(f))
                for left, f in zip(lefts, e_u)]
         b_s = [align_frame(left[3], orthogonal_complement(f))
@@ -656,8 +653,7 @@ class TheoremReport:
     hypotheses: HypothesisReport
 
 
-def verify_index_theorem(fam: LinearFamily,
-                         lams: Sequence[float] | None = None,
+def verify_index_theorem(fam: LinearFamily, lams: Sequence[float],
                          tau: float = 15.0, N: int = 3000,
                          stability: bool = True,
                          track_sigma: bool = False,
@@ -673,8 +669,6 @@ def verify_index_theorem(fam: LinearFamily,
     HypothesisFailure
         If the sampled limit hypotheses fail (names the assumption).
     """
-    if lams is None:
-        lams = np.linspace(0.0, 1.0, 201)
     lams = _checked_grid(lams)
     hyp = _require_A1_A3(fam, _HYPOTHESIS_SAMPLES, (lams[0], lams[-1]))
     parity = operator_parity(fam, lams, tau, N, stability=stability,
@@ -699,8 +693,7 @@ class DecompositionReport:
     limits_lambda_independent: bool
 
 
-def decomposition_check(fam: LinearFamily,
-                        lams: Sequence[float] | None = None,
+def decomposition_check(fam: LinearFamily, lams: Sequence[float],
                         samples: int = 201) -> DecompositionReport:
     """Verify index == geo(S_0) + geo(S_1) + limit-subspace term mod 2.
 
@@ -714,8 +707,6 @@ def decomposition_check(fam: LinearFamily,
     InternalMismatch
         If lambda-independent limits yield a nonzero limit term.
     """
-    if lams is None:
-        lams = np.linspace(0.0, 1.0, 201)
     lams = np.asarray(lams, dtype=float)
 
     total = z2_index(boundary_pair_over_lambda(fam, lams))

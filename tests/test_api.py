@@ -56,15 +56,12 @@ OPTIONAL = {
     "maslov.Mod2Report(index_report)",
     "maslov.crossing_census(cross_tol)",
     "maslov.crossing_census(eps_trans)",
-    "maslov.crossing_census(interval)",
     "maslov.crossing_census(samples)",
     "maslov.maslov_index(cross_tol)",
     "maslov.maslov_index(eps_trans)",
-    "maslov.maslov_index(interval)",
     "maslov.maslov_index(samples)",
     "maslov.mod2_compare(cross_tol)",
     "maslov.mod2_compare(eps_trans)",
-    "maslov.mod2_compare(interval)",
     "maslov.mod2_compare(samples)",
     "parity.ParityReport(sigma_mins)",
     "parity.ParityReport(stable_N)",
@@ -72,20 +69,17 @@ OPTIONAL = {
     "parity.boundary_pair_over_lambda(atol)",
     "parity.boundary_pair_over_lambda(rtol)",
     "parity.boundary_pair_over_lambda(t)",
-    "parity.decomposition_check(lams)",
     "parity.decomposition_check(samples)",
     "parity.finite_parity(eps_trans)",
     "parity.finite_parity(samples)",
     "parity.operator_parity(N)",
     "parity.operator_parity(atol)",
-    "parity.operator_parity(lams)",
     "parity.operator_parity(rtol)",
     "parity.operator_parity(stability)",
     "parity.operator_parity(tau)",
     "parity.operator_parity(track_sigma)",
     "parity.verify_index_theorem(N)",
     "parity.verify_index_theorem(atol)",
-    "parity.verify_index_theorem(lams)",
     "parity.verify_index_theorem(rtol)",
     "parity.verify_index_theorem(stability)",
     "parity.verify_index_theorem(tau)",
@@ -113,7 +107,8 @@ OPTIONAL = {
     "z2index.z2_index_unbounded(eps_trans)",
 }
 
-#: parameters turned into module constants, since no caller set them
+#: parameters no caller set, now module constants, and parameters no
+#: caller omitted, now required
 REMOVED = {
     "linalg.spectral_split(delta)",
     "flow.asymptotic_limits(delta)",
@@ -131,6 +126,12 @@ REMOVED = {
     "suites.suite_orientability(dims)",
     "suites.suite_maslov_mod2(ks)",
     "suites.suite_decomposition(include_poschl_teller)",
+    "maslov.crossing_census(interval)",
+    "maslov.maslov_index(interval)",
+    "maslov.mod2_compare(interval)",
+    "parity.decomposition_check(lams)",
+    "parity.operator_parity(lams)",
+    "parity.verify_index_theorem(lams)",
 }
 
 

@@ -263,7 +263,7 @@ def test_transport_leaves_no_cycle_holding_the_family():
     try:
         fam = poschl_teller_family()
         F = subspace_at(fam, 0.8, "unstable", 0.0)
-        assert F.k == 1 and fam._limits
+        assert F.k == 1 and fam._splits
         ref = weakref.ref(fam)
         del fam
         assert ref() is None
@@ -339,23 +339,7 @@ def test_check_hypotheses_flags_nonhyperbolic_lambda():
     assert any(abs(l - 0.5) < 1e-12 for l in lams)
 
 
-def test_asymptotic_limits_memo_returns_the_first_result():
-    calls = []
-
-    def S(lam, t):
-        calls.append((lam, t))
-        return np.diag([-np.tanh(t), np.tanh(t) + lam])
-
-    fam = LinearFamily.from_callable(S, n=2, k=1)
-    first = asymptotic_limits(fam, 0.25)
-    evaluations = len(calls)
-    assert evaluations > 0
-    assert asymptotic_limits(fam, np.float64(0.25)) is first
-    assert len(calls) == evaluations
-    assert asymptotic_limits(fam, 0.5) is not first
-
-
-def test_asymptotic_limits_memo_keeps_no_failure():
+def test_asymptotic_limits_failures_raise_on_every_call():
     drifting = LinearFamily.from_matrix_expr(
         parse_matrix([["sin(t) - 2", "0"], ["0", "1"]]), k=1)
     centre = LinearFamily.from_matrix_expr(
@@ -368,22 +352,12 @@ def test_asymptotic_limits_memo_keeps_no_failure():
     assert asymptotic_limits(centre, 0.0).split_minus.v_plus.k == 1
 
 
-def test_asymptotic_limits_memo_is_per_family():
-    fam = tanh_family()
-    first = asymptotic_limits(fam, 0.0)
-    longer = dataclasses.replace(fam, t_max=40.0)
-    again = asymptotic_limits(longer, 0.0)
-    assert again is not first
-    assert again.horizon == 40.0 and first.horizon == 20.0
-    assert asymptotic_limits(fam, 0.0) is first
-
-
 @pytest.mark.parametrize("value", [1.0, np.eye(3)], ids=["scalar", "3x3"])
 def test_asymptotic_limits_refuse_a_misshapen_evaluator(value):
     fam = LinearFamily.from_callable(lambda lam, t: value, n=2, k=1)
     with pytest.raises(DimensionMismatch, match="evaluator returned"):
         asymptotic_limits(fam, 0.0)
-    assert fam._limits == {}
+    assert fam._splits == {}
 
 
 def test_asymptotic_limits_are_read_only():
@@ -496,6 +470,27 @@ def test_limits_over_lambda_escalate_only_the_drifting_lambdas():
     assert len(set(horizons)) >= 4
 
 
+def test_repeated_sweeps_give_equal_limits_and_share_splits(monkeypatch):
+    calls = []
+    real = flow.spectral_split
+    monkeypatch.setattr(flow, "spectral_split",
+                        lambda S: calls.append(1) or real(S))
+    fam = _slow_decay_family()
+    lams = np.linspace(0.0, 1.0, 41)
+    first = flow._limits_over_lambda(fam, lams)
+    splits = len(calls)
+    second = flow._limits_over_lambda(fam, lams)
+    assert len(calls) == splits
+    for a, b in zip(first, second):
+        _assert_same_limits(a, b)
+        assert a.split_minus is b.split_minus
+        assert a.split_plus is b.split_plus
+    # a family made by replace reads its limits at its own horizon
+    longer = dataclasses.replace(fam, t_max=40.0)
+    assert asymptotic_limits(longer, 0.0).horizon == 40.0
+    assert asymptotic_limits(fam, 0.0).horizon == 20.0
+
+
 def _mixed_failures_family():
     # lambda = 0.5 settles onto a non-hyperbolic limit; every other
     # lambda but 0 keeps drifting
@@ -521,8 +516,8 @@ def test_limits_over_lambda_raise_the_loop_s_first_failure(lams):
             call()
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-    # only successes are kept
-    assert list(fam._limits) == [0.0]
+    # only the split of lambda = 0, the one hyperbolic limit, is kept
+    assert len(fam._splits) == 1
 
 
 def test_check_hypotheses_reports_each_failing_lambda_as_the_loop_does():
@@ -549,7 +544,7 @@ def test_check_hypotheses_refuses_a_vacuous_sample_count(samples):
     fam = LinearFamily.from_callable(S, n=2, k=1)
     with pytest.raises(InvalidInput, match="samples"):
         check_A1_A3(fam, samples=samples)
-    assert calls == [] and fam._limits == {}
+    assert calls == [] and fam._splits == {}
     assert check_A1_A3(fam, samples=1).lambdas_checked == 1
 
 
@@ -570,12 +565,13 @@ def test_one_split_per_distinct_limit_matrix(monkeypatch):
                                                    for L in limits}
     # past lambda = 1.3 the (2, 1) entry rounds to 1 - 2^-53 instead
     check_A1_A3(fam, samples=201, lam_range=(0.0, 2.0))
-    distinct = {L.s_minus.tobytes() for L in fam._limits.values()}
-    distinct |= {L.s_plus.tobytes() for L in fam._limits.values()}
+    wide = flow._limits_over_lambda(fam, np.linspace(0.0, 2.0, 201))
+    distinct = {L.s_minus.tobytes() for L in wide}
+    distinct |= {L.s_plus.tobytes() for L in wide}
     assert len(splits) == len(distinct) == len(fam._splits) == 2
     # a family made by replace starts with no splits
     other = dataclasses.replace(fam)
-    assert other._splits == {} and other._limits == {}
+    assert other._splits == {}
     flow._limits_over_lambda(other, [0.3])
     assert len(splits) == 3
 

@@ -172,3 +172,25 @@ def test_mod2_compare_samples_each_path_once():
     rep = mod2_compare(V, W, interval=(-1.0, 1.0), samples=101)
     assert rep.z2 == 1 and rep.agree and len(rep.crossings) == 1
     assert calls["v"] <= 130 and calls["w"] <= 130
+
+
+@pytest.mark.parametrize("call", [
+    maslovmod.crossing_census, maslov_index, mod2_compare],
+    ids=["census", "index", "mod2"])
+@pytest.mark.parametrize("interval,samples", [
+    ((-1.0, 1.0), 1), ((-1.0, 1.0), 0), ((1.0, -1.0), 401)],
+    ids=["one-sample", "no-sample", "reversed"])
+def test_census_refuses_a_malformed_scan_grid(call, interval, samples):
+    calls = []
+
+    def counted(fn):
+        def run(t):
+            calls.append(t)
+            return fn(t)
+        return run
+
+    V = counted(graph_path(lambda t: np.array([[t]])))
+    W = counted(graph_path(lambda t: np.array([[-t]])))
+    with pytest.raises(InvalidInput):
+        call(V, W, interval, samples=samples)
+    assert calls == []

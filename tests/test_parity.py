@@ -493,7 +493,7 @@ def test_non_finite_lambda_is_refused(call, lam, transports):
     with pytest.raises(InvalidInput):
         call(fam, lam)
     assert transports == []
-    assert fam._limits == {}
+    assert fam._splits == {}
 
 
 @pytest.mark.parametrize("lams", [[], np.zeros((3, 2)), 0.5],
@@ -503,7 +503,7 @@ def test_malformed_lambdas_are_refused(lams, transports):
     with pytest.raises(InvalidInput, match="1-d"):
         flowmod.subspaces_over_lambda(fam, lams, "stable", 0.0)
     assert transports == []
-    assert fam._limits == {} and fam._splits == {}
+    assert fam._splits == {}
 
 
 # -- the index theorem -------------------------------------------------
