@@ -14,18 +14,21 @@ from hetindex import (
     SubspacePathPair,
     bundle_orientability,
     close_loop,
-    orthonormalize,
     path_from_sampler,
     z2_index,
 )
 
 
-def rotating(t):
-    return orthonormalize(np.array([[np.cos(t)], [np.sin(t)]]))
+# a sampler maps an array of parameters to an (m, n, k) stack of frames,
+# here m lines in the plane
 
 
-def vertical(t):
-    return orthonormalize(np.array([[0.0], [1.0]]))
+def rotating(ts):
+    return np.stack([np.cos(ts), np.sin(ts)], axis=-1)[..., None]
+
+
+def vertical(ts):
+    return np.broadcast_to([[0.0], [1.0]], (len(ts), 2, 1))
 
 
 grid = np.linspace(0.0, np.pi, 101)

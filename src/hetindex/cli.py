@@ -158,8 +158,8 @@ def _frame_sampler(entries):
     m = parse_matrix(entries, variables=("t",))
     fn = compile_matrix(m, ("t",))
 
-    def sample(t: float):
-        return orthonormalize(fn(t))
+    def sample(ts: np.ndarray) -> np.ndarray:
+        return orthonormalize(fn(ts))
 
     return sample, m.rows, m.cols
 

@@ -19,6 +19,7 @@ forward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ from .expr import MatrixExpr, compile_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
-    gap_distance,
+    _ORTHO_TOL,
+    _gaps,
     orthonormalize,
     spectral_split,
 )
@@ -184,35 +186,87 @@ class AsymptoticLimits:
 class SubspacePath:
     """Subspace path: the samples taken so far, and its sampler.
 
-    ``frames`` holds one frame per grid sample and ``sampler`` gives
-    the frame at any parameter value, both in arbitrary orientation; a
-    routine that reads a determinant sign orients them itself.
+    ``stack`` holds one frame per grid sample as a read-only (m, n, k)
+    array, checked as :func:`path_from_sampler` checks a sampled stack.
+    ``sampler`` takes a 1-d array of parameters and returns the
+    (len, n, k) stack of frames there; :meth:`sample` calls it and
+    checks its answer.  Frames come in arbitrary orientation; a routine
+    that reads a determinant sign orients them itself.  ``frames``
+    views the stack as a tuple of :class:`Frame`, built when first read.
     """
 
     grid: np.ndarray
-    frames: tuple
+    stack: np.ndarray
     sampler: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not callable(self.sampler):
             raise InvalidInput("a subspace path needs a callable sampler")
         grid = _checked_grid(self.grid)
-        if len(self.frames) != len(grid):
-            raise DimensionMismatch("one frame per grid sample required")
-        n, k = self.frames[0].n, self.frames[0].k
-        for f in self.frames:
-            if f.n != n or f.k != k:
-                raise DimensionMismatch("frames change dimension along path")
+        stack = np.array(self.stack, dtype=float)
+        _check_stack(stack, grid, None)
+        stack.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "stack", stack)
+
+    @cached_property
+    def frames(self) -> tuple:
+        return tuple(map(Frame._trusted, self.stack))
+
+    def sample(self, ts) -> np.ndarray:
+        """The sampler's (len(ts), n, k) stack at the parameters ``ts``."""
+        return _sampled(self.sampler, np.asarray(ts, dtype=float),
+                        self.stack.shape[1:])
 
     @property
     def n(self) -> int:
-        return self.frames[0].n
+        return self.stack.shape[1]
 
     @property
     def k(self) -> int:
-        return self.frames[0].k
+        return self.stack.shape[2]
+
+
+def _check_stack(Y: np.ndarray, ts: np.ndarray, shape: tuple | None):
+    """Refuse Y unless it is (len(ts), n, k), k <= n, of the given (n, k)
+    if any, finite, with max |Y^T Y - I| <= 1e-10 on every member; the
+    error names the first bad parameter."""
+    if (Y.ndim != 3 or len(Y) != len(ts) or Y.shape[2] > Y.shape[1]
+            or shape is not None and Y.shape[1:] != tuple(shape)):
+        want = "(len(ts), n, k)" if shape is None else (len(ts), *shape)
+        raise DimensionMismatch(f"frames of shape {Y.shape} sampled from "
+                                f"t={float(ts[0])!r}, expected {want}")
+    if not np.isfinite(Y).all():
+        i = (~np.isfinite(Y).all(axis=(1, 2))).argmax()
+        raise InvalidInput(f"frame sampled at t={float(ts[i])!r} "
+                           f"has non-finite entries")
+    k = Y.shape[2]
+    defect = np.abs(np.swapaxes(Y, 1, 2) @ Y - np.eye(k))
+    if k and not defect.max() <= _ORTHO_TOL:
+        defect = defect.max(axis=(1, 2))
+        i = (defect > _ORTHO_TOL).argmax()
+        raise InvalidInput(
+            f"frame sampled at t={float(ts[i])!r}: columns not "
+            f"orthonormal (defect {defect[i]:.2e} > {_ORTHO_TOL})")
+
+
+def _piecewise(ts: np.ndarray, shape: tuple, pieces) -> np.ndarray:
+    """A (len(ts), n, k) stack from ``(mask, sampler)`` pieces that
+    cover ``ts``: each sampler is called once, on its own instants, and
+    not at all when it has none."""
+    out = np.empty((len(ts), *shape))
+    for at, sampler in pieces:
+        if at.any():
+            out[at] = sampler(ts[at])
+    return out
+
+
+def _sampled(sampler: Callable, ts: np.ndarray,
+             shape: tuple | None = None) -> np.ndarray:
+    """``sampler(ts)`` as a float stack, checked by :func:`_check_stack`."""
+    Y = np.asarray(sampler(ts), dtype=float)
+    _check_stack(Y, ts, shape)
+    return Y
 
 
 @dataclass(frozen=True)
@@ -247,46 +301,56 @@ def _checked_grid(grid: Sequence[float]) -> np.ndarray:
 
 # -- midpoint refinement -----------------------------------------------
 
-def _bisect(ts: list, samples: list, split: Callable, sample_mids: Callable,
-            depths: list | None = None):
+def _bisect(ts: np.ndarray, samples: tuple, split: Callable,
+            sample_mids: Callable, depths: np.ndarray | None = None):
     """Breadth-first midpoint refinement of a sampled parameter grid.
 
-    Each round tests only the intervals the previous round made (all of
-    them in the first round).  Interval i is halved when its depth is
-    below ``_MAX_DEPTH``, its midpoint lies strictly inside it (it may
-    not at floating-point resolution) and ``split(samples[i],
-    samples[i + 1])`` holds.  One call ``sample_mids(mids, lefts)``
-    samples all midpoints of a round, ``lefts`` holding the sample at
-    each midpoint's left neighbour.  ``depths`` gives the halvings that
-    made each input interval (default all zero).
+    ``samples`` is a tuple of arrays, each holding one entry per grid
+    sample along its first axis.  Each round tests only the intervals
+    the previous round made (all of them in the first round).  Interval
+    i is halved when its depth is below ``_MAX_DEPTH``, its midpoint
+    lies strictly inside it (it may not at floating-point resolution)
+    and the split predicate holds.  ``split(lefts, rights)`` gets the
+    samples at the two ends of every such interval as two tuples of
+    stacks, and returns one bool per interval.  One call
+    ``sample_mids(mids, lefts)`` samples all midpoints of a round, with
+    ``lefts`` the samples at their left neighbours, and returns a tuple
+    of stacks laid out as ``samples``.  ``depths`` gives the halvings
+    that made each input interval (default all zero).
 
-    Refines the lists in place and returns ``(ts, samples, depths)``.
+    Returns the refined ``(ts, samples, depths)`` as new arrays.
     """
-    if depths is None:
-        depths = [0] * (len(ts) - 1)
-    fresh = range(len(ts) - 1)
+    ts = np.asarray(ts, dtype=float)
+    # depth[i] counts the halvings that made the interval from sample i
+    depth = np.zeros(len(ts), dtype=int)
+    depth[:-1] = 0 if depths is None else depths
+    fresh = np.arange(len(ts) - 1)
     while True:
-        cut = {}
-        for i in fresh:
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            if (depths[i] < _MAX_DEPTH and ts[i] < tm < ts[i + 1]
-                    and split(samples[i], samples[i + 1])):
-                cut[i] = tm
-        if not cut:
-            return ts, samples, depths
-        mids = sample_mids(list(cut.values()), [samples[i] for i in cut])
-        # right to left, so the indices still to come stay valid
-        for (i, tm), s in reversed(list(zip(cut.items(), mids))):
-            ts.insert(i + 1, tm)
-            samples.insert(i + 1, s)
-            depths[i:i + 1] = [depths[i] + 1] * 2
-        fresh = [i + rank + half for rank, i in enumerate(cut)
-                 for half in (0, 1)]
+        a, b = ts[fresh], ts[fresh + 1]
+        mids = 0.5 * (a + b)
+        open_ = (depth[fresh] < _MAX_DEPTH) & (a < mids) & (mids < b)
+        cut, mids = fresh[open_], mids[open_]
+        if len(cut):
+            hit = np.asarray(split(tuple(s[cut] for s in samples),
+                                   tuple(s[cut + 1] for s in samples)), bool)
+            cut, mids = cut[hit], mids[hit]
+        if not len(cut):
+            return ts, samples, depth[:-1]
+        new = sample_mids(mids, tuple(s[cut] for s in samples))
+        depth[cut] += 1
+        # each midpoint lies strictly inside its interval, so sorting
+        # splices it in; the halved intervals are tested next round
+        order = np.argsort(np.concatenate([ts, mids]))
+        fresh = np.flatnonzero(np.isin(order, cut) | (order >= len(ts)))
+        ts, depth, *samples = (np.concatenate([s, x])[order] for s, x in
+                               zip((ts, depth, *samples),
+                                   (mids, depth[cut], *new)))
+        samples = tuple(samples)
 
 
-def _too_wide(a: Frame, b: Frame) -> bool:
+def _too_wide(lefts: tuple, rights: tuple) -> np.ndarray:
     """Consecutive path samples more than 0.4 apart in gap."""
-    return gap_distance(a, b) > 0.4
+    return _gaps(lefts[0], rights[0]) > 0.4
 
 
 # -- integration core --------------------------------------------------
@@ -498,9 +562,11 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     Stable frames are seeded at v_minus(S^+) beyond the last grid point
     and transported backward; unstable frames at v_plus(S^-) forward,
     in one transport to the far grid end that keeps its dense output.
-    Inside the transported span the sampler orthonormalizes that
-    interpolant, within the integration tolerance of a fresh
-    :func:`subspace_at`, which it calls outside the span.  The grid is
+    Inside the transported span the sampler reads each leg's
+    interpolant at all its requested instants at once and
+    orthonormalizes them in one stacked QR, within the integration
+    tolerance of a fresh :func:`subspace_at`, which it calls outside
+    the span.  The grid is
     refined as by :func:`path_from_sampler`; orientation is arbitrary.
 
     Raises
@@ -525,14 +591,25 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     # start up to and including its end
     ahead = -1.0 if stable else 1.0
     ends = ahead * np.array([b for b, _ in legs])
+    n, k = seed.n, seed.k
 
-    def sampler(t: float) -> Frame:
-        if t == t0:
-            return seed
-        if ahead * t0 < ahead * t <= ahead * t_end and legs:
-            y = legs[np.searchsorted(ends, ahead * t)][1](t)
-            return orthonormalize(y.reshape(seed.n, seed.k))
-        return subspace_at(fam, lam, which, t, rtol, atol)
+    def from_leg(j: int) -> Callable:
+        return lambda ts: orthonormalize(legs[j][1](ts).T.reshape(-1, n, k))
+
+    def fresh(ts: np.ndarray) -> np.ndarray:
+        return np.array([subspace_at(fam, lam, which, t, rtol, atol).columns
+                         for t in ts.tolist()])
+
+    def sampler(ts: np.ndarray) -> np.ndarray:
+        seeded = ts == t0
+        inside = ((ahead * t0 < ahead * ts) & (ahead * ts <= ahead * t_end)
+                  & bool(legs))
+        leg = np.searchsorted(ends, ahead * ts)
+        return _piecewise(ts, (n, k), [
+            (seeded, lambda _: seed.columns),
+            *((inside & (leg == j), from_leg(j))
+              for j in np.unique(leg[inside])),
+            (~(seeded | inside), fresh)])
 
     return path_from_sampler(sampler, grid)
 
@@ -540,34 +617,44 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
     """Sample a subspace-valued function into a path.
 
-    ``sampler(t)`` must return a Frame.  Midpoints are inserted
-    wherever consecutive samples are more than 0.4 apart in gap, so a
-    coarse grid over a fast rotation still resolves the path.  The
-    frames are the raw samples, orientation arbitrary.
+    ``sampler`` takes a 1-d array of parameters and returns an
+    (len, n, k) array, one frame per parameter in arbitrary orientation.
+    It is called for the grid, then once per refinement round for all
+    its midpoints.  Midpoints are inserted wherever consecutive samples
+    are more than 0.4 apart in gap (one stacked gap per round), so a
+    coarse grid over a fast rotation still resolves the path.  The path
+    keeps the raw samples.
 
     Raises
     ------
     InvalidInput
         Unless the grid holds two or more finite, strictly increasing
-        samples; ``sampler`` is then never called.
+        samples; ``sampler`` is then never called.  Also, naming the
+        parameter, for a sampled frame with a non-finite entry or with
+        max |Y^T Y - I| > 1e-10.
+    DimensionMismatch
+        If a sampled stack is not (len, n, k) or changes (n, k).
     GapTooLarge
         If samples still jump after 20 halvings of an interval, or at
         floating-point resolution, as a discontinuous subspace does.
     """
-    pts = _checked_grid(grid).tolist()
-    pts, raw, depths = _bisect(
-        pts, [sampler(t) for t in pts],
-        _too_wide,
-        lambda ts, lefts: [sampler(t) for t in ts])
+    ts = _checked_grid(grid)
+    F = _sampled(sampler, ts)
+    shape = F.shape[1:]
+    ts, (F,), depths = _bisect(
+        ts, (F,), _too_wide,
+        lambda mids, lefts: (_sampled(sampler, mids, shape),))
     # an interval is left wide only where refinement had to stop
-    for i, depth in enumerate(depths):
-        a, b = pts[i], pts[i + 1]
-        stopped = depth >= _MAX_DEPTH or not a < 0.5 * (a + b) < b
-        if stopped and _too_wide(raw[i], raw[i + 1]):
-            raise GapTooLarge(f"subspace jumps by more than 0.4 in gap "
-                              f"between t={a!r} and t={b!r}")
-    return SubspacePath(grid=np.asarray(pts), frames=tuple(raw),
-                        sampler=sampler)
+    a, b = ts[:-1], ts[1:]
+    mids = 0.5 * (a + b)
+    stopped = np.flatnonzero((depths >= _MAX_DEPTH) | ~(a < mids)
+                             | ~(mids < b))
+    wide = stopped[_too_wide((F[stopped],), (F[stopped + 1],))]
+    if len(wide):
+        raise GapTooLarge(f"subspace jumps by more than 0.4 in gap between "
+                          f"t={float(a[wide[0]])!r} and "
+                          f"t={float(b[wide[0]])!r}")
+    return SubspacePath(grid=ts, stack=F, sampler=sampler)
 
 
 # -- batched lambda sweeps ---------------------------------------------
@@ -634,6 +721,14 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
         Unless ``lams`` is a non-empty 1-d sequence; nothing is
         evaluated then.
     """
+    return list(map(Frame._trusted,
+                    _subspace_stack(fam, lams, which, t, rtol, atol)))
+
+
+def _subspace_stack(fam: LinearFamily, lams: Sequence[float], which: str,
+                    t: float, rtol: float = _DEFAULT_RTOL,
+                    atol: float = _DEFAULT_ATOL) -> np.ndarray:
+    """:func:`subspaces_over_lambda` as one (len(lams), n, k) stack."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not len(lams):
         raise InvalidInput(f"lambdas must be a non-empty 1-d sequence, "
@@ -647,11 +742,10 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
         seeds.append(seed.columns)
         t0 = t0_cur if t0 is None else (max(t0, t0_cur) if t0_cur > 0
                                         else min(t0, t0_cur))
-    cols, _ = _transport_batched(fam, lams, np.asarray(seeds), t0, t,
-                                 rtol, atol)
     # QR factors times polar factors: orthonormal by construction, and
     # finite, since the solve raises on a non-finite state
-    return [Frame._trusted(c) for c in cols]
+    return _transport_batched(fam, lams, np.asarray(seeds), t0, t,
+                              rtol, atol)[0]
 
 
 # -- hypothesis checks -------------------------------------------------

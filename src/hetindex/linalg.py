@@ -10,11 +10,14 @@ degeneracy threshold, and Procrustes alignment of nearby frames.
 
 The gap is the largest principal-angle sine, read from the residual
 V - U(U^T V) (Bjorck & Golub 1973).  Alignment takes polar factors and
-principal-angle cosines from one SVD, stacked over a whole chain
-(Higham 1986).  Frames built by orthonormalization and alignment are
-orthonormal by construction and skip ``Frame`` validation.  Single
-small QR and singular-value factorizations call LAPACK directly: at
-n <= 6, numpy's per-call wrapper costs more than the factorization.
+principal-angle cosines from one SVD (Higham 1986).
+
+The kernels work on (m, n, k) stacks of frames in one LAPACK call each:
+``orthonormalize``, ``_gaps``, ``_align_to``, ``_chain``, ``_complements``
+and ``_signed_dets``.  The public one-frame functions are their m = 1
+cases, and a stack of one matrix calls LAPACK directly: at n <= 6,
+numpy's stacked wrapper costs more than the factorization, and both
+give the same bits.
 
 All operations are pure functions on immutable values.
 """
@@ -61,12 +64,24 @@ _HYPERBOLIC_TOL = 1e-8   # least min |Re mu| spectral_split accepts
 _ALIGN_COS = np.sqrt(0.75)
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of a nonempty matrix, largest first (gesdd)."""
-    _, sigma, _, info = dgesdd(M, compute_uv=0)
+def _svals(M: np.ndarray) -> np.ndarray:
+    """Singular values of an (m, r, c) stack of nonempty matrices,
+    largest first."""
+    if len(M) > 1:
+        return np.linalg.svd(M, compute_uv=False)
+    _, sigma, _, info = dgesdd(M[0], compute_uv=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
-    return sigma
+    return sigma[None]
+
+
+def _qr(B: np.ndarray) -> tuple:
+    """Reduced QR factors (Q, R) of an (m, n, k) stack, k <= n."""
+    if len(B) > 1:
+        return np.linalg.qr(B)
+    qr, tau, _, _ = dgeqrf(B[0])
+    Q, _, _ = dorgqr(qr, tau)
+    return Q[None], np.triu(qr[:B.shape[2]])[None]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -158,44 +173,79 @@ class SpectralSplit:
             )
 
 
-def orthonormalize(basis) -> Frame:
+def orthonormalize(basis):
     """Canonical orthonormal frame with the same column span.
 
     QR with the sign convention that the R factor has positive
-    diagonal, which makes the representative deterministic.
+    diagonal, which makes the representative deterministic.  An
+    (m, n, k) stack of bases gives the (m, n, k) array of their frames
+    from one stacked QR; an (n, k) basis, its one-matrix case, gives a
+    Frame.
 
     Parameters
     ----------
-    basis : (n, k) array_like
+    basis : (n, k) or (m, n, k) array_like
         Linearly independent columns.
 
     Raises
     ------
     InvalidInput
-        If ``basis`` has a non-finite entry.
+        If a basis has a non-finite entry.
     RankDeficient
-        If the smallest singular value of ``basis`` is <= 1e-12; it is
+        If the smallest singular value of a basis is <= 1e-12; it is
         read off the k x k R factor, which has the same singular values.
     """
-    B = np.atleast_2d(np.asarray(basis, dtype=float))
-    if B.ndim != 2:
-        raise DimensionMismatch("basis must be a 2-d array")
-    n, k = B.shape
+    B = np.asarray(basis, dtype=float)
+    stacked = B.ndim == 3
+    B = B if stacked else np.atleast_2d(B)[None]
+    if B.ndim != 3:
+        raise DimensionMismatch("basis must be a 2-d array or a stack of them")
+    m, n, k = B.shape
     if k > n:
         raise DimensionMismatch(f"more columns ({k}) than rows ({n})")
     if not np.isfinite(B).all():
         raise InvalidInput("basis has non-finite entries")
-    if k == 0:
-        return Frame._trusted(np.zeros((n, 0)))
-    qr, tau, _, _ = dgeqrf(B)
-    R = np.triu(qr[:k])
-    smin = _singular_values(R)[-1]
-    if smin <= _RANK_TOL:
-        raise RankDeficient(f"smallest singular value {smin:.2e} <= {_RANK_TOL}")
-    Q, _, _ = dorgqr(qr, tau)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Frame._trusted(Q * signs)
+    if k == 0 or m == 0:
+        Q = np.zeros((m, n, k))
+    else:
+        Q, R = _qr(B)
+        smin = _svals(R)[:, -1]
+        low = smin <= _RANK_TOL
+        if low.any():
+            raise RankDeficient(f"smallest singular value "
+                                f"{smin[low.argmax()]:.2e} <= {_RANK_TOL}")
+        signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
+        signs[signs == 0] = 1.0
+        Q = Q * signs[:, None, :]
+    return Q if stacked else Frame._trusted(Q[0])
+
+
+def _gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Gap-metric distance of each pair of an (m, n, k) and an (m, n, j)
+    stack of orthonormal frames, as :func:`gap_distance` defines it.
+
+    Each pair is ordered by the bytes of its two frames before the
+    residual is formed, so the result is bitwise symmetric in A and B.
+    One stacked SVD reads every top singular value.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(
+            f"ambient dimensions {A.shape[1]} != {B.shape[1]}")
+    m, _, k = A.shape
+    if k != B.shape[2]:
+        return np.ones(m)
+    if k == 0 or m == 0:
+        return np.zeros(m)
+    A = np.ascontiguousarray(A, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
+    a = A.reshape(m, -1).view(np.uint8)
+    b = B.reshape(m, -1).view(np.uint8)
+    first = (a != b).argmax(axis=1)
+    rows = np.arange(m)
+    swap = (a[rows, first] > b[rows, first])[:, None, None]
+    U, V = np.where(swap, B, A), np.where(swap, A, B)
+    R = V - U @ (np.swapaxes(U, 1, 2) @ V)
+    return _svals(R)[:, 0]
 
 
 def gap_distance(U: Frame, V: Frame) -> float:
@@ -207,23 +257,14 @@ def gap_distance(U: Frame, V: Frame) -> float:
     V - U(U^T V) (an n x k SVD in place of the n x n one of
     P_U - P_V).  The sine is never taken as sqrt(1 - cos^2), which
     cannot resolve gaps below about 1e-8.  Bitwise symmetric in its
-    two arguments.
+    two arguments.  The one-pair case of the stacked ``_gaps``.
 
     Raises
     ------
     DimensionMismatch
         If the ambient dimensions differ.
     """
-    if U.n != V.n:
-        raise DimensionMismatch(f"ambient dimensions {U.n} != {V.n}")
-    if U.k != V.k:
-        return 1.0
-    if U.k == 0:
-        return 0.0
-    if U.columns.tobytes() > V.columns.tobytes():
-        U, V = V, U
-    A, B = U.columns, V.columns
-    return float(_singular_values(B - A @ (A.T @ B))[0])
+    return float(_gaps(U.columns[None], V.columns[None])[0])
 
 
 def spectral_split(S) -> SpectralSplit:
@@ -325,12 +366,24 @@ def _procrustes(M: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
+def _align_to(lefts: np.ndarray, nexts: np.ndarray) -> np.ndarray:
+    """Each frame of ``nexts`` rotated within its span to sit closest to
+    its partner in ``lefts``, two (m, n, k) stacks: one stacked SVD.
+
+    Raises GapTooLarge if a pair is 0.5 or more apart in gap.
+    """
+    if nexts.shape[2] == 0:
+        return nexts
+    return nexts @ _procrustes(np.swapaxes(nexts, 1, 2) @ lefts)
+
+
 def align_frame(prev: Frame, next: Frame) -> Frame:
     """Rotate ``next`` within its span to sit closest to ``prev``.
 
     Orthogonal Procrustes: returns next @ Q where Q is the orthogonal
     polar factor of next^T prev.  Composing aligned steps along a
-    sampled path keeps det of pair matrices continuous.
+    sampled path keeps det of pair matrices continuous.  The one-pair
+    case of the stacked ``_align_to``.
 
     Raises
     ------
@@ -343,21 +396,36 @@ def align_frame(prev: Frame, next: Frame) -> Frame:
         raise DimensionMismatch(
             f"frames {prev.n}x{prev.k} and {next.n}x{next.k} incompatible"
         )
-    if next.k == 0:
-        return next
-    Q = _procrustes(next.columns.T @ prev.columns)
-    return Frame._trusted(next.columns @ Q)
+    return Frame._trusted(_align_to(prev.columns[None], next.columns[None])[0])
+
+
+def _chain(F: np.ndarray) -> np.ndarray:
+    """An (m, n, k) stack with each frame aligned to the previous aligned
+    one; the first is kept.
+
+    One stacked SVD of the products F_i^T F_{i-1} gives every polar
+    factor P_i; the aligned frame i is F_i R_i with the running product
+    R_i = P_i R_{i-1}, R_0 = I, since aligning to F_{i-1} R_{i-1}
+    rotates the polar factor by R_{i-1}.
+
+    Raises GapTooLarge if two consecutive frames are 0.5 or more apart.
+    """
+    if len(F) == 1 or F.shape[2] == 0:
+        return F
+    polar = _procrustes(np.swapaxes(F[1:], 1, 2) @ F[:-1])
+    R = np.empty_like(polar)
+    R[0] = polar[0]
+    for i in range(1, len(polar)):
+        R[i] = polar[i] @ R[i - 1]
+    return np.concatenate([F[:1], F[1:] @ R])
 
 
 def align_chain(frames: Sequence[Frame]) -> list[Frame]:
     """Align each frame to the previous aligned one; the first is kept.
 
     The chained frames vary continuously along a sampled path, which
-    determinant-sign tracking over the path requires.  One stacked SVD
-    of the products F_i^T F_{i-1} gives every polar factor P_i; the
-    aligned frame i is F_i R_i with the running product
-    R_i = P_i R_{i-1}, R_0 = I, since aligning to F_{i-1} R_{i-1}
-    rotates the polar factor by R_{i-1}.
+    determinant-sign tracking over the path requires.  The frame-list
+    case of the stacked ``_chain``.
 
     Raises
     ------
@@ -371,21 +439,23 @@ def align_chain(frames: Sequence[Frame]) -> list[Frame]:
         raise DimensionMismatch("frames change shape along the chain")
     if len(frames) == 1 or first.k == 0:
         return list(frames)
-    F = np.stack([f.columns for f in frames])
-    polar = _procrustes(np.swapaxes(F[1:], 1, 2) @ F[:-1])
-    out, R = [first], np.eye(first.k)
-    for cols, P in zip(F[1:], polar):
-        R = P @ R
-        out.append(Frame._trusted(cols @ R))
-    return out
+    chained = _chain(np.stack([f.columns for f in frames]))
+    return [first] + [Frame._trusted(c) for c in chained[1:]]
+
+
+def _complements(F: np.ndarray) -> np.ndarray:
+    """Canonical frames of the orthogonal complements of an (m, n, k)
+    stack: one stacked complete QR, then :func:`orthonormalize`."""
+    m, n, k = F.shape
+    if k == 0:
+        return orthonormalize(np.broadcast_to(np.eye(n), (m, n, n)))
+    if k == n:
+        return np.zeros((m, n, 0))
+    Q, _ = np.linalg.qr(F, mode="complete")
+    return orthonormalize(Q[:, :, k:])
 
 
 def orthogonal_complement(V: Frame) -> Frame:
-    """Canonical (n-k)-frame spanning the orthogonal complement."""
-    n, k = V.n, V.k
-    if k == 0:
-        return orthonormalize(np.eye(n))
-    if k == n:
-        return Frame(np.zeros((n, 0)))
-    Q, _ = np.linalg.qr(V.columns, mode="complete")
-    return orthonormalize(Q[:, k:])
+    """Canonical (n-k)-frame spanning the orthogonal complement; the
+    one-frame case of the stacked ``_complements``."""
+    return Frame._trusted(_complements(V.columns[None])[0])

@@ -42,7 +42,7 @@ from .linalg import (
     orthonormalize,
     pair_matrix,
 )
-from .z2index import IndexReport, SubspacePathPair, _held, z2_index
+from .z2index import IndexReport, SubspacePathPair, z2_index
 
 __all__ = [
     "symplectic_form_matrix",
@@ -157,6 +157,11 @@ def _as_sampler(path) -> Callable[[float], Frame]:
     if callable(path):
         return path
     raise InvalidInput("path must be a callable t -> Frame")
+
+
+def _scan_instants(interval: tuple[float, float], samples: int) -> np.ndarray:
+    # the ends are checked first: spacing out an infinite one warns
+    return _checked_grid(np.linspace(*_checked_grid(interval), samples))
 
 
 @dataclass(frozen=True)
@@ -304,15 +309,16 @@ def crossing_census(V, W, interval: tuple[float, float],
     Raises
     ------
     InvalidInput
-        Unless the scan instants are two or more finite, strictly
-        increasing values; neither path is read then.
+        Unless both interval ends are finite and the scan instants are
+        two or more strictly increasing values; neither path is read
+        then.
     DegenerateEndpoint
         If an endpoint is itself a crossing.
     IrregularCrossing
         If some crossing has a degenerate form; carries the instant.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    ts = _checked_grid(np.linspace(*interval, samples))
+    ts = _scan_instants(interval, samples)
     raw_v = [vs(t) for t in ts]
     raw_w = [ws(t) for t in ts]
     for i, name in ((0, "left"), (-1, "right")):
@@ -367,18 +373,24 @@ def mod2_compare(V, W, interval: tuple[float, float],
 
     Both sides are computed independently from one sampling of each
     path: the Z2-index from endpoint determinant signs on an aligned
-    frame chain, the Maslov index from crossing-form signatures.
+    frame chain, whose sampler stacks the frames of ``V`` and ``W``, and
+    the Maslov index from crossing-form signatures.
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
-    grid = np.linspace(*interval, samples)
-    pair = SubspacePathPair(
-        V=path_from_sampler(vs, grid),
-        W=path_from_sampler(ws, grid),
-    )
-    rep = z2_index(pair, eps_trans=eps_trans)
+    grid = _scan_instants(interval, samples)
 
+    def stacked(f):
+        return lambda ts: np.array([f(t).columns for t in ts.tolist()])
+
+    def reusing(path, f):
+        own = dict(zip(path.grid.tolist(), path.frames))
+        return lambda t: own[t] if t in own else f(t)
+
+    pair = SubspacePathPair(V=path_from_sampler(stacked(vs), grid),
+                            W=path_from_sampler(stacked(ws), grid))
+    rep = z2_index(pair, eps_trans=eps_trans)
     # the census scans the instants of ``grid``: reuse the frames there
-    census = crossing_census(_held(pair.V), _held(pair.W),
+    census = crossing_census(reusing(pair.V, vs), reusing(pair.W, ws),
                              interval=interval, samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
     mas = sum(d.signature for d in census)

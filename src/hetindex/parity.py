@@ -47,19 +47,17 @@ from .flow import (
     _checked_grid,
     _limits_over_lambda,
     _require_A1_A3,
+    _subspace_stack,
     _unwrap,
-    asymptotic_limits,
     path_from_sampler,
-    subspace_at,
-    subspaces_over_lambda,
 )
 from .linalg import (
     DEGENERATE,
     Frame,
-    align_chain,
-    align_frame,
+    _align_to,
+    _chain,
+    _complements,
     det_sign,
-    orthogonal_complement,
     orthonormalize,
 )
 from .z2index import (
@@ -110,16 +108,20 @@ def finite_parity(T_path: Callable[[float], np.ndarray],
         raise DegenerateEndpoint("endpoint matrix numerically singular")
     det_route = 0 if s0 * s1 > 0 else 1
 
-    lambda0 = orthonormalize(np.vstack([np.eye(m), np.zeros((m, m))]))
+    lambda0 = np.vstack([np.eye(m), np.zeros((m, m))])
+    eye = np.eye(m)
 
-    def graph(s: float) -> Frame:
-        T = np.atleast_2d(np.asarray(T_path(s), dtype=float))
-        return orthonormalize(np.vstack([np.eye(m), T]))
+    def graph(ss: np.ndarray) -> np.ndarray:
+        T = np.array([np.atleast_2d(np.asarray(T_path(s), dtype=float))
+                      for s in ss.tolist()])
+        return orthonormalize(np.concatenate(
+            [np.broadcast_to(eye, T.shape), T], axis=1))
 
     grid = np.linspace(0.0, 1.0, samples)
     pair = SubspacePathPair(
         V=path_from_sampler(graph, grid),
-        W=path_from_sampler(lambda s: lambda0, grid),
+        W=path_from_sampler(
+            lambda ss: np.broadcast_to(lambda0, (len(ss), 2 * m, m)), grid),
     )
     graph_route = z2_index(pair, eps_trans=eps_trans).value
     if graph_route != det_route:
@@ -563,11 +565,10 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
     rows; they are aligned along lams, since the operator signs depend
     on their orientation.  E^u and E^s are left as sampled.
     """
-    e_u = subspaces_over_lambda(fam, lams, "unstable", -tau, rtol, atol)
-    e_s = subspaces_over_lambda(fam, lams, "stable", tau, rtol, atol)
-    b_u = align_chain([orthogonal_complement(f) for f in e_u])
-    b_s = align_chain([orthogonal_complement(f) for f in e_s])
-    return e_u, e_s, b_u, b_s
+    e_u = _subspace_stack(fam, lams, "unstable", -tau, rtol, atol)
+    e_s = _subspace_stack(fam, lams, "stable", tau, rtol, atol)
+    b_u, b_s = _chain(_complements(e_u)), _chain(_complements(e_s))
+    return tuple(list(map(Frame._trusted, F)) for F in (e_u, e_s, b_u, b_s))
 
 
 def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
@@ -591,36 +592,33 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     """Sorted sign changes lambda*: interior zero-sign grid points, and
     each sign change between nonzero-sign grid points bisected to an
     interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
-    b_u, b_s); each round samples its midpoints with one
-    :func:`subspaces_over_lambda` call per side and signs them with one
+    b_u, b_s), held as one stack each; each round samples its midpoints
+    with one batched transport per side and signs them with one
     :func:`_block_signs` call over the E^u frames their B_u come from;
     a zero-sign midpoint takes its left end's sign.
     """
     flips = [float(lams[i]) for i in range(1, len(lams) - 1)
              if signs[i] == 0]
-    nz = [i for i, s in enumerate(signs) if s != 0]
-    b_u, b_s = frames[2:]
-    samples = [(float(lams[i]), signs[i], b_u[i], b_s[i]) for i in nz]
+    nz = np.flatnonzero(signs)
+    b_u, b_s = (np.array([f.columns for f in F])[nz] for F in frames[2:])
 
-    def split(a, b) -> bool:
-        return a[1] != b[1] and b[0] - a[0] > _LOCALIZE_TOL
+    def split(lefts, rights):
+        return ((lefts[1] != rights[1])
+                & (rights[0] - lefts[0] > _LOCALIZE_TOL))
 
     def sample_mids(mids, lefts):
-        e_u = subspaces_over_lambda(fam, mids, "unstable", -tau, rtol, atol)
-        e_s = subspaces_over_lambda(fam, mids, "stable", tau, rtol, atol)
-        b_u = [align_frame(left[2], orthogonal_complement(f))
-               for left, f in zip(lefts, e_u)]
-        b_s = [align_frame(left[3], orthogonal_complement(f))
-               for left, f in zip(lefts, e_s)]
-        signs = _block_signs(fam, np.array(mids), tau, N,
-                             (e_u, e_s, b_u, b_s))
-        return [(lam, s or left[1], bu, bs)
-                for lam, s, left, bu, bs in zip(mids, signs, lefts, b_u, b_s)]
+        e_u = _subspace_stack(fam, mids, "unstable", -tau, rtol, atol)
+        e_s = _subspace_stack(fam, mids, "stable", tau, rtol, atol)
+        b_u = _align_to(lefts[2], _complements(e_u))
+        b_s = _align_to(lefts[3], _complements(e_s))
+        signs = _block_signs(fam, mids, tau, N, tuple(
+            list(map(Frame._trusted, F)) for F in (e_u, e_s, b_u, b_s)))
+        return mids, np.where(signs != 0, signs, lefts[1]), b_u, b_s
 
-    _, samples, _ = _bisect([s[0] for s in samples], samples, split,
-                            sample_mids)
-    flips += [0.5 * (a[0] + b[0]) for a, b in zip(samples, samples[1:])
-              if a[1] != b[1]]
+    lams, (_, signs, _, _), _ = _bisect(
+        lams[nz], (lams[nz], signs[nz], b_u, b_s), split, sample_mids)
+    flips += [float(0.5 * (a + b)) for a, b, sa, sb
+              in zip(lams, lams[1:], signs, signs[1:]) if sa != sb]
     return sorted(flips)
 
 
@@ -634,9 +632,10 @@ def boundary_pair_over_lambda(fam: LinearFamily, lams: Sequence[float],
     lams = _checked_grid(lams)
 
     def path(which: str) -> SubspacePath:
-        frames = subspaces_over_lambda(fam, lams, which, t, rtol, atol)
-        return SubspacePath(grid=lams, frames=tuple(frames), sampler=(
-            lambda lam: subspace_at(fam, lam, which, t, rtol, atol)))
+        def sampler(ls: np.ndarray) -> np.ndarray:
+            return _subspace_stack(fam, ls, which, t, rtol, atol)
+
+        return SubspacePath(grid=lams, stack=sampler(lams), sampler=sampler)
 
     return SubspacePathPair(V=path("stable"), W=path("unstable"))
 
@@ -721,10 +720,16 @@ def decomposition_check(fam: LinearFamily, lams: Sequence[float],
     independent = drift <= 1e-9
 
     # V^-(S^+) and V^+(S^-) over lambda
-    V = SubspacePath(lams, tuple(L.split_plus.v_minus for L in limits),
-                     lambda lam: asymptotic_limits(fam, lam).split_plus.v_minus)
-    W = SubspacePath(lams, tuple(L.split_minus.v_plus for L in limits),
-                     lambda lam: asymptotic_limits(fam, lam).split_minus.v_plus)
+    def limit_path(frame_of: Callable) -> SubspacePath:
+        def sampler(ls: np.ndarray) -> np.ndarray:
+            return np.array([frame_of(_unwrap(L)).columns
+                             for L in _limits_over_lambda(fam, ls)])
+
+        return SubspacePath(lams, [frame_of(L).columns for L in limits],
+                            sampler)
+
+    V = limit_path(lambda L: L.split_plus.v_minus)
+    W = limit_path(lambda L: L.split_minus.v_plus)
     limit_term = z2_index(SubspacePathPair(V=V, W=W))
     if independent and limit_term.value != 0:
         raise InternalMismatch(

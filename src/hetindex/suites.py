@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     BoundaryDegenerate,
@@ -30,8 +29,8 @@ from .errors import (
     NotGraphical,
 )
 from .expr import parse_matrix
-from .flow import LinearFamily, SubspacePath, path_from_sampler
-from .linalg import DEGENERATE, Frame, det_sign, pair_matrix
+from .flow import LinearFamily, path_from_sampler
+from .linalg import DEGENERATE, _signed_dets, det_sign
 from .maslov import graph_frame, mod2_compare
 from .parity import decomposition_check, finite_parity
 from .z2index import (
@@ -111,20 +110,24 @@ def _skew(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
 
 
 def _skew_expm(K: np.ndarray) -> Callable:
-    """t -> expm(t K) for a skew-symmetric K, from one eigendecomposition
-    iK = V diag(mu) V^H of the Hermitian iK, so that
-    expm(t K) = V diag(exp(-i mu t)) V^H."""
+    """ts -> the (len(ts), n, n) stack of expm(t K) for a skew-symmetric
+    K, from one eigendecomposition iK = V diag(mu) V^H of the Hermitian
+    iK, so that expm(t K) = Re(V diag(exp(-i mu t)) V^H)."""
     mu, V = np.linalg.eigh(1j * K)
     Vh = V.conj().T
-    return lambda t: np.real((V * np.exp(-1j * mu * t)) @ Vh)
+    return lambda ts: np.real((V * np.exp(-1j * np.outer(ts, mu))[:, None, :])
+                              @ Vh)
 
 
 def _rotation_sampler(K: np.ndarray, cols: np.ndarray) -> Callable:
     rotation = _skew_expm(K)
+    return lambda ts: rotation(ts) @ cols
 
-    def sample(t: float) -> Frame:
-        return Frame(rotation(t) @ cols)
-    return sample
+
+def _transversal_at(vs, ws, ts) -> bool:
+    """Whether the pair of samplers is transversal at every one of ``ts``."""
+    signs = _signed_dets(np.concatenate([vs(ts), ws(ts)], axis=2), 1e-6)[1]
+    return bool(np.all(signs != DEGENERATE))
 
 
 def _draw_rotation_pair(rng: np.random.Generator, n: int, k: int):
@@ -134,8 +137,7 @@ def _draw_rotation_pair(rng: np.random.Generator, n: int, k: int):
                                _orthonormal(rng, n, k))
         ws = _rotation_sampler(_skew(rng, n, rng.uniform(0.5, 2.5)),
                                _orthonormal(rng, n, n - k))
-        if all(det_sign(pair_matrix(vs(t), ws(t))) != DEGENERATE
-               for t in (0.0, 1.0)):
+        if _transversal_at(vs, ws, np.array([0.0, 1.0])):
             return _pair_from_samplers(vs, ws, 0.0, 1.0), vs, ws
     return None
 
@@ -153,8 +155,8 @@ def _prop_reparametrization(rng, pair, vs, ws) -> bool:
     c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     denom = np.expm1(c)
 
-    def phi(s: float) -> float:
-        return float(np.expm1(c * s) / denom)
+    def phi(s: np.ndarray) -> np.ndarray:
+        return np.expm1(c * s) / denom
 
     warped = _pair_from_samplers(lambda s: vs(phi(s)),
                                  lambda s: ws(phi(s)), 0.0, 1.0,
@@ -166,11 +168,10 @@ def _prop_homotopy(rng, pair, vs, ws) -> bool:
     n = pair.n
     rotation = _skew_expm(_skew(rng, n, rng.uniform(0.5, 1.5)))
 
-    def moved(t: float) -> Frame:
+    def moved(ts: np.ndarray) -> np.ndarray:
         # the rotation vanishes at both endpoints, so this is a
         # homotopy rel endpoints of the V-path
-        angle = np.sin(np.pi * t) ** 2
-        return Frame(rotation(angle) @ vs(t).columns)
+        return rotation(np.sin(np.pi * ts) ** 2) @ vs(ts)
 
     deformed = _pair_from_samplers(moved, ws, 0.0, 1.0, points=33)
     return z2_index(deformed).value == z2_index(pair).value
@@ -180,7 +181,7 @@ def _prop_additivity(rng, pair, vs, ws) -> bool | None:
     c = None
     for _ in range(_DRAW_TRIES):
         cand = rng.uniform(0.25, 0.75)
-        if det_sign(pair_matrix(vs(cand), ws(cand))) != DEGENERATE:
+        if _transversal_at(vs, ws, np.array([cand])):
             c = cand
             break
     if c is None:
@@ -204,11 +205,17 @@ def _prop_sum(rng, pair, vs, ws) -> bool | None:
         return None
     _, vs2, ws2 = other
 
-    def v_sum(t: float) -> Frame:
-        return Frame(block_diag(vs(t).columns, vs2(t).columns))
+    def block_sum(f, g) -> Callable:
+        def sample(ts: np.ndarray) -> np.ndarray:
+            F, G = f(ts), g(ts)
+            out = np.zeros((len(ts), F.shape[1] + G.shape[1],
+                            F.shape[2] + G.shape[2]))
+            out[:, :F.shape[1], :F.shape[2]] = F
+            out[:, F.shape[1]:, F.shape[2]:] = G
+            return out
+        return sample
 
-    def w_sum(t: float) -> Frame:
-        return Frame(block_diag(ws(t).columns, ws2(t).columns))
+    v_sum, w_sum = block_sum(vs, vs2), block_sum(ws, ws2)
 
     summed = _pair_from_samplers(v_sum, w_sum, 0.0, 1.0)
     i1 = z2_index(_pair_from_samplers(vs, ws, 0.0, 1.0)).value

@@ -22,7 +22,7 @@ around the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,18 +40,18 @@ from .flow import (
     LinearFamily,
     SubspacePath,
     _bisect,
+    _piecewise,
     asymptotic_limits,
     invariant_subspace_path,
 )
 from .linalg import (
     DEGENERATE,
-    Frame,
+    _align_to,
+    _chain,
+    _complements,
+    _gaps,
     _signed_dets,
-    align_chain,
-    align_frame,
     det_sign,
-    gap_distance,
-    orthogonal_complement,
     orthonormalize,
     pair_matrix,
 )
@@ -68,13 +68,6 @@ __all__ = [
 ]
 
 _GAP_REFINE = 0.2
-
-
-def _held(path: SubspacePath) -> Callable[[float], Frame]:
-    """The path as a function: its own frame at a grid instant, else
-    the sampler's."""
-    own = dict(zip(path.grid.tolist(), path.frames))
-    return lambda t: own[t] if t in own else path.sampler(t)
 
 
 @dataclass(frozen=True)
@@ -106,10 +99,14 @@ class SubspacePathPair:
         union = np.union1d(gv, gw)
         union = union[np.concatenate([[True], np.diff(union) > 1e-12])]
         for name in ("V", "W"):
+            # each path keeps its own frames; one sampler call fills in
             path = getattr(self, name)
-            frames = tuple(map(_held(path), union.tolist()))
+            own = np.isin(union, path.grid)
+            stack = _piecewise(union, path.stack.shape[1:], [
+                (own, lambda _: path.stack[np.isin(path.grid, union)]),
+                (~own, path.sample)])
             object.__setattr__(self, name,
-                               SubspacePath(union, frames, path.sampler))
+                               SubspacePath(union, stack, path.sampler))
 
     @property
     def grid(self) -> np.ndarray:
@@ -157,24 +154,16 @@ class ClosedLoop:
 
 # -- core refinement pipeline ------------------------------------------
 
-def _traced(frames: Sequence[tuple], eps_trans: float) -> list:
-    """Chained (v, w) samples as (v, w, det M, sign), in one stacked call."""
-    dets, signs = _signed_dets(
-        np.stack([pair_matrix(v, w) for v, w in frames]), eps_trans)
-    return [(v, w, d, s) for (v, w), d, s
-            in zip(frames, dets.tolist(), signs.tolist())]
+def _pair_dets(v: np.ndarray, w: np.ndarray, eps_trans: float) -> tuple:
+    """(dets, signs) of the pair matrices [v_i | w_i] of two stacks."""
+    return _signed_dets(np.concatenate([v, w], axis=2), eps_trans)
 
 
-def _sign_crossings(ts, signs) -> tuple:
-    out = []
-    last = None
-    for i, s in enumerate(signs):
-        if s == DEGENERATE:
-            continue
-        if last is not None and s != signs[last]:
-            out.append(float(0.5 * (ts[last] + ts[i])))
-        last = i
-    return tuple(out)
+def _sign_crossings(ts: np.ndarray, signs: np.ndarray) -> tuple:
+    """Midpoints between consecutive nondegenerate samples of unlike sign."""
+    at = np.flatnonzero(signs != DEGENERATE)
+    i = np.flatnonzero(signs[at[1:]] != signs[at[:-1]])
+    return tuple((0.5 * (ts[at[i]] + ts[at[i + 1]])).tolist())
 
 
 def _refine_pair(pair: SubspacePathPair, eps_trans: float):
@@ -184,38 +173,34 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
     and the det trace is computed on Procrustes-chained frames whose
     first frames keep the input orientation.
     """
-    ts = list(map(float, pair.grid))
-    pts = list(zip(pair.V.frames, pair.W.frames))
-    vs, ws = pair.V.sampler, pair.W.sampler
+    V, W = pair.V, pair.W
 
     # span refinement: no orientation needed, raw samples suffice
-    def too_wide(a, b):
-        return (gap_distance(a[0], b[0]) >= _GAP_REFINE
-                or gap_distance(a[1], b[1]) >= _GAP_REFINE)
+    def too_wide(lefts, rights):
+        return ((_gaps(lefts[0], rights[0]) >= _GAP_REFINE)
+                | (_gaps(lefts[1], rights[1]) >= _GAP_REFINE))
 
-    ts, pts, depths = _bisect(
-        ts, pts, too_wide,
-        lambda mids, lefts: [(vs(t), ws(t)) for t in mids])
+    ts, (v, w), depths = _bisect(
+        pair.grid, (V.stack, W.stack), too_wide,
+        lambda mids, lefts: (V.sample(mids), W.sample(mids)))
 
     # orientation sweep: chain Procrustes from the left end
-    v_raw, w_raw = zip(*pts)
-    chain = _traced(list(zip(align_chain(v_raw), align_chain(w_raw))),
-                    eps_trans)
+    v, w = _chain(v), _chain(w)
 
     # crossing localization: bisect clean sign flips, chaining each
     # midpoint to its left neighbour
-    def flips(a, b):
-        return DEGENERATE not in (a[3], b[3]) and a[3] != b[3]
+    def flips(lefts, rights):
+        a, b = lefts[3], rights[3]
+        return (a != DEGENERATE) & (b != DEGENERATE) & (a != b)
 
     def sample(mids, lefts):
-        return _traced([(align_frame(left[0], vs(t)),
-                         align_frame(left[1], ws(t)))
-                        for t, left in zip(mids, lefts)], eps_trans)
+        v = _align_to(lefts[0], V.sample(mids))
+        w = _align_to(lefts[1], W.sample(mids))
+        return (v, w, *_pair_dets(v, w, eps_trans))
 
-    ts, chain, depths = _bisect(ts, chain, flips, sample, depths)
-
-    _, _, dets, signs = zip(*chain)
-    return np.asarray(ts), np.asarray(dets), list(signs), max(depths)
+    ts, (_, _, dets, signs), depths = _bisect(
+        ts, (v, w, *_pair_dets(v, w, eps_trans)), flips, sample, depths)
+    return ts, dets, signs, int(depths.max())
 
 
 def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6) -> IndexReport:
@@ -273,18 +258,14 @@ def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
     """
     ts, dets, signs, depth = _refine_pair(pair, eps_trans)
 
-    for side, mask in (
-        ("left", ts <= -tail_T),
-        ("right", ts >= tail_T),
-    ):
-        idx = np.nonzero(mask)[0]
-        tail_signs = [signs[i] for i in idx]
-        if any(s == DEGENERATE for s in tail_signs):
-            bad = ts[idx[[s == DEGENERATE for s in tail_signs].index(True)]]
+    for side, mask in (("left", ts <= -tail_T), ("right", ts >= tail_T)):
+        tail = signs[mask]
+        if (tail == DEGENERATE).any():
+            bad = ts[mask][(tail == DEGENERATE).argmax()]
             raise TailNotTransversal(
                 f"{side} tail sample at t={bad:.6g} is degenerate"
             )
-        if len(set(tail_signs)) > 1:
+        if len(np.unique(tail)) > 1:
             raise TailNotTransversal(
                 f"det sign flips on the {side} tail (|t| >= {tail_T})"
             )
@@ -338,11 +319,10 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
     U = invariant_subspace_path(fam, lam, "unstable", -grid[::-1],
                                 rtol, atol)
     # reflect U's own grid: refinement may have densified it
-    W = SubspacePath(grid=-U.grid[::-1], frames=U.frames[::-1],
+    W = SubspacePath(grid=-U.grid[::-1], stack=U.stack[::-1],
                      sampler=lambda s: U.sampler(-s))
     # the paths start at t = 0 with E^s(0) and E^u(0)
-    if det_sign(pair_matrix(V.frames[0], W.frames[0]),
-                eps_trans) == DEGENERATE:
+    if _pair_dets(V.stack[:1], W.stack[:1], eps_trans)[1][0] == DEGENERATE:
         raise BoundaryDegenerate(
             "E^s(0) not transversal to E^u(0)",
             condition="origin transversality",
@@ -353,10 +333,10 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
 
 # -- loop closure and orientability ------------------------------------
 
-def _chart_segment(w_ref: Frame, F0: Frame,
-                   F1: Frame) -> Callable[[float], Frame]:
+def _chart_segment(w_ref: np.ndarray, F0: np.ndarray,
+                   F1: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Path s in [0, 1] from span(F0) to span(F1) through planes
-    transversal to span(w_ref).
+    transversal to span(w_ref), as a sampler over arrays of s.
 
     Both endpoints are written as graphs over the complement of w_ref
     and the graph maps are interpolated linearly, so every intermediate
@@ -368,32 +348,26 @@ def _chart_segment(w_ref: Frame, F0: Frame,
     Raises numpy.linalg.LinAlgError when an endpoint is not a graph,
     i.e. not transversal to w_ref.
     """
-    P = orthogonal_complement(w_ref).columns
-    Wc = w_ref.columns
-    graphs = []
-    for F in (F0, F1):
-        X = P.T @ F.columns
-        Y = Wc.T @ F.columns
-        graphs.append(np.linalg.solve(X.T, Y.T).T)
-    A0, A1 = graphs
+    P = _complements(w_ref[None])[0]
+    A0, A1 = (np.linalg.solve((P.T @ F).T, (w_ref.T @ F).T).T
+              for F in (F0, F1))
 
-    def at(s: float) -> Frame:
-        A = (1.0 - s) * A0 + s * A1
-        return orthonormalize(P + Wc @ A)
+    def at(s: np.ndarray) -> np.ndarray:
+        s = s[:, None, None]
+        return orthonormalize(P + w_ref @ ((1.0 - s) * A0 + s * A1))
 
     return at
 
 
-def _sign_constant_along(frames: Sequence[tuple],
+def _sign_constant_along(v: np.ndarray, w: np.ndarray,
                          eps_trans: float) -> bool:
     """Transported det sign of sampled (v, w) pairs is defined and constant."""
-    v_raw, w_raw = zip(*frames)
     try:
-        chain = zip(align_chain(v_raw), align_chain(w_raw))
+        v, w = _chain(v), _chain(w)
     except GapTooLarge:
         return False
-    signs = [s for *_, s in _traced(list(chain), eps_trans)]
-    return signs[0] != DEGENERATE and all(s == signs[0] for s in signs)
+    signs = _pair_dets(v, w, eps_trans)[1]
+    return signs[0] != DEGENERATE and bool(np.all(signs == signs[0]))
 
 
 _PLATEAU = 0.05        # first plateau width tried by close_loop
@@ -426,29 +400,28 @@ def close_loop(pair: SubspacePathPair,
     a, b = grid[0], grid[-1]
     span = b - a
     V, W = pair.V, pair.W
-    for t_end, name in ((a, "left"), (b, "right")):
-        i = 0 if t_end == a else -1
-        if det_sign(pair_matrix(V.frames[i], W.frames[i]),
-                    eps_trans) == DEGENERATE:
+    ends = _pair_dets(V.stack[[0, -1]], W.stack[[0, -1]], eps_trans)[1]
+    for sign, name in zip(ends, ("left", "right")):
+        if sign == DEGENERATE:
             raise DegenerateEndpoint(f"{name} endpoint pair degenerate")
 
     norm_grid = (grid - a) / span
-    v0, v1 = V.frames[0], V.frames[-1]
+    v0, v1 = V.stack[0], V.stack[-1]
     m = len(grid)
 
-    def w_at(u: float) -> Frame:
-        # u in [0, 1] in normalized parameter
-        return W.sampler(a + u * span)
+    def w_at(us: np.ndarray) -> np.ndarray:
+        # us in [0, 1], the normalized parameter
+        return W.sample(a + us * span)
+
+    def w_ext(ts: np.ndarray) -> np.ndarray:
+        return w_at(2.0 - ts)
 
     eps = _PLATEAU
     for _ in range(_MAX_HALVINGS + 1):
-        w_ref1 = w_at(1.0 - eps)
-        w_ref2 = w_at(eps)
+        w_ref1, w_ref2 = w_at(np.array([1.0 - eps, eps]))
         try:
-            plat1 = _chart_segment(w_ref1, v1,
-                                   orthogonal_complement(w_ref1))
-            plat2 = _chart_segment(w_ref2,
-                                   orthogonal_complement(w_ref2), v0)
+            plat1 = _chart_segment(w_ref1, v1, _complements(w_ref1[None])[0])
+            plat2 = _chart_segment(w_ref2, _complements(w_ref2[None])[0], v0)
         except np.linalg.LinAlgError:
             # an input endpoint is not a graph over the plateau
             # reference; a narrower plateau moves the reference closer
@@ -456,43 +429,39 @@ def close_loop(pair: SubspacePathPair,
             eps *= 0.5
             continue
 
-        def v_ext(t: float) -> Frame:
-            # t in [1, 2]
-            if t <= 1.0 + eps:
-                return plat1((t - 1.0) / eps)
-            if t >= 2.0 - eps:
-                return plat2((t - (2.0 - eps)) / eps)
-            return orthogonal_complement(w_at(2.0 - t))
-
-        def w_ext(t: float) -> Frame:
-            return w_at(2.0 - t)
+        def v_ext(ts: np.ndarray) -> np.ndarray:
+            # ts in [1, 2]
+            first = ts <= 1.0 + eps
+            last = ~first & (ts >= 2.0 - eps)
+            return _piecewise(ts, v0.shape, [
+                (first, lambda t: plat1((t - 1.0) / eps)),
+                (last, lambda t: plat2((t - (2.0 - eps)) / eps)),
+                (~(first | last), lambda t: _complements(w_ext(t)))])
 
         def sample(ts, lefts=None):
-            return [(v_ext(t), w_ext(t)) for t in ts]
+            return v_ext(ts), w_ext(ts)
 
-        params = list(map(float, np.unique(np.concatenate([
+        params = np.unique(np.concatenate([
             np.linspace(1.0, 2.0, max(m, 41)),
             1.0 + eps * np.linspace(0.0, 1.0, 17),
             2.0 - eps * np.linspace(0.0, 1.0, 17),
-        ]))))
-        ext, frames, _ = _bisect(
+        ]))
+        ext, (v_frames, w_frames), _ = _bisect(
             params, sample(params),
-            lambda p, q: gap_distance(p[0], q[0]) > 0.3, sample)
-        if _sign_constant_along(frames, eps_trans):
-            ext = np.asarray(ext)
-            v_frames, w_frames = zip(*frames)
-            loop_grid = np.concatenate([norm_grid, ext[1:]])
+            lambda p, q: _gaps(p[0], q[0]) > 0.3, sample)
+        if _sign_constant_along(v_frames, w_frames, eps_trans):
 
-            def loop_sampler(t: float) -> Frame:
-                if t <= 1.0:
-                    return V.sampler(a + t * span)
-                return v_ext(t)
+            def loop_sampler(ts: np.ndarray) -> np.ndarray:
+                head = ts <= 1.0
+                return _piecewise(ts, v0.shape, [
+                    (head, lambda t: V.sampler(a + t * span)),
+                    (~head, v_ext)])
 
-            v_loop = SubspacePath(grid=loop_grid,
-                                  frames=V.frames + v_frames[1:],
-                                  sampler=loop_sampler)
-            w_tilde = SubspacePath(grid=ext, frames=w_frames,
-                                   sampler=w_ext)
+            v_loop = SubspacePath(
+                grid=np.concatenate([norm_grid, ext[1:]]),
+                stack=np.concatenate([V.stack, v_frames[1:]]),
+                sampler=loop_sampler)
+            w_tilde = SubspacePath(grid=ext, stack=w_frames, sampler=w_ext)
             return ClosedLoop(v_loop=v_loop, w_tilde=w_tilde, epsilon=eps)
         eps *= 0.5
     raise CannotClose(
@@ -516,13 +485,11 @@ def bundle_orientability(loop: ClosedLoop | SubspacePath,
     """
     if isinstance(loop, ClosedLoop):
         loop = loop.v_loop
-    first, last = loop.frames[0], loop.frames[-1]
-    if gap_distance(first, last) > 1e-8:
-        raise NotClosed(
-            f"loop endpoints {gap_distance(first, last):.2e} apart in gap"
-        )
-    ret = align_chain(loop.frames)[-1].columns.T @ first.columns
-    s = det_sign(ret, eps_trans)
+    F = loop.stack
+    gap = _gaps(F[:1], F[-1:])[0]
+    if gap > 1e-8:
+        raise NotClosed(f"loop endpoints {gap:.2e} apart in gap")
+    s = det_sign(_chain(F)[-1].T @ F[0], eps_trans)
     if s == DEGENERATE:
         raise InternalMismatch("return map of a closed loop is singular")
     return 0 if s > 0 else 1

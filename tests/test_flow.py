@@ -2,9 +2,6 @@
 
 import dataclasses
 import gc
-import importlib.util
-import pathlib
-import sys
 import weakref
 
 import numpy as np
@@ -33,10 +30,12 @@ from hetindex import (
     subspace_at,
     subspaces_over_lambda,
 )
-from hetindex import flow
+from hetindex import flow, maslov, parity, suites
 from hetindex.cli import DEMOS
 from hetindex.expr import eval_matrix
 from hetindex.suites import poschl_teller_family
+from scalar_reference import orbit_draw, scalar
+from scalar_reference import path_from_sampler as scalar_path_from_sampler
 
 
 def tanh_family():
@@ -209,12 +208,13 @@ def test_invariant_path_sampler_against_fresh_transport(lam, which, outside):
     grid = np.linspace(-6.0, 6.0, 25)
     path = invariant_subspace_path(fam, lam, which, grid)
     for t, F in zip(path.grid, path.frames):
-        assert np.array_equal(F.columns, path.sampler(t).columns)
+        assert np.array_equal(F.columns, path.sampler(np.array([t]))[0])
     rng = np.random.default_rng(7)
-    for t in rng.uniform(grid[0], grid[-1], 15):
+    ts = rng.uniform(grid[0], grid[-1], 15)
+    for t, F in zip(ts, path.sample(ts)):
         fresh = subspace_at(fam, lam, which, float(t))
-        assert gap_distance(path.sampler(float(t)), fresh) < 1e-6
-    assert np.array_equal(path.sampler(outside).columns,
+        assert gap_distance(Frame(F), fresh) < 1e-6
+    assert np.array_equal(path.sampler(np.array([outside]))[0],
                           subspace_at(fam, lam, which, outside).columns)
 
 
@@ -222,11 +222,11 @@ def test_invariant_path_sampler_against_fresh_transport(lam, which, outside):
 def test_path_builders_refuse_non_finite_grid(bad, monkeypatch):
     # the grid is checked before anything is sampled or transported
     calls = []
-    frame = orthonormalize(np.array([[1.0], [0.0]]))
+    frame = np.array([[1.0], [0.0]])
 
-    def counting(t):
-        calls.append(t)
-        return frame
+    def counting(ts):
+        calls.append(ts)
+        return np.broadcast_to(frame, (len(ts), 2, 1))
 
     transports = []
     real = flow._transport_batched
@@ -242,7 +242,7 @@ def test_path_builders_refuse_non_finite_grid(bad, monkeypatch):
         invariant_subspace_path(poschl_teller_family(), 0.5, "stable",
                                 [0.0, bad])
     with pytest.raises(InvalidInput):
-        SubspacePath(np.array([0.0, bad]), (frame, frame), counting)
+        SubspacePath(np.array([0.0, bad]), np.stack([frame, frame]), counting)
     assert calls == [] and transports == []
 
 
@@ -281,11 +281,13 @@ def test_subspace_at_is_the_one_lambda_sweep(lam, which, t):
     assert np.array_equal(F.columns, G.columns)
 
 
-def test_path_from_sampler_refines_coarse_grid():
-    def line(t):
-        return orthonormalize(np.array([[np.cos(t)], [np.sin(t)]]))
+def lines(theta):
+    """The lines at the angles ``theta``, an (m, 2, 1) stack of frames."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None]
 
-    path = path_from_sampler(line, np.linspace(0.0, np.pi, 5))
+
+def test_path_from_sampler_refines_coarse_grid():
+    path = path_from_sampler(lines, np.linspace(0.0, np.pi, 5))
     assert len(path.grid) > 5
     for i in range(len(path.frames) - 1):
         assert gap_distance(path.frames[i], path.frames[i + 1]) <= 0.4
@@ -294,29 +296,27 @@ def test_path_from_sampler_refines_coarse_grid():
 def test_path_from_sampler_keeps_raw_samples():
     # the sampler's orientation flips at t = 0.5; the path keeps each
     # sample as it came, orientation is chosen where signs are read
-    def flipping(t):
-        sign = 1.0 if t < 0.5 else -1.0
-        return Frame(sign * np.array([[np.cos(t)], [np.sin(t)]]))
+    def flipping(ts):
+        return np.where(ts < 0.5, 1.0, -1.0)[:, None, None] * lines(ts)
 
     path = path_from_sampler(flipping, np.linspace(0.0, 1.0, 11))
-    for t, F in zip(path.grid, path.frames):
-        assert np.array_equal(F.columns, flipping(t).columns)
+    assert np.array_equal(path.stack, flipping(path.grid))
 
 
 def test_subspace_path_requires_a_sampler():
     grid = np.linspace(0.0, 1.0, 3)
-    frames = tuple(orthonormalize(np.array([[1.0], [t]])) for t in grid)
+    stack = lines(grid)
     with pytest.raises(TypeError):
-        SubspacePath(grid, frames)
+        SubspacePath(grid, stack)
     with pytest.raises(InvalidInput):
-        SubspacePath(grid, frames, None)
+        SubspacePath(grid, stack, None)
 
 
 def test_path_from_sampler_rejects_jump():
     # the subspace jumps at t = 0.5: halving never closes the gap, so the
     # depth cap must end the refinement and the capped interval be refused
-    def jump(t):
-        return orthonormalize(np.array([[1.0], [np.arctan(1e20 * (t - 0.5))]]))
+    def jump(ts):
+        return lines(np.arctan2(np.arctan(1e20 * (ts - 0.5)), 1.0))
 
     with pytest.raises(GapTooLarge):
         path_from_sampler(jump, np.linspace(0.0, 1.0, 11))
@@ -421,21 +421,6 @@ def _cubic_linearization():
     return linearize_along(nf, Branch.from_sources(cfg["branch"]))
 
 
-def _orbit_draw(index):
-    # the benchmark's connecting families, loaded from its source
-    workloads = sys.modules.get("_bench_workloads")
-    if workloads is None:
-        path = (pathlib.Path(__file__).parents[1] / "perfbench"
-                / "workloads.py")
-        spec = importlib.util.spec_from_file_location("_bench_workloads",
-                                                      path)
-        workloads = importlib.util.module_from_spec(spec)
-        # dataclasses look their module up in sys.modules
-        sys.modules[spec.name] = workloads
-        spec.loader.exec_module(workloads)
-    return workloads.connecting_family(*workloads.ORBIT_DRAWS[index])
-
-
 def _slow_decay_family():
     # the sech(lambda t) entry settles later the smaller lambda is, so
     # the horizons over the grid run from 20 up to 1280
@@ -446,8 +431,8 @@ def _slow_decay_family():
 @pytest.mark.parametrize("make,lams", [
     (poschl_teller_family, np.linspace(0.0, 1.0, 201)),
     (_cubic_linearization, np.linspace(0.0, 1.0, 201)),
-    (lambda: _orbit_draw(0), np.linspace(0.0, 1.0, 101)),
-    (lambda: _orbit_draw(1), np.linspace(0.0, 1.0, 101)),
+    (lambda: orbit_draw(0), np.linspace(0.0, 1.0, 101)),
+    (lambda: orbit_draw(1), np.linspace(0.0, 1.0, 101)),
     (_slow_decay_family, np.linspace(0.0, 1.0, 41)),
 ], ids=["poschl-teller", "cubic", "orbit-draw-0", "orbit-draw-1",
         "slow-decay"])
@@ -598,3 +583,122 @@ def test_lambda_dependent_limits_get_their_own_splits(monkeypatch):
                 R = X.T @ S @ X
                 assert np.allclose(S @ X, X @ R, atol=1e-12)
                 assert np.all(sign * np.linalg.eigvals(R).real > 0)
+
+
+# -- the stacked path builder against the frame-at-a-time reference ----
+
+def _invariant_paths(fam, lam, grid):
+    for which in ("stable", "unstable"):
+        invariant_subspace_path(fam, lam, which, grid)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suites.suite_properties(trials=2, seed=0),
+    lambda: suites.suite_finite_parity(trials=3, seed=0),
+    lambda: suites.suite_maslov_mod2(trials=1, seed=1),
+    lambda: _invariant_paths(poschl_teller_family(), 1.0,
+                             np.linspace(-6.0, 6.0, 7)),
+    lambda: _invariant_paths(orbit_draw(0), 0.5, np.linspace(0.0, 20.0, 6)),
+    lambda: _invariant_paths(orbit_draw(1), 0.5, np.linspace(0.0, 20.0, 6)),
+], ids=["rotation-homotopy-block-sum", "graph", "maslov-graphs",
+        "poschl-teller-t", "orbit-draw-0-t", "orbit-draw-1-t"])
+def test_path_from_sampler_matches_the_scalar_reference(run, monkeypatch):
+    # every path a suite or an invariant path builds, rebuilt by the
+    # stacked builder and by one sampler call, gap and frame at a time
+    calls = []
+    real = flow.path_from_sampler
+
+    def spy(sampler, grid):
+        calls.append((sampler, np.asarray(grid, dtype=float)))
+        return real(sampler, grid)
+
+    for module in (flow, suites, parity, maslov):
+        monkeypatch.setattr(module, "path_from_sampler", spy)
+    run()
+    monkeypatch.undo()
+    refined = 0
+    for sampler, grid in calls:
+        # and on three points of its span, which refinement must fill in
+        for ts in (grid, np.linspace(grid[0], grid[-1], 3)):
+            path = real(sampler, ts)
+            ref_grid, ref_frames = scalar_path_from_sampler(scalar(sampler),
+                                                            ts)
+            assert np.array_equal(path.grid, ref_grid)
+            ref = np.array([f.columns for f in ref_frames])
+            assert np.abs(path.stack - ref).max(initial=0.0) <= 1e-14
+            refined += len(path.grid) > len(ts)
+    assert calls and refined
+
+
+def _contract_breaker(defect):
+    """A sampler of lines whose third call-order sample is broken."""
+    calls = []
+
+    def sampler(ts):
+        calls.append(ts)
+        Y = lines(ts)
+        return defect(Y) if len(calls) == 1 else Y
+
+    return sampler, calls
+
+
+def _bad_at_third(value):
+    def defect(Y):
+        Y = Y.copy()
+        Y[2, 1, 0] = value
+        return Y
+    return defect
+
+
+@pytest.mark.parametrize("defect, error, match", [
+    (lambda Y: Y[:-1], DimensionMismatch, "shape"),
+    (lambda Y: Y[..., 0], DimensionMismatch, "shape"),
+    (lambda Y: np.concatenate([Y] * 3, axis=2), DimensionMismatch, "shape"),
+    (_bad_at_third(np.nan), InvalidInput, r"t=0\.5 has non-finite"),
+    (_bad_at_third(np.inf), InvalidInput, r"t=0\.5 has non-finite"),
+    (_bad_at_third(np.sin(0.5) + 2e-10), InvalidInput,
+     r"t=0\.5: columns not orthonormal"),
+], ids=["short", "2-d", "k>n", "nan", "inf", "orthonormality"])
+def test_path_from_sampler_refuses_a_broken_stack(defect, error, match):
+    # the grid's stack is checked before any refinement: one call only
+    sampler, calls = _contract_breaker(defect)
+    with pytest.raises(error, match=match):
+        path_from_sampler(sampler, np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 1
+
+
+def test_orthonormality_test_is_the_frame_test():
+    # a defect within 1e-10 passes, as Frame lets it pass
+    grid = np.linspace(0.0, 1.0, 5)
+    Y = lines(grid)
+    Y[2, 1, 0] += 4e-11
+    Frame(Y[2])
+    path = path_from_sampler(lambda ts: Y if len(ts) == 5 else lines(ts),
+                             grid)
+    assert np.array_equal(path.stack, Y)
+
+
+def test_midpoint_stacks_are_checked_too():
+    # a round's midpoints face the same checks as the grid
+    def sampler(ts):
+        Y = lines(4.0 * ts)
+        if len(ts) < 5:
+            Y[-1, 0, 0] = np.nan
+        return Y
+
+    with pytest.raises(InvalidInput, match="non-finite"):
+        path_from_sampler(sampler, np.linspace(0.0, 1.0, 5))
+
+
+def test_subspace_path_checks_its_stack():
+    grid = np.linspace(0.0, 1.0, 3)
+    Y = lines(grid)
+    Y[1, 0, 0] = 2.0
+    with pytest.raises(InvalidInput, match="orthonormal"):
+        SubspacePath(grid, Y, lines)
+    with pytest.raises(DimensionMismatch):
+        SubspacePath(grid, lines(grid)[:2], lines)
+    path = SubspacePath(grid, lines(grid), lines)
+    assert not path.stack.flags.writeable
+    assert all(not f.columns.flags.writeable for f in path.frames)
+    assert path.frames is path.frames

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.lapack import dgesdd
 
 from hetindex import (
     DimensionMismatch,
@@ -19,7 +20,13 @@ from hetindex import (
     pair_matrix,
     spectral_split,
 )
-from hetindex.linalg import DEGENERATE, align_chain
+from hetindex.linalg import (
+    DEGENERATE,
+    _align_to,
+    _complements,
+    _gaps,
+    align_chain,
+)
 
 
 def test_orthonormalize_columns_are_orthonormal():
@@ -396,3 +403,108 @@ def test_align_chain_edge_shapes():
     assert align_chain(empty) == empty
     with pytest.raises(DimensionMismatch):
         align_chain([F, orthonormalize(np.eye(3)[:, :1])])
+
+
+# -- stacked kernels against their per-frame references ----------------
+
+def _pair_gap(U, V):
+    """The per-pair gap as one frame pair at a time computes it: the pair
+    ordered by its bytes, then one LAPACK gesdd of the residual."""
+    if U.shape[1] != V.shape[1]:
+        return 1.0
+    if U.shape[1] == 0:
+        return 0.0
+    if U.tobytes() > V.tobytes():
+        U, V = V, U
+    return float(dgesdd(V - U @ (U.T @ V), compute_uv=0)[1][0])
+
+
+def _frame_stack(rng, m, n, k, spread=None, near=None):
+    """m random (n, k) frames, or frames a random step from ``near``."""
+    if k == 0:
+        return np.zeros((m, n, 0))
+    if near is None:
+        return orthonormalize(rng.normal(size=(m, n, k)))
+    step = rng.uniform(0.0, spread, size=(m, 1, 1))
+    return orthonormalize(near + step * rng.normal(size=(m, n, k)))
+
+
+def test_stacked_gaps_equal_the_per_pair_gap_bitwise():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for k in range(0, n + 1):
+            A = _frame_stack(rng, 60, n, k)
+            B = _frame_stack(rng, 60, n, k, 1.5, A)
+            B[:5] = A[:5]            # equal pairs: no byte differs
+            gaps = _gaps(A, B)
+            assert gaps.tolist() == [_pair_gap(a, b) for a, b in zip(A, B)]
+            assert np.array_equal(_gaps(B, A), gaps)
+            for j in range(n + 1):
+                if j != k:
+                    C = _frame_stack(rng, 60, n, j)
+                    assert np.all(_gaps(A, C) == 1.0)
+                    assert np.all(_gaps(C, A) == 1.0)
+
+
+def test_stacked_orthonormalize_matches_one_matrix_qr():
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            B = rng.normal(size=(40, n, k))
+            Q = orthonormalize(B)
+            assert Q.shape == (40, n, k)
+            for b, q in zip(B, Q):
+                one = orthonormalize(b).columns
+                assert np.max(np.abs(q - one)) <= 1e-14
+                # the positive-R convention: Q^T b is upper triangular
+                # with a positive diagonal
+                assert np.all(np.diag(q.T @ b) > 0)
+
+
+def test_stacked_orthonormalize_refuses_each_member():
+    rng = np.random.default_rng(13)
+    B = rng.normal(size=(9, 5, 3))
+    B[6] = _basis_with_singular_values(6, 5, [1.0, 0.5, 1e-13])
+    with pytest.raises(RankDeficient):
+        orthonormalize(B)
+    B[6] = rng.normal(size=(5, 3))
+    B[4, 2, 1] = np.nan
+    with pytest.raises(InvalidInput, match="non-finite"):
+        orthonormalize(B)
+
+
+def test_stacked_alignment_matches_align_frame():
+    rng = np.random.default_rng(14)
+    raised = kept = 0
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            lefts = _frame_stack(rng, 80, n, k)
+            nexts = _frame_stack(rng, 80, n, k, 1.2, lefts)
+            gaps = _gaps(lefts, nexts)
+            clear = np.abs(gaps - 0.5) > 1e-12
+            lefts, nexts, gaps = lefts[clear], nexts[clear], gaps[clear]
+            near = gaps < 0.5
+            aligned = _align_to(lefts[near], nexts[near])
+            for a, b, out in zip(lefts[near], nexts[near], aligned):
+                one = align_frame(Frame(a), Frame(b)).columns
+                assert np.max(np.abs(out - one)) <= 1e-14
+            kept += int(near.sum())
+            for i in np.flatnonzero(~near):
+                with pytest.raises(GapTooLarge):
+                    _align_to(lefts, nexts)
+                with pytest.raises(GapTooLarge):
+                    _align_to(lefts[i:i + 1], nexts[i:i + 1])
+                raised += 1
+    assert raised > 300 and kept > 300
+
+
+def test_stacked_complements_match_orthogonal_complement():
+    rng = np.random.default_rng(15)
+    for n in range(1, 7):
+        for k in range(0, n + 1):
+            F = _frame_stack(rng, 20, n, k)
+            C = _complements(F)
+            assert C.shape == (20, n, n - k)
+            for f, c in zip(F, C):
+                one = orthogonal_complement(Frame(f)).columns
+                assert np.abs(c - one).max(initial=0.0) <= 1e-14

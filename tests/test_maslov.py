@@ -194,3 +194,27 @@ def test_census_refuses_a_malformed_scan_grid(call, interval, samples):
     with pytest.raises(InvalidInput):
         call(V, W, interval, samples=samples)
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    maslovmod.crossing_census, maslov_index, mod2_compare],
+    ids=["census", "index", "mod2"])
+@pytest.mark.parametrize("interval", [
+    (-1.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)],
+    ids=["inf-end", "nan-start", "minus-inf-start"])
+def test_census_refuses_a_non_finite_interval_end(call, interval):
+    # checked before the ends are spaced out: np.linspace over an
+    # infinite end warns, and the warning is an error under pytest here
+    calls = []
+
+    def counted(fn):
+        def run(t):
+            calls.append(t)
+            return fn(t)
+        return run
+
+    V = counted(graph_path(lambda t: np.array([[t]])))
+    W = counted(graph_path(lambda t: np.array([[-t]])))
+    with pytest.raises(InvalidInput, match="finite"):
+        call(V, W, interval)
+    assert calls == []

@@ -13,25 +13,34 @@ from hetindex import (
     close_loop,
     gap_distance,
     geometric_parity,
-    orthonormalize,
     path_from_sampler,
     z2_index,
     z2_index_unbounded,
 )
-from hetindex import flow
+from hetindex import flow, suites, z2index
+from hetindex.parity import decomposition_check
 from hetindex.suites import poschl_teller_family
+from scalar_reference import orbit_draw, refine_pair, scalar
 
 
 def line(theta):
-    return orthonormalize(np.array([[np.cos(theta)], [np.sin(theta)]]))
+    """The lines at the angles ``theta``, an (m, 2, 1) stack of frames."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None]
 
 
-def rotating(t):
-    return line(t)
+def rotating(ts):
+    return line(ts)
 
 
-def fixed_vertical(t):
-    return line(np.pi / 2)
+def fixed_vertical(ts):
+    return line(np.full(len(ts), np.pi / 2))
+
+
+def flipping(ts):
+    # the rotating line, its orientation flipping many times per radian
+    sign = np.where(np.sin(40.0 * ts) < 0.0, -1.0, 1.0)
+    return sign[:, None, None] * line(ts)
 
 
 def make_pair(vs, ws, a, b, points=101):
@@ -96,26 +105,26 @@ def test_pair_merges_different_grids():
 def test_merged_grid_frames_are_samples():
     # the union grid takes each missing frame from the path's sampler;
     # a geodesic between V's neighbours would miss line(t**2) off its grid
-    def vs(t):
-        return line(t * t)
+    def vs(ts):
+        return line(ts * ts)
 
     pair = SubspacePathPair(
         V=path_from_sampler(vs, np.linspace(0.0, 1.0, 11)),
         W=path_from_sampler(fixed_vertical, np.linspace(0.0, 1.0, 17)))
     assert len(pair.grid) > 17
     for t, v, w in zip(pair.grid, pair.V.frames, pair.W.frames):
-        assert np.array_equal(v.columns, vs(t).columns)
-        assert np.array_equal(w.columns, fixed_vertical(t).columns)
+        assert np.array_equal(v.columns, vs(np.array([t]))[0])
+        assert np.array_equal(w.columns, fixed_vertical([t])[0])
 
 
 def test_unbounded_index_settles():
     # V sweeps angle 0 to pi/2 through tanh, W fixed at 45 degrees;
     # one crossing, transversal tails on both sides
-    def vs(t):
-        return line(np.pi / 4 * (np.tanh(t) + 1.0))
+    def vs(ts):
+        return line(np.pi / 4 * (np.tanh(ts) + 1.0))
 
-    def ws(t):
-        return line(np.pi / 4)
+    def ws(ts):
+        return line(np.full(len(ts), np.pi / 4))
 
     pair = make_pair(vs, ws, -10.0, 10.0, points=201)
     rep = z2_index_unbounded(pair, tail_T=5.0)
@@ -126,11 +135,11 @@ def test_unbounded_index_settles():
 def test_unbounded_rejects_degenerate_tail():
     # W equals the forward limit of V, so the right tail never becomes
     # transversal
-    def vs(t):
-        return line(np.pi / 4 * (np.tanh(t) + 1.0))
+    def vs(ts):
+        return line(np.pi / 4 * (np.tanh(ts) + 1.0))
 
-    def ws(t):
-        return line(np.pi / 2)
+    def ws(ts):
+        return line(np.full(len(ts), np.pi / 2))
 
     pair = make_pair(vs, ws, -10.0, 10.0, points=201)
     with pytest.raises(TailNotTransversal):
@@ -195,3 +204,44 @@ def test_geometric_parity_transports_once_per_side(monkeypatch):
     rep = geometric_parity(poschl_teller_family(), 1.0, samples=81)
     assert rep.value == 1 and rep.refinement_depth == 16
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suites.suite_properties(trials=2, seed=0),
+    lambda: suites.suite_orientability(trials=10, seed=0),
+    lambda: suites.suite_finite_parity(trials=3, seed=0),
+    lambda: suites.suite_maslov_mod2(trials=1, seed=1),
+    lambda: decomposition_check(poschl_teller_family(),
+                                np.linspace(0.0, 1.0, 21), samples=41),
+    lambda: decomposition_check(orbit_draw(0), np.linspace(0.0, 1.0, 21),
+                                samples=41),
+    lambda: decomposition_check(orbit_draw(1), np.linspace(0.0, 1.0, 21),
+                                samples=41),
+    lambda: z2_index(make_pair(flipping, fixed_vertical, 0.0, 3.0, 7)),
+], ids=["rotation-homotopy-block-sum", "orientability", "graph",
+        "maslov-graphs", "poschl-teller", "orbit-draw-0", "orbit-draw-1",
+        "flipping-orientation"])
+def test_refine_pair_matches_the_scalar_reference(run, monkeypatch):
+    # every pair a suite or a decomposition indexes, refined by the
+    # stacked pipeline and by one frame, gap and alignment at a time
+    pairs = []
+    real = z2index._refine_pair
+
+    def spy(pair, eps_trans):
+        pairs.append((pair, eps_trans))
+        return real(pair, eps_trans)
+
+    monkeypatch.setattr(z2index, "_refine_pair", spy)
+    run()
+    monkeypatch.undo()
+    refined = 0
+    for pair, eps_trans in pairs:
+        ts, dets, signs, depth = real(pair, eps_trans)
+        ref = refine_pair(pair.grid, pair.V.frames, pair.W.frames,
+                          scalar(pair.V.sampler), scalar(pair.W.sampler),
+                          eps_trans)
+        assert np.array_equal(ts, ref[0])
+        assert signs.tolist() == ref[2] and depth == ref[3]
+        assert np.max(np.abs(dets - ref[1])) <= 1e-12
+        refined += len(ts) > len(pair.grid)
+    assert pairs and refined
