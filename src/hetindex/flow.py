@@ -14,6 +14,11 @@ columns would collapse onto the dominant direction.  The direction of
 integration is chosen so the tracked subspace is attracting: stable
 frames are seeded at +T and integrated backward, unstable frames at -T
 forward.
+
+The integrator is the module's own Dormand-Prince 5(4) loop (RK45),
+scipy's method operation for operation, so ``rtol`` and ``atol`` keep
+their meaning.  S does not depend on the state, so each step attempt
+evaluates S once, at all its stage instants together.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionMismatch,
@@ -34,7 +38,7 @@ from .errors import (
     NotHyperbolic,
     NotStabilized,
 )
-from .expr import MatrixExpr, compile_matrix
+from .expr import MatrixExpr, _pointwise_matrix, compile_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
@@ -92,6 +96,12 @@ class LinearFamily:
     Each family keeps the spectral split of each distinct limit
     matrix, keyed by its shape and bytes, and nothing else; a family
     made by ``dataclasses.replace`` starts with none.
+
+    The integrator evaluates S through ``_points``, whose value at each
+    point of an array call is bitwise its one-point value: an
+    expression family's powers round as scalar powers there (see
+    ``expr._pointwise_matrix``); a callable family's evaluator is used
+    as it is.
     """
 
     n: int
@@ -99,6 +109,7 @@ class LinearFamily:
     t_max: float = 20.0
     matrix: MatrixExpr | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
+    _points: Callable = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,6 +117,9 @@ class LinearFamily:
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
         if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
+        object.__setattr__(self, "_points", self._eval if self.matrix is None
+                           else _pointwise_matrix(self.matrix,
+                                                  ("lambda", "t")))
         object.__setattr__(self, "_splits", {})
 
     @staticmethod
@@ -354,36 +368,193 @@ def _too_wide(lefts: tuple, rights: tuple) -> np.ndarray:
 
 
 # -- integration core --------------------------------------------------
+#
+# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.4) with the step control, initial-step rule
+# and quartic dense output of scipy's RK45, operation for operation, so
+# that its states are bitwise those of scipy's ``RK45`` solver.
 
-def _solve_matrix_ode(rhs: Callable, t0: float, t1: float, y0: np.ndarray,
-                      rtol: float, atol: float, dense_output: bool = False):
-    """RK45 solve of a flattened matrix ODE; the final state is checked.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY = 0.9        # on the step factor from the error estimate
+_MIN_FACTOR = 0.2    # least factor of a step size after a rejection
+_MAX_FACTOR = 10     # greatest factor of a step size after an acceptance
+_ERROR_EXPONENT = -1 / 5   # -1 / (order of the error estimator + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 
-    The solver and the function it wraps form a reference cycle.  The
-    solver reaches ``rhs`` only through a list emptied after the solve,
-    so the cycle does not keep ``rhs``, or the family it closes over,
-    alive until the cyclic garbage collector runs.
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _Dense:
+    """Dense output of one solve: the quartic interpolant of each step.
+
+    ``steps`` holds (t_old, t, y_old, Q) per step in the direction of
+    travel.  An instant is read off the step that scipy's
+    ``OdeSolution`` picks for it (at a step end, the earlier step), and
+    the instants of one step in one product, as there.
     """
-    hold = [rhs]
-    try:
-        sol = solve_ivp(lambda t, y: hold[0](t, y), (t0, t1), y0.ravel(),
-                        method="RK45", rtol=rtol, atol=atol,
-                        dense_output=dense_output)
-    finally:
-        hold.clear()
-    if not sol.success:
-        raise IntegrationFailure(
-            f"integration {t0} -> {t1} failed: {sol.message}"
-        )
-    if not np.all(np.isfinite(sol.y[:, -1])):
+
+    def __init__(self, steps: list):
+        self.steps = steps
+        ends = [steps[0][0]] + [step[1] for step in steps]
+        self.ascending = ends[-1] >= ends[0]
+        self.ends = np.array(ends if self.ascending else ends[::-1])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The (len(y), len(t)) solution at the 1-d array of instants t."""
+        order = np.argsort(t)
+        t_sorted = t[order]
+        last = len(self.steps) - 1
+        seg = np.searchsorted(self.ends, t_sorted,
+                              side="left" if self.ascending else "right")
+        seg = np.clip(seg - 1, 0, last)
+        if not self.ascending:
+            seg = last - seg
+        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(seg)]
+        ys = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            t_old, t_new, y_old, Q = self.steps[seg[lo]]
+            h = t_new - t_old
+            x = (t_sorted[lo:hi] - t_old) / h
+            y = h * np.dot(Q, np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0))
+            y += y_old[:, None]
+            ys.append(y)
+        out = np.empty((len(ys[0]), len(t)))
+        out[:, order] = np.hstack(ys)
+        return out
+
+
+def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
+           t0: float, t1: float, rtol: float, atol: float,
+           dense: bool = False):
+    """Solve Y' = S(lambda, t) Y from Y(t0) = Y0 to t1, all lambdas at once.
+
+    ``Y0`` is an (m, n, k) stack, one member per lambda of ``lams``,
+    carried as one flat state under one step control.  S does not
+    depend on the state, so the stage instants of a step attempt are
+    known once its size is: one evaluator call per attempt gives S at
+    all of them, t + c h for c = 1/5, 3/10, 4/5, 8/9, 1, and the last
+    one is also the next step's first stage (FSAL).  The initial step
+    rule takes two more calls.  Returns the flat final state and, with
+    ``dense``, a :class:`_Dense` over the steps, else None.
+
+    As in scipy, an rtol below 100 machine epsilons is raised to that,
+    and a negative atol is refused (InvalidInput).  Raises
+    IntegrationFailure, naming the instant, when no step of ten float
+    spacings or more meets the tolerances (a non-finite state or S ends
+    there too), or when the final state is not finite.
+    """
+    if atol < 0:
+        raise InvalidInput(f"atol must not be negative, got {atol!r}")
+    m, n, k = Y0.shape
+    # a lone lambda goes in as a scalar: evaluators, numpy or Python,
+    # run faster on it than on a length-1 array
+    lam_arg = lams[0] if m == 1 else lams
+
+    def S_at(ts: np.ndarray) -> np.ndarray:
+        """S at each of ``ts``: (len(ts), n, n), or (len(ts), m, n, n)."""
+        S = np.asarray(fam._points(lam_arg, ts if m == 1 else ts[:, None]),
+                       dtype=float)
+        want = (len(ts), n, n) if m == 1 else (len(ts), m, n, n)
+        if S.shape != want:
+            raise DimensionMismatch(f"evaluator returned {S.shape}, "
+                                    f"expected {want}")
+        return S
+
+    def rhs(S: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
+
+    rtol = max(rtol, _RTOL_FLOOR)
+    direction = np.sign(t1 - t0)
+    t, y = t0, Y0.ravel()
+    K = np.empty((len(_C) + 1, y.size))
+    steps = []
+    # a rejected trial may hold inf or NaN; only the outcome is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rhs(S_at(np.array([t]))[0], y)
+        # the initial step (Hairer, Norsett & Wanner, sec. II.4)
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                 abs(t1 - t0))
+        f1 = rhs(S_at(np.array([t + h0 * direction]))[0],
+                 y + h0 * direction * f)
+        d2 = _rms((f1 - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(100 * h0, h1, abs(t1 - t0))
+
+        while direction * (t - t1) < 0:
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:     # NaN too
+                    raise IntegrationFailure(
+                        f"integration {t0} -> {t1} failed at t={t}: no step "
+                        f"of ten float spacings or more meets the tolerances")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t1) > 0:
+                    t_new = t1
+                h = t_new - t
+                h_abs = np.abs(h)
+                S = S_at(t + _C[1:] * h)
+                K[0] = f
+                for s in range(1, len(_C)):
+                    dy = np.dot(K[:s].T, _A[s, :s]) * h
+                    K[s] = rhs(S[s - 1], y + dy)
+                y_new = y + h * np.dot(K[:-1].T, _B)
+                f_new = K[-1] = rhs(S[-1], y_new)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err = _rms(np.dot(K.T, _E) * h / scale)
+                if err < 1:
+                    factor = _MAX_FACTOR if err == 0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+            if dense:
+                steps.append((t, t_new, y, K.T.dot(_P)))
+            t, y, f = t_new, y_new, f_new
+    if not np.all(np.isfinite(y)):
         raise IntegrationFailure(f"non-finite state reached at t={t1}")
-    return sol
+    return y, _Dense(steps) if dense else None
 
 
 def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
                          rtol: float = _DEFAULT_RTOL,
                          atol: float = _DEFAULT_ATOL) -> np.ndarray:
     """Fundamental solution gamma_{(lambda,tau)}(t) with gamma(tau) = I.
+
+    One solve of the transport's integrator from the identity, without
+    renormalization.
 
     Raises
     ------
@@ -400,12 +571,9 @@ def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
     n = fam.n
     if t == tau:
         return np.eye(n)
-
-    def rhs(s, y):
-        return (fam.evaluate(lam, s) @ y.reshape(n, n)).ravel()
-
-    sol = _solve_matrix_ode(rhs, tau, t, np.eye(n), rtol, atol)
-    return sol.y[:, -1].reshape(n, n)
+    y, _ = _dopri(fam, np.array([float(lam)]), np.eye(n)[None],
+                  float(tau), float(t), rtol, atol)
+    return y.reshape(n, n)
 
 
 def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
@@ -665,33 +833,25 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
                        dense: bool = False) -> tuple[np.ndarray, list]:
     """Carry one frame per lambda under the flow, all lambdas at once.
 
-    seeds has shape (m, n, k); all m systems ride in one solver call
-    per leg, with batched QR and Procrustes alignment between legs.
-    This keeps a 201-point lambda sweep at a handful of integrator
-    calls.  Returns the final (m, n, k) frames and, with ``dense``,
-    one ``(leg end, interpolant)`` pair per leg in the direction of
-    travel (else none); an interpolant maps an instant of its leg to
-    the raw (m, n, k) solution there, flattened.
+    seeds has shape (m, n, k); all m systems ride in one solve per
+    leg, with batched QR and Procrustes alignment between legs, and
+    each solve evaluates S once per step attempt.  Returns the final
+    (m, n, k) frames and, with ``dense``, one ``(leg end, interpolant)``
+    pair per leg in the direction of travel (else none); an interpolant
+    maps an instant of its leg to the raw (m, n, k) solution there,
+    flattened.
     """
     m, n, k = seeds.shape
     Y = seeds.copy()
     legs: list = []
     if k == 0 or t_from == t_to:
         return Y, legs
-    # a lone lambda goes in as a scalar: evaluators, numpy or Python,
-    # run faster on it than on a length-1 array
-    lam_arg = lams[0] if m == 1 else lams
-
-    def rhs(s, y):
-        S = fam.evaluate_many(lam_arg, s)
-        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
-
     pts = _leg_points(t_from, t_to)
     for a, b in zip(pts, pts[1:]):
-        sol = _solve_matrix_ode(rhs, a, b, Y, rtol, atol, dense_output=dense)
+        y, sol = _dopri(fam, lams, Y, float(a), float(b), rtol, atol, dense)
         if dense:
-            legs.append((b, sol.sol))
-        Q, _ = np.linalg.qr(sol.y[:, -1].reshape(m, n, k))
+            legs.append((b, sol))
+        Q, _ = np.linalg.qr(y.reshape(m, n, k))
         M = np.einsum("mji,mjk->mik", Q, Y)
         U, _, Vt = np.linalg.svd(M)
         Y = np.einsum("mij,mjk->mik", Q, U @ Vt)

@@ -36,9 +36,9 @@ from .flow import _checked_grid, path_from_sampler
 from .linalg import (
     DEGENERATE,
     Frame,
-    align_chain,
+    _chain,
+    _signed_dets,
     align_frame,
-    det_sign,
     orthonormalize,
     pair_matrix,
 )
@@ -243,17 +243,19 @@ def _pair_smin(v: Frame, w: Frame) -> float:
     return float(np.linalg.svd(pair_matrix(v, w), compute_uv=False)[-1])
 
 
-def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: list, raw_w: list,
-                      cross_tol: float) -> list[float]:
+def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: np.ndarray,
+                      raw_w: np.ndarray, cross_tol: float) -> list[float]:
     """Crossing instants from frames sampled once at the scan instants.
 
-    The raw frames give the sigma_min dip scan; their alignment chains
-    give the oriented det trace for sign-change bisection.
+    ``raw_v`` and ``raw_w`` stack the frames of both paths there.  One
+    stacked SVD of their pair matrices gives the sigma_min dip scan;
+    their alignment chains give the oriented det trace, in one stacked
+    determinant, for sign-change bisection.
     """
-    g = np.array([_pair_smin(v, w) for v, w in zip(raw_v, raw_w)])
-    frames_v, frames_w = align_chain(raw_v), align_chain(raw_w)
-    dets = np.array([np.linalg.det(pair_matrix(v, w))
-                     for v, w in zip(frames_v, frames_w)])
+    g = np.linalg.svd(np.concatenate([raw_v, raw_w], axis=2),
+                      compute_uv=False)[:, -1]
+    frames_v, frames_w = _chain(raw_v), _chain(raw_w)
+    dets = np.linalg.det(np.concatenate([frames_v, frames_w], axis=2))
 
     found: list[float] = []
     # the dip localizer is only accurate to ~sqrt(eps); a crossing seen
@@ -272,7 +274,8 @@ def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: list, raw_w: list,
             register(ts[i])
             continue
         if dets[i] * dets[i + 1] < 0.0:
-            ref_v, ref_w = frames_v[i], frames_w[i]
+            ref_v = Frame._trusted(frames_v[i])
+            ref_w = Frame._trusted(frames_w[i])
 
             def f(t):
                 M = pair_matrix(align_frame(ref_v, vs(t)),
@@ -294,6 +297,14 @@ def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: list, raw_w: list,
                 register(float(res.x))
 
     return sorted(found)
+
+
+def _scan(path, ts: np.ndarray) -> np.ndarray:
+    """The (len(ts), n, k) stack of the path's frames at ``ts``."""
+    frames = [path(t) for t in ts]
+    if any(f.columns.shape != frames[0].columns.shape for f in frames):
+        raise DimensionMismatch("frames change shape along the chain")
+    return np.stack([f.columns for f in frames])
 
 
 def crossing_census(V, W, interval: tuple[float, float],
@@ -319,11 +330,12 @@ def crossing_census(V, W, interval: tuple[float, float],
     """
     vs, ws = _as_sampler(V), _as_sampler(W)
     ts = _scan_instants(interval, samples)
-    raw_v = [vs(t) for t in ts]
-    raw_w = [ws(t) for t in ts]
-    for i, name in ((0, "left"), (-1, "right")):
-        if det_sign(pair_matrix(raw_v[i], raw_w[i]),
-                    eps_trans) == DEGENERATE:
+    raw_v, raw_w = _scan(vs, ts), _scan(ws, ts)
+    ends = np.array([pair_matrix(Frame._trusted(raw_v[i]),
+                                 Frame._trusted(raw_w[i])) for i in (0, -1)])
+    for sign, name in zip(_signed_dets(ends, eps_trans)[1],
+                          ("left", "right")):
+        if sign == DEGENERATE:
             raise DegenerateEndpoint(f"{name} endpoint is a crossing")
 
     out = []

@@ -188,8 +188,9 @@ def _assemble(template, n: int, N: int, h: float, S_mid: np.ndarray,
 
 
 def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
-               b_u: Sequence[Frame], b_s: Sequence[Frame]):
-    """Yield the operator at each of ``lams``, boundary rows from b_u, b_s.
+               b_u: np.ndarray, b_s: np.ndarray):
+    """Yield the operator at each of ``lams``, boundary rows from the
+    (m, n, n - k) and (m, n, k) stacks b_u and b_s.
 
     S is evaluated at all lambdas and midpoints in one call; the sparse
     matrices are assembled one at a time.
@@ -200,7 +201,7 @@ def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
                               mids[None, :])
     template = _operator_template(fam.n, fam.k, N)
     for S, bu, bs in zip(S_all, b_u, b_s):
-        yield _assemble(template, fam.n, N, h, S, bu.columns.T, bs.columns.T)
+        yield _assemble(template, fam.n, N, h, S, bu.T, bs.T)
 
 
 def _check_truncation(tau: float, N: int) -> None:
@@ -226,7 +227,8 @@ def discretize(fam: LinearFamily, lam: float, tau: float,
     _check_truncation(tau, N)
     frames = _boundary_frames(fam, np.array([lam], dtype=float), tau)
     M, = _operators(fam, [lam], tau, N, *frames[2:])
-    return DiscretizedOperator(lam, tau, N, M, *(f[0] for f in frames))
+    return DiscretizedOperator(lam, tau, N, M,
+                               *(Frame._trusted(F[0]) for F in frames))
 
 
 def _perm_parity(p: np.ndarray) -> int:
@@ -399,18 +401,17 @@ def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
     det(I - E) > 0 whenever ||E||_2 < 1, so a factor's determinant is
     taken only where h ||S_i||_F / 2 >= 1; a lambda with an exactly
     singular factor is signed by the sparse LU of its operator instead.
-    ``frames`` is (E^u, E^s, B_u, B_s) per lambda.
+    ``frames`` is (E^u, E^s, B_u, B_s), each an (m, n, .) stack.
     """
     e_u, _, b_u, b_s = frames
     n, k = fam.n, fam.k
     h = 2.0 * tau / N
-    Y = np.array([f.columns for f in e_u])
-    B = np.array([f.columns for f in b_u])
-    sign = np.linalg.slogdet(np.concatenate([B, Y], axis=2))[0]
+    sign = np.linalg.slogdet(np.concatenate([b_u, e_u], axis=2))[0]
     if k * N * n % 2:
         sign = -sign
     singular = np.zeros(len(lams), dtype=bool)
     eye = np.eye(n)
+    Y = e_u
     for start in range(0, N, _BLOCK_STEPS):
         mids = -tau + h * (np.arange(start, min(start + _BLOCK_STEPS, N))
                            + 0.5)
@@ -428,10 +429,11 @@ def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
             Y = C[:, j] @ Y
         Y, R = np.linalg.qr(Y)
         sign *= np.prod(np.sign(np.diagonal(R, axis1=1, axis2=2)), axis=1)
-    BsT = np.array([f.columns.T for f in b_s])
+    BsT = np.ascontiguousarray(np.swapaxes(b_s, 1, 2))
     signs = (sign * np.linalg.slogdet(BsT @ Y)[0]).astype(int)
     for i in np.flatnonzero(singular):
-        M, = _operators(fam, lams[i:i + 1], tau, N, [b_u[i]], [b_s[i]])
+        M, = _operators(fam, lams[i:i + 1], tau, N, b_u[i:i + 1],
+                        b_s[i:i + 1])
         signs[i] = _signed_lu(M)[0]
     return signs
 
@@ -517,7 +519,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float],
     ends = (0, len(lams) - 1)
     factored = range(len(lams)) if track_sigma else ends
     ops = _operators(fam, lams[list(factored)], tau, N,
-                     *([f[i] for i in factored] for f in frames[2:]))
+                     *(F[list(factored)] for F in frames[2:]))
     results = {i: _factor_end(lams[i], M) if i in ends
                else _signed_lu(M, sigma=True)
                for i, M in zip(factored, ops)}
@@ -559,7 +561,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float],
 
 def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
                      rtol: float = 1e-9, atol: float = 1e-12) -> tuple:
-    """(E^u(-tau), E^s(tau), B_u, B_s) per lambda.
+    """(E^u(-tau), E^s(tau), B_u, B_s), one (len(lams), n, .) stack each.
 
     B_u and B_s are the complements whose transposes form the boundary
     rows; they are aligned along lams, since the operator signs depend
@@ -567,8 +569,7 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
     """
     e_u = _subspace_stack(fam, lams, "unstable", -tau, rtol, atol)
     e_s = _subspace_stack(fam, lams, "stable", tau, rtol, atol)
-    b_u, b_s = _chain(_complements(e_u)), _chain(_complements(e_s))
-    return tuple(list(map(Frame._trusted, F)) for F in (e_u, e_s, b_u, b_s))
+    return e_u, e_s, _chain(_complements(e_u)), _chain(_complements(e_s))
 
 
 def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
@@ -581,8 +582,7 @@ def _endpoint_value(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
     ``operator_parity`` and signed; nothing else enters the value.
     """
     ends = [0, len(lams) - 1]
-    mats = _operators(fam, lams[ends], tau, N,
-                      *([f[i] for i in ends] for f in frames[2:]))
+    mats = _operators(fam, lams[ends], tau, N, *(F[ends] for F in frames[2:]))
     s0, s1 = (_factor_end(lams[i], M)[0] for i, M in zip(ends, mats))
     return 0 if s0 == s1 else 1
 
@@ -600,7 +600,7 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     flips = [float(lams[i]) for i in range(1, len(lams) - 1)
              if signs[i] == 0]
     nz = np.flatnonzero(signs)
-    b_u, b_s = (np.array([f.columns for f in F])[nz] for F in frames[2:])
+    b_u, b_s = (F[nz] for F in frames[2:])
 
     def split(lefts, rights):
         return ((lefts[1] != rights[1])
@@ -611,8 +611,7 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
         e_s = _subspace_stack(fam, mids, "stable", tau, rtol, atol)
         b_u = _align_to(lefts[2], _complements(e_u))
         b_s = _align_to(lefts[3], _complements(e_s))
-        signs = _block_signs(fam, mids, tau, N, tuple(
-            list(map(Frame._trusted, F)) for F in (e_u, e_s, b_u, b_s)))
+        signs = _block_signs(fam, mids, tau, N, (e_u, e_s, b_u, b_s))
         return mids, np.where(signs != 0, signs, lefts[1]), b_u, b_s
 
     lams, (_, signs, _, _), _ = _bisect(

@@ -5,8 +5,10 @@ below.  A new optional parameter fails this test until the same change
 adds it to the list, so each one is a decision, not an accident.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import hetindex
@@ -179,3 +181,21 @@ def test_optional_parameters_are_the_listed_ones():
 
 def test_removed_parameters_stay_removed():
     assert not REMOVED & optional_parameters()
+
+
+def test_no_module_imports_scipy_integrate():
+    # the package runs its own Dormand-Prince loop; scipy's integrators
+    # are the tests' oracle only
+    src = pathlib.Path(hetindex.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(name == "scipy.integrate"
+                           or name.startswith("scipy.integrate.")
+                           for name in names), path.name

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import RK45, quad, solve_ivp
 from scipy.linalg import expm
 
 from hetindex import (
@@ -14,6 +14,7 @@ from hetindex import (
     DomainError,
     Frame,
     GapTooLarge,
+    IntegrationFailure,
     InvalidInput,
     LinearFamily,
     NotHyperbolic,
@@ -702,3 +703,157 @@ def test_subspace_path_checks_its_stack():
     assert not path.stack.flags.writeable
     assert all(not f.columns.flags.writeable for f in path.frames)
     assert path.frames is path.frames
+
+
+# -- the Dormand-Prince loop against scipy's RK45 ----------------------
+
+def test_tableau_is_scipys_rk45():
+    for mine, scipys in ((flow._C, RK45.C), (flow._A, RK45.A),
+                         (flow._B, RK45.B), (flow._E, RK45.E),
+                         (flow._P, RK45.P)):
+        assert mine.dtype == scipys.dtype and np.array_equal(mine, scipys)
+    assert (flow._SAFETY, flow._MIN_FACTOR, flow._MAX_FACTOR) == (0.9, 0.2, 10)
+    assert flow._ERROR_EXPONENT == -1 / (RK45.error_estimator_order + 1)
+
+
+def _solve_ivp_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False):
+    """The oracle for ``flow._dopri``: the same solve by
+    ``solve_ivp(method="RK45")``, S evaluated once per right-hand side."""
+    m, n, k = Y0.shape
+    lam_arg = lams[0] if m == 1 else lams
+
+    def rhs(s, y):
+        S = fam.evaluate_many(lam_arg, s)
+        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
+
+    sol = solve_ivp(rhs, (t0, t1), Y0.ravel(), method="RK45", rtol=rtol,
+                    atol=atol, dense_output=dense)
+    assert sol.success
+    return sol.y[:, -1], sol.sol
+
+
+ODE_FAMILIES = {"poschl-teller": poschl_teller_family,
+                "connecting-n2": lambda: orbit_draw(0),
+                "connecting-n3": lambda: orbit_draw(1)}
+
+
+@pytest.mark.parametrize("t", [0.0, -15.0, 15.0])
+@pytest.mark.parametrize("m", [1, 2, 201])
+@pytest.mark.parametrize("family", ODE_FAMILIES)
+def test_transport_is_bitwise_solve_ivp(family, m, t, monkeypatch):
+    # stable frames travel backward, unstable ones forward
+    fam = ODE_FAMILIES[family]()
+    lams = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.37])
+    got = [flow._subspace_stack(fam, lams, which, t)
+           for which in ("stable", "unstable")]
+    monkeypatch.setattr(flow, "_dopri", _solve_ivp_dopri)
+    want = [flow._subspace_stack(fam, lams, which, t)
+            for which in ("stable", "unstable")]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ODE_FAMILIES)
+def test_dense_path_samples_are_bitwise_solve_ivp(family, monkeypatch):
+    fam = ODE_FAMILIES[family]()
+    grid = np.linspace(-6.0, 6.0, 13)
+    ts = np.concatenate([np.random.default_rng(3).uniform(-6.0, 6.0, 40),
+                         grid])
+    runs = []
+    for dopri in (flow._dopri, _solve_ivp_dopri):
+        monkeypatch.setattr(flow, "_dopri", dopri)
+        for which in ("stable", "unstable"):
+            path = invariant_subspace_path(fam, 0.8, which, grid)
+            runs.append((path.grid, path.stack, path.sample(ts)))
+    half = len(runs) // 2
+    for got, want in zip(runs[:half], runs[half:]):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_one_evaluation_per_step_attempt(monkeypatch):
+    # solve_ivp evaluates S for each of its six right-hand sides per
+    # attempt, plus two per solve for f(t0) and the initial-step rule;
+    # the loop takes one call per attempt and the same two per solve
+    pt = poschl_teller_family()
+    calls = []
+
+    def counting(lam, t):
+        calls.append(1)
+        return pt._points(lam, t)
+
+    fam = LinearFamily.from_callable(None, n=2, k=1, batched=counting)
+    lams = np.linspace(0.0, 1.0, 201)
+    seeds = flow._subspace_stack(fam, lams, "unstable", -20.0)
+    counts = []
+    for dopri in (flow._dopri, _solve_ivp_dopri):
+        monkeypatch.setattr(flow, "_dopri", dopri)
+        calls.clear()
+        flow._transport_batched(fam, lams, seeds, -20.0, 0.0, 1e-9, 1e-12)
+        counts.append(len(calls))
+    solves = len(flow._leg_points(-20.0, 0.0)) - 1
+    attempts = (counts[1] - 2 * solves) / 6
+    assert attempts == int(attempts) > solves
+    assert counts[0] == 2 * solves + attempts
+
+
+def _diverging_family():
+    # y' = y / (1 - t): the solution 1 / (1 - t) blows up at t = 1
+    def S(lam, t):
+        with np.errstate(divide="ignore"):
+            return np.array([[np.float64(1.0) / (1.0 - t)]])
+    return LinearFamily.from_callable(S, n=1, k=0, t_max=5.0)
+
+
+def _infinite_past_one_family():
+    return LinearFamily.from_callable(
+        lambda lam, t: np.array([[np.inf if t > 1.0 else 1.0]]),
+        n=1, k=0, t_max=5.0)
+
+
+@pytest.mark.parametrize("make", [_diverging_family,
+                                  _infinite_past_one_family],
+                         ids=["step-underflow", "non-finite-stages"])
+def test_integration_failure_names_the_instant(make):
+    with pytest.raises(IntegrationFailure, match=r"failed at t=0\.99"):
+        fundamental_solution(make(), 0.0, tau=0.0, t=2.0)
+
+
+def test_non_finite_start_raises_at_once():
+    fam = LinearFamily.from_callable(lambda lam, t: np.eye(2), n=2, k=1)
+    Y0 = np.array([[[np.nan], [1.0]]])
+    with pytest.raises(IntegrationFailure, match=r"failed at t=-1\.0"):
+        flow._dopri(fam, np.array([0.0]), Y0, -1.0, 1.0, 1e-9, 1e-12)
+
+
+def test_tolerances_keep_their_meaning():
+    # rtol is floored at 100 eps, as scipy floors it, and atol < 0 is
+    # refused, as scipy refuses it
+    fam = poschl_teller_family()
+    floor = 100 * np.finfo(float).eps
+    assert np.array_equal(fundamental_solution(fam, 0.5, -1.0, 1.0, rtol=0.0),
+                          fundamental_solution(fam, 0.5, -1.0, 1.0,
+                                               rtol=floor))
+    with pytest.raises(InvalidInput, match="atol"):
+        fundamental_solution(fam, 0.5, -1.0, 1.0, atol=-1e-12)
+
+
+def test_integrator_evaluates_every_point_as_a_one_point_call():
+    # the integrator reads S at several instants per call; each value
+    # must be the one a call at that single point gives.  At the first
+    # two points an array call of evaluate_many squares sech(t) where a
+    # one-point call takes the C library's pow, and the Poschl-Teller
+    # entry 1 - 2.5 lambda sech(t)^2 differs in its last bit
+    rng = np.random.default_rng(7)
+    lams = np.concatenate([[1.0, 1.3073664458427114],
+                           rng.uniform(-0.5, 1.5, 500)])
+    ts = np.concatenate([[-0.6517174421720151, 0.13284864976662192],
+                         rng.uniform(-8.0, 8.0, 500)])
+    demos = [d["config"] for d in DEMOS.values()
+             if d["config"]["kind"] == "linear-family"]
+    for fam in [LinearFamily.from_matrix_expr(parse_matrix(cfg["S"]),
+                                              k=cfg["k"]) for cfg in demos]:
+        one = np.array([fam.evaluate(lam, t) for lam, t in zip(lams, ts)])
+        assert np.array_equal(fam._points(lams, ts), one)
+        assert np.array_equal(fam._points(lams[0], ts),
+                              [fam.evaluate(lams[0], t) for t in ts])
