@@ -38,7 +38,12 @@ from .expr import (
     parse_vector,
     substitute,
 )
-from .flow import HypothesisReport, LinearFamily, _require_A1_A3
+from .flow import (
+    HypothesisReport,
+    LinearFamily,
+    _check_samples,
+    _require_A1_A3,
+)
 from .linalg import spectral_split
 from .parity import boundary_pair_over_lambda
 from .z2index import IndexReport, z2_index
@@ -367,8 +372,8 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     Raises
     ------
     InvalidInput
-        If ``lam_range`` is not increasing or reaches outside the
-        family's ``lam_range``.
+        If ``samples`` is not an integer >= 2, or ``lam_range`` is not
+        increasing or reaches outside the family's ``lam_range``.
     HypothesisFailure
         If a sampled limit hypothesis fails (assumption named).
     BranchResidualTooLarge
@@ -376,6 +381,7 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     DegenerateEndpoint
         If an endpoint pair is numerically non-transversal.
     """
+    _check_samples(samples, 2)
     a, b = lam_range if lam_range is not None else nf.lam_range
     if not b > a:
         raise InvalidInput("lam_range must be increasing")

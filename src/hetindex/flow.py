@@ -313,6 +313,15 @@ def _checked_grid(grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
+def _check_samples(samples, least: int) -> None:
+    """Refuse a sample count that is not an integer >= ``least``; a bool
+    or a float, even an integral one, is refused."""
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < least):
+        raise InvalidInput(
+            f"samples must be an integer >= {least}, got {samples!r}")
+
+
 # -- midpoint refinement -----------------------------------------------
 
 def _bisect(ts: np.ndarray, samples: tuple, split: Callable,
@@ -924,9 +933,7 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
     InvalidInput
         Unless ``samples`` is an integer >= 1; nothing is evaluated then.
     """
-    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
-            or samples < 1):
-        raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
+    _check_samples(samples, 1)
     violations = []
     min_gap = np.inf
     lams = np.linspace(*lam_range, samples)

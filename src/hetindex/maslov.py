@@ -32,7 +32,7 @@ from .errors import (
     IrregularCrossing,
     NotGraphical,
 )
-from .flow import _checked_grid, path_from_sampler
+from .flow import _check_samples, _checked_grid, path_from_sampler
 from .linalg import (
     DEGENERATE,
     Frame,
@@ -160,6 +160,7 @@ def _as_sampler(path) -> Callable[[float], Frame]:
 
 
 def _scan_instants(interval: tuple[float, float], samples: int) -> np.ndarray:
+    _check_samples(samples, 2)
     # the ends are checked first: spacing out an infinite one warns
     return _checked_grid(np.linspace(*_checked_grid(interval), samples))
 
@@ -320,9 +321,9 @@ def crossing_census(V, W, interval: tuple[float, float],
     Raises
     ------
     InvalidInput
-        Unless both interval ends are finite and the scan instants are
-        two or more strictly increasing values; neither path is read
-        then.
+        Unless ``samples`` is an integer >= 2, both interval ends are
+        finite and the scan instants are strictly increasing; neither
+        path is read then.
     DegenerateEndpoint
         If an endpoint is itself a crossing.
     IrregularCrossing

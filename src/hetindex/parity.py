@@ -13,10 +13,14 @@ two independent ways and cross-checked:
 The determinant signs of a sweep come from block elimination of the
 block-bidiagonal matrix: the unstable frame E^u(-tau) is pushed through
 the Crank-Nicolson (Cayley) steps of every lambda at once, with QR
-renormalization, so magnitudes never overflow.  A pivoted sparse LU
-(permutation parities times pivot signs) runs only on end operators,
-whose invertibility it certifies, and with ``track_sigma``; it is also
-the public ``sparse_det_sign`` and the tests' oracle.  The index-theorem
+renormalization, so magnitudes never overflow.  The Cayley factors of a
+chunk of steps, and the signs of their determinants, come from one
+Gauss-Jordan elimination with partial pivoting over the stack of all
+lambdas and steps, each matrix entry held as one vector.  A pivoted
+sparse LU (permutation parities times pivot signs) runs only on end
+operators, whose invertibility it certifies, on a lambda with an exactly
+singular Cayley factor, and with ``track_sigma``; it is also the public
+``sparse_det_sign`` and the tests' oracle.  The index-theorem
 verifier compares the operator parity with the Z2-index of the
 boundary-subspace pair lambda -> (E^s(0), E^u(0)), and the
 decomposition checker splits that index into geometric parities of the
@@ -35,6 +39,7 @@ from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateEndpoint,
+    DimensionMismatch,
     InternalMismatch,
     InvalidInput,
     UnstableTruncation,
@@ -44,6 +49,7 @@ from .flow import (
     LinearFamily,
     SubspacePath,
     _bisect,
+    _check_samples,
     _checked_grid,
     _limits_over_lambda,
     _require_A1_A3,
@@ -95,34 +101,38 @@ def finite_parity(T_path: Callable[[float], np.ndarray],
 
     Raises
     ------
+    InvalidInput
+        Unless ``samples`` is an integer >= 2; T is not evaluated then.
+    DimensionMismatch
+        Naming the first sampled s at which T(s) is not square or not of
+        the shape of T(0).
     DegenerateEndpoint
         If T(0) or T(1) is numerically singular.
     InternalMismatch
         If the two routes disagree (internal bug trap).
     """
-    T0 = np.atleast_2d(np.asarray(T_path(0.0), dtype=float))
-    T1 = np.atleast_2d(np.asarray(T_path(1.0), dtype=float))
-    m = T0.shape[0]
-    s0, s1 = det_sign(T0, eps_trans), det_sign(T1, eps_trans)
-    if s0 == DEGENERATE or s1 == DEGENERATE:
-        raise DegenerateEndpoint("endpoint matrix numerically singular")
-    det_route = 0 if s0 * s1 > 0 else 1
-
+    _check_samples(samples, 2)
+    m = _square_at(T_path, 0.0).shape[0]
     lambda0 = np.vstack([np.eye(m), np.zeros((m, m))])
     eye = np.eye(m)
 
     def graph(ss: np.ndarray) -> np.ndarray:
-        T = np.array([np.atleast_2d(np.asarray(T_path(s), dtype=float))
-                      for s in ss.tolist()])
+        T = np.array([_square_at(T_path, s, m) for s in ss.tolist()])
         return orthonormalize(np.concatenate(
             [np.broadcast_to(eye, T.shape), T], axis=1))
 
+    # sampled first, so that a change of shape is named where it starts
     grid = np.linspace(0.0, 1.0, samples)
     pair = SubspacePathPair(
         V=path_from_sampler(graph, grid),
         W=path_from_sampler(
             lambda ss: np.broadcast_to(lambda0, (len(ss), 2 * m, m)), grid),
     )
+    s0, s1 = (det_sign(_square_at(T_path, s, m), eps_trans)
+              for s in (0.0, 1.0))
+    if s0 == DEGENERATE or s1 == DEGENERATE:
+        raise DegenerateEndpoint("endpoint matrix numerically singular")
+    det_route = 0 if s0 * s1 > 0 else 1
     graph_route = z2_index(pair, eps_trans=eps_trans).value
     if graph_route != det_route:
         raise InternalMismatch(
@@ -130,6 +140,17 @@ def finite_parity(T_path: Callable[[float], np.ndarray],
             f"({graph_route}) disagree"
         )
     return det_route
+
+
+def _square_at(T_path: Callable, s: float, m: int | None = None) -> np.ndarray:
+    """T_path(s) as a float matrix, refused unless it is square and, given
+    ``m``, m x m."""
+    T = np.atleast_2d(np.asarray(T_path(s), dtype=float))
+    m = T.shape[0] if m is None else m
+    if T.shape != (m, m):
+        raise DimensionMismatch(
+            f"T(s) at s={s!r} has shape {T.shape}, expected {(m, m)}")
+    return T
 
 
 # -- discretized operators ---------------------------------------------
@@ -386,6 +407,46 @@ def _factor_end(lam: float, M: sp.spmatrix) -> tuple:
 _BLOCK_STEPS = 32   # CN steps per S evaluation and QR renormalization
 
 
+def _cayley_factors(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = (I - H)^-1 (I + H) and sign det(I - H) for every member of an
+    (..., n, n) stack H.
+
+    Gauss-Jordan elimination with partial pivoting runs on [I - H | I + H]
+    for all members at once.  Each matrix entry is held as one contiguous
+    vector over the members, so a step is a few vector operations however
+    many members there are.  The pivot of column c is the first largest
+    |entry| on or below the diagonal, brought up by row swaps, and the
+    sign is the product of the pivot signs and the parity of the swaps.
+    A zero pivot divides by zero and the member's sign comes out NaN (or
+    0), so a factor is singular where ``~(abs(sign) > 0)``; its C is then
+    not finite.
+    """
+    *lead, n, _ = H.shape
+    Ht = H.reshape(-1, n, n).transpose(1, 2, 0)
+    A = np.empty((n, 2 * n, Ht.shape[2]))       # entry, then member
+    np.negative(Ht, out=A[:, :n])
+    A[:, n:] = Ht
+    for i in range(n):
+        A[i, i] += 1.0
+        A[i, n + i] += 1.0
+    sign = np.ones(Ht.shape[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(n):
+            for r in range(c + 1, n):
+                up = np.flatnonzero(np.abs(A[r, c]) > np.abs(A[c, c]))
+                if len(up):
+                    A[c, c:, up], A[r, c:, up] = A[r, c:, up], A[c, c:, up]
+                    sign[up] = -sign[up]
+            sign *= np.sign(A[c, c])
+            # column c is not read again, so only later columns are updated
+            A[c, c + 1:] /= A[c, c]
+            for r in range(n):
+                if r != c:
+                    A[r, c + 1:] -= A[r, c] * A[c, c + 1:]
+    C = A[:, n:].transpose(2, 0, 1).reshape(*lead, n, n)
+    return C, sign.reshape(lead)
+
+
 def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
                  frames: tuple) -> np.ndarray:
     """Determinant signs of the operators at ``lams``, by block
@@ -395,13 +456,14 @@ def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
                      sign det[B_u E_u] sign det(B_s^T Phi E_u)
 
     Phi E_u is E^u(-tau) pushed through the Cayley steps
-    Y <- 2 (I - h S_i / 2)^-1 Y - Y, all lambdas at once as an (m, n, k)
-    stack.  S is evaluated one chunk of steps at a time, and each chunk
-    ends in a stacked QR whose R-diagonal signs enter the product.
-    det(I - E) > 0 whenever ||E||_2 < 1, so a factor's determinant is
-    taken only where h ||S_i||_F / 2 >= 1; a lambda with an exactly
-    singular factor is signed by the sparse LU of its operator instead.
-    ``frames`` is (E^u, E^s, B_u, B_s), each an (m, n, .) stack.
+    Y <- (I - h S_i / 2)^-1 (I + h S_i / 2) Y, all lambdas at once as an
+    (m, n, k) stack.  S is evaluated one chunk of steps at a time; one
+    pivoted elimination over the chunk's (m, chunk, n, n) stack
+    (:func:`_cayley_factors`) gives every Cayley factor and the sign of
+    every det(I - h S_i / 2), and each chunk ends in a stacked QR whose
+    R-diagonal signs enter the product.  A lambda with a singular factor
+    is signed by the sparse LU of its operator instead.  ``frames`` is
+    (E^u, E^s, B_u, B_s), each an (m, n, .) stack.
     """
     e_u, _, b_u, b_s = frames
     n, k = fam.n, fam.k
@@ -410,21 +472,18 @@ def _block_signs(fam: LinearFamily, lams: np.ndarray, tau: float, N: int,
     if k * N * n % 2:
         sign = -sign
     singular = np.zeros(len(lams), dtype=bool)
-    eye = np.eye(n)
     Y = e_u
     for start in range(0, N, _BLOCK_STEPS):
         mids = -tau + h * (np.arange(start, min(start + _BLOCK_STEPS, N))
                            + 0.5)
-        half = 0.5 * h * fam.evaluate_many(lams[:, None], mids[None, :])
-        L = eye - half
-        big = np.linalg.norm(half, axis=(-2, -1)) >= 1.0
-        if big.any():
-            dets = np.ones(big.shape)
-            dets[big] = np.linalg.slogdet(L[big])[0]
-            singular |= np.any(dets == 0.0, axis=1)
-            sign *= np.prod(dets, axis=1)
-            L[dets == 0.0] = eye
-        C = 2.0 * np.linalg.inv(L) - eye
+        C, dets = _cayley_factors(
+            0.5 * h * fam.evaluate_many(lams[:, None], mids[None, :]))
+        bad = ~(np.abs(dets) > 0.0)
+        if bad.any():
+            # keep Y finite; these lambdas are signed by their LU below
+            singular |= bad.any(axis=1)
+            C[bad], dets[bad] = np.eye(n), 1.0
+        sign *= np.prod(dets, axis=1)
         for j in range(C.shape[1]):
             Y = C[:, j] @ Y
         Y, R = np.linalg.qr(Y)
@@ -700,11 +759,14 @@ def decomposition_check(fam: LinearFamily, lams: Sequence[float],
 
     Raises
     ------
+    InvalidInput
+        Unless ``samples`` is an integer >= 2; nothing is evaluated then.
     BoundaryDegenerate
         If an end family fails boundary non-degeneracy.
     InternalMismatch
         If lambda-independent limits yield a nonzero limit term.
     """
+    _check_samples(samples, 2)
     lams = np.asarray(lams, dtype=float)
 
     total = z2_index(boundary_pair_over_lambda(fam, lams))

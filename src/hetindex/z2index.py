@@ -40,6 +40,7 @@ from .flow import (
     LinearFamily,
     SubspacePath,
     _bisect,
+    _check_samples,
     _piecewise,
     asymptotic_limits,
     invariant_subspace_path,
@@ -300,10 +301,13 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
 
     Raises
     ------
+    InvalidInput
+        Unless ``samples`` is an integer >= 2; nothing is evaluated then.
     BoundaryDegenerate
         If V^+(S^-) fails transversality to V^-(S^+), or E^s(0) fails
         transversality to E^u(0).
     """
+    _check_samples(samples, 2)
     limits = asymptotic_limits(fam, lam)
     vp = limits.split_minus.v_plus      # V^+(S^-), dim k
     vm = limits.split_plus.v_minus      # V^-(S^+), dim n-k

@@ -11,6 +11,9 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import hetindex
 
 #: module.qualname(parameter) of every optional public parameter
@@ -199,3 +202,70 @@ def test_no_module_imports_scipy_integrate():
             assert not any(name == "scipy.integrate"
                            or name.startswith("scipy.integrate.")
                            for name in names), path.name
+
+
+# -- sample counts -----------------------------------------------------
+
+def _samples_calls(calls: list, monkeypatch) -> dict:
+    """module.qualname -> f(samples), one per public ``samples``
+    parameter; every evaluation of an input appends to ``calls``."""
+    from hetindex import bifurcation, flow, maslov, parity, z2index
+
+    def S(lam, t):
+        calls.append((lam, t))
+        return np.diag([-np.tanh(t), np.tanh(t)])
+
+    def T(s):
+        calls.append(s)
+        return np.diag([1.0, 1.0 - 2.0 * s])
+
+    def plane(t):
+        calls.append(t)
+        return hetindex.graph_frame(np.array([[t]]))
+
+    fam = hetindex.LinearFamily.from_callable(S, n=2, k=1)
+    monkeypatch.setattr(bifurcation, "linearize_along",
+                        lambda *args, **kwargs: calls.append(args))
+    nf = hetindex.NonlinearFamily.from_sources(
+        ["z2", "z1"], z_minus=[0.0, 0.0], z_plus=[0.0, 0.0])
+    branch = hetindex.Branch.from_sources(["0", "0"])
+    lams = [0.0, 1.0]
+    return {
+        "bifurcation.detect_bifurcation":
+            lambda n: bifurcation.detect_bifurcation(nf, branch, samples=n),
+        "flow.check_A1_A3": lambda n: flow.check_A1_A3(fam, samples=n),
+        "maslov.crossing_census":
+            lambda n: maslov.crossing_census(plane, plane, (-1.0, 1.0), n),
+        "maslov.maslov_index":
+            lambda n: maslov.maslov_index(plane, plane, (-1.0, 1.0), n),
+        "maslov.mod2_compare":
+            lambda n: maslov.mod2_compare(plane, plane, (-1.0, 1.0), n),
+        "parity.decomposition_check":
+            lambda n: parity.decomposition_check(fam, lams, samples=n),
+        "parity.finite_parity": lambda n: parity.finite_parity(T, samples=n),
+        "z2index.geometric_parity":
+            lambda n: z2index.geometric_parity(fam, 0.5, samples=n),
+    }
+
+
+def test_every_samples_parameter_has_a_refusal_case(monkeypatch):
+    listed = {p.removesuffix("(samples)") for p in OPTIONAL
+              if p.endswith("(samples)")}
+    assert set(_samples_calls([], monkeypatch)) == listed
+
+
+@pytest.mark.parametrize("samples", [2.5, True, np.float64(3.0), 0, None],
+                         ids=["float", "bool", "integral-float", "zero",
+                              "none"])
+@pytest.mark.parametrize("name", [
+    "bifurcation.detect_bifurcation", "flow.check_A1_A3",
+    "maslov.crossing_census", "maslov.maslov_index", "maslov.mod2_compare",
+    "parity.decomposition_check", "parity.finite_parity",
+    "z2index.geometric_parity"])
+def test_a_malformed_sample_count_is_refused_first(name, samples,
+                                                   monkeypatch):
+    calls = []
+    call = _samples_calls(calls, monkeypatch)[name]
+    with pytest.raises(hetindex.InvalidInput, match="samples"):
+        call(samples)
+    assert calls == []

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from hetindex import (
     DegenerateEndpoint,
+    DimensionMismatch,
     HypothesisFailure,
     InternalMismatch,
     InvalidInput,
@@ -69,6 +70,16 @@ def test_finite_parity_rotation():
 def test_finite_parity_rejects_singular_endpoint():
     with pytest.raises(DegenerateEndpoint):
         finite_parity(lambda s: np.diag([s, 1.0]))
+
+
+@pytest.mark.parametrize("T, bad", [
+    (lambda s: np.eye(2) if s < 0.5 else np.eye(3), 0.5),
+    (lambda s: np.eye(2) if s < 1.0 else np.eye(3), 1.0),
+    (lambda s: np.ones((2, 3)), 0.0),
+], ids=["inside", "at-one", "not-square"])
+def test_finite_parity_refuses_a_path_that_changes_shape(T, bad):
+    with pytest.raises(DimensionMismatch, match=f"s={bad!r}"):
+        finite_parity(T, samples=5)
 
 
 # -- sparse determinant signs ------------------------------------------
@@ -156,6 +167,16 @@ def _block_and_lu_signs(fam, lams, tau, N):
     return block.tolist(), lu
 
 
+def _negative_factors(fam, lams, tau, N):
+    """Count of the Cayley factors of a sweep with det(I - h S/2) < 0,
+    by LAPACK's slogdet."""
+    h = 2.0 * tau / N
+    mids = -tau + h * (np.arange(N) + 0.5)
+    S = fam.evaluate_many(np.asarray(lams, dtype=float)[:, None],
+                          mids[None, :])
+    return int(np.sum(np.linalg.slogdet(np.eye(fam.n) - 0.5 * h * S)[0] < 0))
+
+
 @pytest.mark.parametrize("N", [1500, 3000])
 def test_block_signs_match_lu_on_theorem_grid(N):
     block, lu = _block_and_lu_signs(poschl_teller_family(),
@@ -181,7 +202,18 @@ def test_block_signs_match_lu_on_positive_potential_demo():
     assert block == lu
 
 
-@pytest.mark.parametrize("N", [301, 400], ids=["odd-N", "even-N"])
+def test_block_signs_match_lu_with_negative_factors():
+    # at N = 6 the steps are so coarse that many factors I - h S/2 have
+    # a negative determinant, and each one flips the product
+    fam, lams = poschl_teller_family(), np.linspace(0.0, 1.0, 41)
+    assert _negative_factors(fam, lams, 8.0, 6) > 0
+    block, lu = _block_and_lu_signs(fam, lams, 8.0, 6)
+    assert block == lu
+
+
+@pytest.mark.parametrize("N", [301, 400, 5, 6],
+                         ids=["odd-N", "even-N", "coarse-odd-N",
+                              "coarse-even-N"])
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
                                   (4, 3)])
 def test_block_signs_match_lu_on_connecting_families(n, k, N):
@@ -191,7 +223,11 @@ def test_block_signs_match_lu_on_connecting_families(n, k, N):
 
     fam = _random_connecting_family(np.random.default_rng([n + k, 505]),
                                     n, k)
-    block, lu = _block_and_lu_signs(fam, np.linspace(-3.0, 3.0, 9), 8.0, N)
+    lams = np.linspace(-3.0, 3.0, 9)
+    if N < 10:
+        # coarse steps: some factors have det(I - h S/2) < 0
+        assert _negative_factors(fam, lams, 8.0, N) > 0
+    block, lu = _block_and_lu_signs(fam, lams, 8.0, N)
     assert block == lu
 
 
@@ -224,6 +260,51 @@ def test_block_signs_sign_a_singular_factor_by_lu(monkeypatch):
     lu = [real_lu(M)[0]
           for M in paritymod._operators(fam, lams, tau, N, *frames[2:])]
     assert block.tolist() == lu
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cayley_factors_match_lapack(n):
+    rng = np.random.default_rng([n, 20])
+    H = 0.2 * rng.standard_normal((7, 5, n, n))
+    if n > 1:
+        # I - H swapping the first two coordinates: (0, 0) entry zero,
+        # so the first pivot needs a row swap
+        H[0, 0] = np.eye(n) - np.eye(n)[[1, 0, *range(2, n)]]
+    C, sign = paritymod._cayley_factors(H)
+    L = np.eye(n) - H
+    assert C.shape == H.shape and sign.shape == H.shape[:2]
+    np.testing.assert_allclose(C, np.linalg.solve(L, np.eye(n) + H),
+                               rtol=0.0, atol=1e-12)
+    assert np.array_equal(sign, np.linalg.slogdet(L)[0])
+    if n > 1:
+        assert sign[0, 0] == -1.0
+
+
+def test_cayley_factors_flag_an_exactly_singular_factor():
+    H = np.zeros((2, 3, 2, 2))
+    H[1, 2] = np.diag([1.0, 0.0])        # I - H = diag(0, 1)
+    C, sign = paritymod._cayley_factors(H)
+    singular = ~(np.abs(sign) > 0)
+    assert singular.tolist() == [[False] * 3, [False, False, True]]
+    assert np.isnan(sign[1, 2])           # not 0: the pivot divides by 0
+    assert np.array_equal(C[~singular], np.broadcast_to(np.eye(2), (5, 2, 2)))
+
+
+def test_operator_parity_on_a_scalar_family():
+    # n = 1, h = 3.2: at the t = 0 step, det(I - h S/2) = 3.2 lambda - 0.6
+    # changes sign at lambda = 0.1875 while the operator stays
+    # invertible, and 1 + h S/2 = 2.6 - 3.2 lambda makes it singular at
+    # lambda = 0.8125
+    fam = LinearFamily.from_matrix_expr(
+        parse_matrix([["1 - 2*lambda*sech(t)^2"]]), k=1)
+    lams = np.linspace(0.0, 1.0, 21)
+    assert _negative_factors(fam, lams, 8.0, 5) > 0
+    rep = operator_parity(fam, lams, tau=8.0, N=5, stability=False)
+    lu = [paritymod._signed_lu(discretize(fam, lam, 8.0, 5).matrix)[0]
+          for lam in lams]
+    assert rep.det_signs.tolist() == lu
+    assert rep.value == 1
+    assert rep.flips == pytest.approx((0.8125,), abs=1e-3)
 
 
 # -- discretized operator ----------------------------------------------
