@@ -324,7 +324,7 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
                     f"fractional power of negative base at {bindings()}"
                 )
             with np.errstate(over="ignore", invalid="ignore"):
-                return float(np.float64(a) ** np.float64(b))
+                return float(np.power(np.float64(a), np.float64(b)))
         if isinstance(node, Call):
             x = rec(node.arg)
             if node.func == "log" and x <= 0.0:
@@ -511,25 +511,8 @@ def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
 
 # -- compilation to numpy ----------------------------------------------
 
-def _scalar_pow(a, b):
-    """``a ** b`` rounded at every element as a numpy scalar power is.
-
-    An array power with exponent 2 squares, while a scalar power calls
-    the C library's ``pow``; the two differ in the last bit at about
-    one base in a thousand.
-    """
-    if np.ndim(b) == 0:
-        if np.ndim(a) == 0:
-            return a ** b
-        return np.array([x ** b for x in a.flat]).reshape(a.shape)
-    a, b = np.broadcast_arrays(a, b)
-    return np.array([x ** y for x, y in zip(a.flat, b.flat)]).reshape(a.shape)
-
-
-def _codegen(e: Expr, args: Sequence[str],
-             scalar_powers: bool = False) -> Callable:
-    """One entry of :func:`compile_matrix` as a numpy lambda of ``args``;
-    with ``scalar_powers``, "^" goes through :func:`_scalar_pow`."""
+def _codegen(e: Expr, args: Sequence[str]) -> Callable:
+    """One entry of :func:`compile_matrix` as a numpy lambda of ``args``."""
     names = {name: f"_a{i}" for i, name in enumerate(args)}
     stray = sorted(free_variables(e) - set(names))
     if stray:
@@ -550,10 +533,9 @@ def _codegen(e: Expr, args: Sequence[str],
         if isinstance(node, Neg):
             return f"(-{gen(node.operand)})"
         if isinstance(node, Bin):
-            if node.op == "^" and scalar_powers:
+            if node.op == "^":
                 return f"_pow({gen(node.left)}, {gen(node.right)})"
-            op = "**" if node.op == "^" else node.op
-            return f"({gen(node.left)}{op}{gen(node.right)})"
+            return f"({gen(node.left)}{node.op}{gen(node.right)})"
         if isinstance(node, Call):
             return f"_f_{node.func}({gen(node.arg)})"
         raise TypeError(f"not an Expr node: {node!r}")
@@ -561,7 +543,9 @@ def _codegen(e: Expr, args: Sequence[str],
     body = gen(e)
     arglist = ", ".join(names[name] for name in args)
     ns = {f"_f_{fname}": fn for fname, fn in _NUMPY_FUNCS.items()}
-    ns["_pow"] = _scalar_pow
+    # "^" is the ufunc, never "**": on a numpy scalar "**" calls the C
+    # library's pow, whose last bit can differ from an array power's
+    ns["_pow"] = np.power
     ns.update(consts)
     return eval(f"lambda {arglist}: {body}", ns)  # noqa: S307 - own codegen
 
@@ -626,21 +610,10 @@ def compile_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
     A call in which numpy flags a division by zero or an invalid
     operation re-evaluates every point strictly, since such a domain
     error can end in a finite value (``exp(-1/t)`` is 0 at t = 0).
+    Every route rounds "^" as ``np.power``: an array call, a one-point
+    call and :func:`evaluate` give the same bits at every point.
     """
-    return _compile(m, args)
-
-
-def _pointwise_matrix(m: MatrixExpr, args: Sequence[str]) -> Callable:
-    """:func:`compile_matrix` with every point of an array call bitwise
-    its one-point call: "^" rounds as a scalar power at every element
-    (:func:`_scalar_pow`)."""
-    return _compile(m, args, scalar_powers=True)
-
-
-def _compile(m: MatrixExpr, args: Sequence[str],
-             scalar_powers: bool = False) -> Callable:
-    fns = [[_codegen(e, args, scalar_powers) for e in row]
-           for row in m.entries]
+    fns = [[_codegen(e, args) for e in row] for row in m.entries]
 
     def fill(out, arrays):
         for i, row in enumerate(fns):

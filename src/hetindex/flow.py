@@ -38,7 +38,7 @@ from .errors import (
     NotHyperbolic,
     NotStabilized,
 )
-from .expr import MatrixExpr, _pointwise_matrix, compile_matrix
+from .expr import MatrixExpr, compile_matrix
 from .linalg import (
     Frame,
     SpectralSplit,
@@ -79,7 +79,9 @@ class LinearFamily:
     and :meth:`evaluate_many` (arrays of lambda and t).  Expression
     families evaluate through :func:`~hetindex.expr.compile_matrix`,
     so a domain error raises ``DomainError`` while a genuine overflow
-    passes through.
+    passes through, and every route rounds "^" as ``np.power``: each
+    point of :meth:`evaluate_many` is bitwise its :meth:`evaluate` and
+    its strict ``eval_matrix`` value.
 
     Attributes
     ----------
@@ -96,12 +98,6 @@ class LinearFamily:
     Each family keeps the spectral split of each distinct limit
     matrix, keyed by its shape and bytes, and nothing else; a family
     made by ``dataclasses.replace`` starts with none.
-
-    The integrator evaluates S through ``_points``, whose value at each
-    point of an array call is bitwise its one-point value: an
-    expression family's powers round as scalar powers there (see
-    ``expr._pointwise_matrix``); a callable family's evaluator is used
-    as it is.
     """
 
     n: int
@@ -109,7 +105,6 @@ class LinearFamily:
     t_max: float = 20.0
     matrix: MatrixExpr | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
-    _points: Callable = field(init=False, repr=False, compare=False)
     _splits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,9 +112,6 @@ class LinearFamily:
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
         if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
-        object.__setattr__(self, "_points", self._eval if self.matrix is None
-                           else _pointwise_matrix(self.matrix,
-                                                  ("lambda", "t")))
         object.__setattr__(self, "_splits", {})
 
     @staticmethod
@@ -313,13 +305,13 @@ def _checked_grid(grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _check_samples(samples, least: int) -> None:
-    """Refuse a sample count that is not an integer >= ``least``; a bool
-    or a float, even an integral one, is refused."""
+def _check_samples(samples, least: int, name: str = "samples") -> None:
+    """Refuse a count, the parameter ``name``, that is not an integer
+    >= ``least``; a bool or a float, even an integral one, is refused."""
     if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
             or samples < least):
         raise InvalidInput(
-            f"samples must be an integer >= {least}, got {samples!r}")
+            f"{name} must be an integer >= {least}, got {samples!r}")
 
 
 # -- midpoint refinement -----------------------------------------------
@@ -486,8 +478,7 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
 
     def S_at(ts: np.ndarray) -> np.ndarray:
         """S at each of ``ts``: (len(ts), n, n), or (len(ts), m, n, n)."""
-        S = np.asarray(fam._points(lam_arg, ts if m == 1 else ts[:, None]),
-                       dtype=float)
+        S = fam.evaluate_many(lam_arg, ts if m == 1 else ts[:, None])
         want = (len(ts), n, n) if m == 1 else (len(ts), m, n, n)
         if S.shape != want:
             raise DimensionMismatch(f"evaluator returned {S.shape}, "

@@ -29,7 +29,7 @@ from .errors import (
     NotGraphical,
 )
 from .expr import parse_matrix
-from .flow import LinearFamily, path_from_sampler
+from .flow import LinearFamily, _check_samples, path_from_sampler
 from .linalg import DEGENERATE, _signed_dets, det_sign
 from .maslov import graph_frame, mod2_compare
 from .parity import decomposition_check, finite_parity
@@ -234,6 +234,7 @@ _PROPERTIES = (
 
 def suite_properties(trials: int = 500, seed: int = 0) -> list[SuiteResult]:
     """Check the five index properties on random rotating-path pairs."""
+    _check_samples(trials, 1, "trials")
     results = []
     for ordinal, (name, prop) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, 101, ordinal])
@@ -266,6 +267,7 @@ def suite_properties(trials: int = 500, seed: int = 0) -> list[SuiteResult]:
 
 def suite_finite_parity(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Determinant route against graph route on random matrix paths."""
+    _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 202])
     failures = []
     passes = 0
@@ -312,6 +314,7 @@ def _trig_symmetric(rng, k: int) -> Callable:
 
 def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Z2-index against Maslov index mod 2 on random Lagrangian pairs."""
+    _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 303])
     failures = []
     passes = 0
@@ -346,6 +349,7 @@ def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
 
 def suite_orientability(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Orientability of the closed loop against the index of the pair."""
+    _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 404])
     failures = []
     passes = 0
@@ -393,11 +397,9 @@ def _random_connecting_family(rng, n: int, k: int) -> LinearFamily:
     C = rng.standard_normal((n, n))
 
     def batched(lam, t):
-        lam_b, t_b = np.broadcast_arrays(np.asarray(lam, float),
-                                         np.asarray(t, float))
-        w_p = 0.5 * (1.0 + np.tanh(t_b))[..., None, None]
-        w_m = 0.5 * (1.0 + np.tanh(-t_b))[..., None, None]
-        bump = (lam_b / np.cosh(t_b))[..., None, None]
+        w_p = 0.5 * (1.0 + np.tanh(t))[..., None, None]
+        w_m = 0.5 * (1.0 + np.tanh(-t))[..., None, None]
+        bump = (lam / np.cosh(t))[..., None, None]
         return Am * w_m + Ap * w_p + C * bump
 
     return LinearFamily.from_callable(batched, n=n, k=k, t_max=20.0,
@@ -407,6 +409,7 @@ def _random_connecting_family(rng, n: int, k: int) -> LinearFamily:
 def suite_decomposition(extra_families: int = 20,
                         seed: int = 0) -> SuiteResult:
     """Index over lambda == geo(S_0) + geo(S_1) + limit term, mod 2."""
+    _check_samples(extra_families, 0, "extra_families")
     rng = np.random.default_rng([seed, 505])
     failures = []
     lams = np.linspace(0.0, 1.0, 101)

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,30 @@ def test_no_module_imports_scipy_integrate():
             assert not any(name == "scipy.integrate"
                            or name.startswith("scipy.integrate.")
                            for name in names), path.name
+
+
+def test_one_power_rounding(monkeypatch):
+    # S has one rounding: every "^" is np.power, so no second
+    # (scalar-power) evaluation route is left in the package
+    from hetindex import expr
+
+    src = pathlib.Path(hetindex.__file__).parent
+    gone = r"\b(_scalar_pow|_pointwise_matrix|_points|scalar_powers|_compile)\b"
+    for path in sorted(src.glob("*.py")):
+        assert not re.search(gone, path.read_text()), path.name
+    sources = []
+
+    def spy(source, ns):
+        sources.append(source)
+        return eval(source, ns)  # noqa: S307 - the codegen's own source
+
+    monkeypatch.setattr(expr, "eval", spy, raising=False)
+    expr.compile_matrix(expr.parse_matrix(
+        [["t^3 - lambda^(-2.0)", "(1 + lambda^2)^0.5*sech(t)^2"]]),
+        ("lambda", "t"))
+    assert len(sources) == 2
+    for source in sources:
+        assert "**" not in source and "_pow(" in source
 
 
 # -- sample counts -----------------------------------------------------

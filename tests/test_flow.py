@@ -17,6 +17,7 @@ from hetindex import (
     IntegrationFailure,
     InvalidInput,
     LinearFamily,
+    NonlinearFamily,
     NotHyperbolic,
     NotStabilized,
     SubspacePath,
@@ -77,6 +78,42 @@ def test_evaluators_equal_strict_interpreter():
         scalar = np.array([fam.evaluate(lam, t) for lam, t in zip(lams, ts)])
         assert np.array_equal(scalar, strict)
         assert np.array_equal(fam.evaluate_many(lams, ts), strict)
+
+
+@pytest.mark.parametrize("src", [
+    "1 - lambda*sech(t)^3",
+    "1 - lambda*sech(t)^1.5",
+    "1 - lambda*cosh(t)^(-2.0)",
+    "(1 + lambda^2)^0.5*sech(t)^2",
+])
+def test_three_evaluation_routes_are_bitwise_equal(src):
+    # evaluate_many, evaluate one point at a time and the strict
+    # eval_matrix all round "^" as np.power; a scalar "**" would take
+    # the C library's pow and differ in the last bit at some points
+    rng = np.random.default_rng(11)
+    lams = rng.uniform(-2.0, 2.0, 100_000)
+    ts = rng.uniform(-8.0, 8.0, 100_000)
+    m = parse_matrix([["0", "1"], [src, "0"]])
+    fam = LinearFamily.from_matrix_expr(m, k=1)
+    many = fam.evaluate_many(lams, ts)
+    one = np.array([fam.evaluate(lam, t) for lam, t in zip(lams, ts)])
+    strict = np.array([eval_matrix(m, {"lambda": lam, "t": t})
+                       for lam, t in zip(lams, ts)])
+    assert np.array_equal(many, one)
+    assert np.array_equal(many, strict)
+
+
+def test_nonlinear_evaluation_is_pointwise_bitwise():
+    cfg = DEMOS["cubic-schrodinger"]["config"]
+    fam = NonlinearFamily.from_sources(cfg["g"], cfg["z_minus"],
+                                       cfg["z_plus"])
+    rng = np.random.default_rng(12)
+    lams = rng.uniform(0.0, 1.0, 100_000)
+    ts = rng.uniform(-8.0, 8.0, 100_000)
+    zs = rng.uniform(-2.0, 2.0, (100_000, 2))
+    one = np.array([fam.evaluate(lam, t, z)
+                    for lam, t, z in zip(lams, ts, zs)])
+    assert np.array_equal(fam.evaluate(lams, ts, zs), one)
 
 
 def sqrt_family():
@@ -780,7 +817,7 @@ def test_one_evaluation_per_step_attempt(monkeypatch):
 
     def counting(lam, t):
         calls.append(1)
-        return pt._points(lam, t)
+        return pt.evaluate_many(lam, t)
 
     fam = LinearFamily.from_callable(None, n=2, k=1, batched=counting)
     lams = np.linspace(0.0, 1.0, 201)
@@ -839,11 +876,10 @@ def test_tolerances_keep_their_meaning():
 
 
 def test_integrator_evaluates_every_point_as_a_one_point_call():
-    # the integrator reads S at several instants per call; each value
-    # must be the one a call at that single point gives.  At the first
-    # two points an array call of evaluate_many squares sech(t) where a
-    # one-point call takes the C library's pow, and the Poschl-Teller
-    # entry 1 - 2.5 lambda sech(t)^2 differs in its last bit
+    # the integrator reads S at several instants per evaluate_many call;
+    # each value must be the one a call at that single point gives.  The
+    # first two points are where squaring sech(t) and the C library's
+    # pow round the Poschl-Teller entry 1 - 2.5 lambda sech(t)^2 apart
     rng = np.random.default_rng(7)
     lams = np.concatenate([[1.0, 1.3073664458427114],
                            rng.uniform(-0.5, 1.5, 500)])
@@ -854,6 +890,6 @@ def test_integrator_evaluates_every_point_as_a_one_point_call():
     for fam in [LinearFamily.from_matrix_expr(parse_matrix(cfg["S"]),
                                               k=cfg["k"]) for cfg in demos]:
         one = np.array([fam.evaluate(lam, t) for lam, t in zip(lams, ts)])
-        assert np.array_equal(fam._points(lams, ts), one)
-        assert np.array_equal(fam._points(lams[0], ts),
+        assert np.array_equal(fam.evaluate_many(lams, ts), one)
+        assert np.array_equal(fam.evaluate_many(lams[0], ts),
                               [fam.evaluate(lams[0], t) for t in ts])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hetindex import suites
+from hetindex import InvalidInput, suites
 
 
 def test_skew_expm_and_rotation_sampler_match_expm():
@@ -25,6 +25,29 @@ def test_skew_expm_and_rotation_sampler_match_expm():
             worst = max(worst, np.abs(R - want).max(),
                         np.abs(F - want @ cols).max())
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("suite, name, least", [
+    (suites.suite_properties, "trials", 1),
+    (suites.suite_finite_parity, "trials", 1),
+    (suites.suite_maslov_mod2, "trials", 1),
+    (suites.suite_orientability, "trials", 1),
+    (suites.suite_decomposition, "extra_families", 0),
+])
+@pytest.mark.parametrize("count", ["below", -1, 2.5, 3.0, True, None])
+def test_suite_counts_are_checked_before_any_draw(suite, name, least, count,
+                                                  monkeypatch):
+    # a count below its least would give a vacuous suite (trials=-1 once
+    # gave total=-1), and a float, bool or None is no count
+    if count == "below":
+        count = least - 1
+
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before checking the count")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+        suite(**{name: count})
 
 
 @pytest.mark.parametrize("suite, seeds", [
