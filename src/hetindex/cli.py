@@ -43,7 +43,7 @@ from .errors import (
 from .expr import compile_matrix, parse_matrix
 from .flow import LinearFamily, path_from_sampler
 from .linalg import orthonormalize
-from .maslov import mod2_compare
+from .maslov import graph_frame, mod2_compare
 from .parity import boundary_pair_over_lambda, verify_index_theorem
 from .suites import run_all
 from .z2index import (
@@ -179,20 +179,21 @@ def _build_pair(cfg: dict):
 
 
 def _lagrangian_graph_sampler(entries, label: str):
-    from .maslov import graph_frame
-
     m = parse_matrix(entries, variables=("t",))
     if m.rows != m.cols:
         raise ConfigError(f"{label} is {m.rows}x{m.cols}, must be square")
     fn = compile_matrix(m, ("t",))
 
-    def matrix_at(t: float) -> np.ndarray:
-        M = fn(t)
-        if np.max(np.abs(M - M.T)) > 1e-8:
-            raise ConfigError(f"{label}({t:.6g}) is not symmetric")
-        return (M + M.T) / 2.0
+    def sample(ts: np.ndarray) -> np.ndarray:
+        M = fn(ts)
+        Mt = np.swapaxes(M, 1, 2)
+        bad = np.abs(M - Mt).max(axis=(1, 2)) > 1e-8
+        if bad.any():
+            raise ConfigError(
+                f"{label}({ts[bad.argmax()]:.6g}) is not symmetric")
+        return graph_frame((M + Mt) / 2.0)
 
-    return (lambda t: graph_frame(matrix_at(t))), m.rows
+    return sample, m.rows
 
 
 # -- report output -----------------------------------------------------

@@ -2,8 +2,9 @@
 
 The ambient space is R^{2k} with the standard symplectic form
 omega(u, v) = <J u, v>, J = [[0, I], [-I, 0]], pairing coordinate i
-with coordinate k + i.  A Lagrangian path is a callable t -> Frame,
-read over an interval that the caller states.
+with coordinate k + i.  A Lagrangian path is a sampler ts -> (m, 2k, k),
+as for ``path_from_sampler``, read over an interval that the caller
+states.
 
 Near a crossing both paths are rewritten as graphs of symmetric
 matrices A(t), B(t) in a common chart; among the k + 1 standard chart
@@ -32,15 +33,14 @@ from .errors import (
     IrregularCrossing,
     NotGraphical,
 )
-from .flow import _check_samples, _checked_grid, path_from_sampler
+from .flow import _check_samples, _checked_grid, _sampled, path_from_sampler
 from .linalg import (
     DEGENERATE,
     Frame,
+    _align_to,
     _chain,
     _signed_dets,
-    align_frame,
     orthonormalize,
-    pair_matrix,
 )
 from .z2index import IndexReport, SubspacePathPair, z2_index
 
@@ -75,6 +75,14 @@ def symplectic_form_matrix(k: int) -> np.ndarray:
     return J
 
 
+def _symplectic_defect(F: np.ndarray) -> np.ndarray:
+    """max |X^T Y - Y^T X| of each frame [X; Y] of an (m, 2k, k) stack."""
+    k = F.shape[2]
+    X, Y = F[:, :k], F[:, k:]
+    D = np.swapaxes(X, 1, 2) @ Y - np.swapaxes(Y, 1, 2) @ X
+    return np.abs(D).max(axis=(1, 2), initial=0.0)
+
+
 def is_lagrangian(F: Frame) -> bool:
     """Whether a k-frame in R^{2k} spans a Lagrangian subspace, to
     ``_LAGRANGIAN_TOL`` (1e-8) in max |X^T Y - Y^T X|.
@@ -88,21 +96,22 @@ def is_lagrangian(F: Frame) -> bool:
         raise DimensionMismatch(
             f"need a k-frame in R^(2k), got {F.k}-frame in R^{F.n}"
         )
-    k = F.k
-    X, Y = F.columns[:k], F.columns[k:]
-    return float(np.max(np.abs(X.T @ Y - Y.T @ X))) <= _LAGRANGIAN_TOL
+    return bool(_symplectic_defect(F.columns[None])[0] <= _LAGRANGIAN_TOL)
 
 
-def graph_frame(A) -> Frame:
-    """Frame of the graph {(x, Ax)} of a symmetric matrix A."""
+def graph_frame(A):
+    """Frame of the graph {(x, Ax)} of a (k, k) matrix A; for an
+    (m, k, k) stack, the (m, 2k, k) array of their frames from one
+    stacked QR."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    k = A.shape[0]
-    return orthonormalize(np.vstack([np.eye(k), A]))
+    return orthonormalize(np.concatenate(
+        [np.broadcast_to(np.eye(A.shape[-1]), A.shape), A], axis=-2))
 
 
-def graph_path(A_fn: Callable[[float], np.ndarray]) -> Callable[[float], Frame]:
-    """Lagrangian path t -> Gr(A(t)) from a symmetric matrix function."""
-    return lambda t: graph_frame(A_fn(t))
+def graph_path(A_fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Lagrangian path sampler ts -> (m, 2k, k) from a function that maps
+    a 1-d array of instants to the (m, k, k) stack of symmetric A(t)."""
+    return lambda ts: graph_frame(A_fn(ts))
 
 
 def _chart_rotation(k: int, theta: float) -> np.ndarray:
@@ -115,20 +124,20 @@ def _chart_rotation(k: int, theta: float) -> np.ndarray:
     return R
 
 
-def _x_block_smin(F: Frame, R: np.ndarray) -> float:
-    k = F.k
-    X = (R.T @ F.columns)[:k]
+def _x_block_smin(F: np.ndarray, R: np.ndarray) -> float:
+    k = F.shape[1]
+    X = (R.T @ F)[:k]
     return float(np.linalg.svd(X, compute_uv=False)[-1])
 
 
-def _select_chart(Fv: Frame, Fw: Frame) -> tuple[int, np.ndarray]:
+def _select_chart(Fv: np.ndarray, Fw: np.ndarray) -> tuple[int, np.ndarray]:
     """First chart rotation that graphs both frames comfortably.
 
     Falls back to the best-scoring chart above a weak threshold; the
     pigeonhole over k + 1 rotations guarantees one of them works for
     exact Lagrangians, so failure indicates broken input.
     """
-    k = Fv.k
+    k = Fv.shape[1]
     scores = []
     for m in range(k + 1):
         theta = m * np.pi / (2.0 * (k + 1))
@@ -145,24 +154,35 @@ def _select_chart(Fv: Frame, Fw: Frame) -> tuple[int, np.ndarray]:
     )
 
 
-def _graph_matrix(F: Frame, R: np.ndarray) -> np.ndarray:
-    k = F.k
-    FC = R.T @ F.columns
+def _graph_matrix(F: np.ndarray, R: np.ndarray) -> np.ndarray:
+    k = F.shape[1]
+    FC = R.T @ F
     X, Y = FC[:k], FC[k:]
     A = Y @ np.linalg.inv(X)
     return 0.5 * (A + A.T)
-
-
-def _as_sampler(path) -> Callable[[float], Frame]:
-    if callable(path):
-        return path
-    raise InvalidInput("path must be a callable t -> Frame")
 
 
 def _scan_instants(interval: tuple[float, float], samples: int) -> np.ndarray:
     _check_samples(samples, 2)
     # the ends are checked first: spacing out an infinite one warns
     return _checked_grid(np.linspace(*_checked_grid(interval), samples))
+
+
+def _sample_pair(V: Callable, W: Callable, ts: np.ndarray) -> tuple:
+    """Both paths' stacks at ``ts``, one call each, checked as by
+    ``path_from_sampler``, then as k-frames in R^{2k} of one k and as
+    Lagrangian; an error names the first bad instant."""
+    Fv, Fw = _sampled(V, ts), _sampled(W, ts)
+    if Fv.shape != Fw.shape or Fv.shape[1] != 2 * Fv.shape[2]:
+        raise DimensionMismatch(
+            f"need two paths of k-frames in R^(2k), got frames of shape "
+            f"{Fv.shape[1:]} and {Fw.shape[1:]}")
+    for name, F in (("V", Fv), ("W", Fw)):
+        bad = _symplectic_defect(F) > _LAGRANGIAN_TOL
+        if bad.any():
+            raise InvalidInput(f"path {name} is not Lagrangian at "
+                               f"t={float(ts[bad.argmax()])!r}")
+    return Fv, Fw
 
 
 @dataclass(frozen=True)
@@ -187,6 +207,7 @@ def crossing_form(V, W, t0: float) -> CrossingData:
     common chart; the form is the central-difference derivative of
     B - A (step ``_FD_STEP``) restricted to the kernel of B(t0) - A(t0),
     its eigenvalues within ``_KERNEL_TOL`` of 0 relative to the largest.
+    Each path is sampled once, at t0 - h, t0 and t0 + h.
 
     Raises
     ------
@@ -197,20 +218,11 @@ def crossing_form(V, W, t0: float) -> CrossingData:
     DegenerateForm
         If the restricted form has an eigenvalue within _FORM_TOL of 0.
     """
-    vs, ws = _as_sampler(V), _as_sampler(W)
-    Fv, Fw = vs(t0), ws(t0)
-    if Fv.n != Fw.n or Fv.k != Fw.k:
-        raise DimensionMismatch("paths have mismatched frame shapes")
-    if not (is_lagrangian(Fv) and is_lagrangian(Fw)):
-        raise InvalidInput("paths are not Lagrangian at t0")
-    m, R = _select_chart(Fv, Fw)
-
-    def AB(t: float) -> tuple[np.ndarray, np.ndarray]:
-        return _graph_matrix(vs(t), R), _graph_matrix(ws(t), R)
-
-    A0, B0 = _graph_matrix(Fv, R), _graph_matrix(Fw, R)
-    Ap, Bp = AB(t0 + _FD_STEP)
-    Am, Bm = AB(t0 - _FD_STEP)
+    Fv, Fw = _sample_pair(V, W, np.array([t0 - _FD_STEP, t0,
+                                          t0 + _FD_STEP]))
+    m, R = _select_chart(Fv[1], Fw[1])
+    Am, A0, Ap = (_graph_matrix(F, R) for F in Fv)
+    Bm, B0, Bp = (_graph_matrix(F, R) for F in Fw)
     dA = (Ap - Am) / (2.0 * _FD_STEP)
     dB = (Bp - Bm) / (2.0 * _FD_STEP)
 
@@ -240,11 +252,7 @@ def crossing_form(V, W, t0: float) -> CrossingData:
                         signature=signature, chart=m)
 
 
-def _pair_smin(v: Frame, w: Frame) -> float:
-    return float(np.linalg.svd(pair_matrix(v, w), compute_uv=False)[-1])
-
-
-def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: np.ndarray,
+def _locate_crossings(V, W, ts: np.ndarray, raw_v: np.ndarray,
                       raw_w: np.ndarray, cross_tol: float) -> list[float]:
     """Crossing instants from frames sampled once at the scan instants.
 
@@ -253,6 +261,9 @@ def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: np.ndarray,
     their alignment chains give the oriented det trace, in one stacked
     determinant, for sign-change bisection.
     """
+    def at(path, t: float) -> np.ndarray:    # the localisers' one instant
+        return _sampled(path, np.array([t]), raw_v.shape[1:])
+
     g = np.linalg.svd(np.concatenate([raw_v, raw_w], axis=2),
                       compute_uv=False)[:, -1]
     frames_v, frames_w = _chain(raw_v), _chain(raw_w)
@@ -275,37 +286,31 @@ def _locate_crossings(vs, ws, ts: np.ndarray, raw_v: np.ndarray,
             register(ts[i])
             continue
         if dets[i] * dets[i + 1] < 0.0:
-            ref_v = Frame._trusted(frames_v[i])
-            ref_w = Frame._trusted(frames_w[i])
+            ref_v, ref_w = frames_v[i][None], frames_w[i][None]
 
             def f(t):
-                M = pair_matrix(align_frame(ref_v, vs(t)),
-                                align_frame(ref_w, ws(t)))
-                return np.linalg.det(M)
+                M = np.concatenate([_align_to(ref_v, at(V, t)),
+                                    _align_to(ref_w, at(W, t))], axis=2)
+                return np.linalg.det(M[0])
 
             t_star = brentq(f, ts[i], ts[i + 1], xtol=_T_RESOLUTION)
             register(float(t_star))
+
+    def pair_smin(t: float) -> float:
+        M = np.concatenate([at(V, t), at(W, t)], axis=2)
+        return float(np.linalg.svd(M[0], compute_uv=False)[-1])
 
     # interior dips without a sign flip (even-order crossings)
     for i in range(1, len(ts) - 1):
         if g[i] < 0.1 and g[i] <= g[i - 1] and g[i] <= g[i + 1]:
             res = minimize_scalar(
-                lambda t: _pair_smin(vs(t), ws(t)),
-                bounds=(ts[i - 1], ts[i + 1]), method="bounded",
+                pair_smin, bounds=(ts[i - 1], ts[i + 1]), method="bounded",
                 options={"xatol": _T_RESOLUTION},
             )
             if res.fun < cross_tol:
                 register(float(res.x))
 
     return sorted(found)
-
-
-def _scan(path, ts: np.ndarray) -> np.ndarray:
-    """The (len(ts), n, k) stack of the path's frames at ``ts``."""
-    frames = [path(t) for t in ts]
-    if any(f.columns.shape != frames[0].columns.shape for f in frames):
-        raise DimensionMismatch("frames change shape along the chain")
-    return np.stack([f.columns for f in frames])
 
 
 def crossing_census(V, W, interval: tuple[float, float],
@@ -316,7 +321,11 @@ def crossing_census(V, W, interval: tuple[float, float],
     Crossings are located by a determinant-sign scan with bisection
     plus a dip scan of sigma_min of the pair matrix (which catches
     even-order crossings the determinant cannot see).  The scan reads
-    both paths at ``samples`` evenly spaced instants of ``interval``.
+    each path once, at the ``samples`` evenly spaced instants of
+    ``interval``.  Here and in :func:`crossing_form` a sample is refused
+    as by ``path_from_sampler``, then with DimensionMismatch unless both
+    paths give k-frames in R^{2k} of one k, and with InvalidInput,
+    naming the first instant, unless Lagrangian to ``_LAGRANGIAN_TOL``.
 
     Raises
     ------
@@ -329,20 +338,18 @@ def crossing_census(V, W, interval: tuple[float, float],
     IrregularCrossing
         If some crossing has a degenerate form; carries the instant.
     """
-    vs, ws = _as_sampler(V), _as_sampler(W)
     ts = _scan_instants(interval, samples)
-    raw_v, raw_w = _scan(vs, ts), _scan(ws, ts)
-    ends = np.array([pair_matrix(Frame._trusted(raw_v[i]),
-                                 Frame._trusted(raw_w[i])) for i in (0, -1)])
+    raw_v, raw_w = _sample_pair(V, W, ts)
+    ends = np.concatenate([raw_v[[0, -1]], raw_w[[0, -1]]], axis=2)
     for sign, name in zip(_signed_dets(ends, eps_trans)[1],
                           ("left", "right")):
         if sign == DEGENERATE:
             raise DegenerateEndpoint(f"{name} endpoint is a crossing")
 
     out = []
-    for t_star in _locate_crossings(vs, ws, ts, raw_v, raw_w, cross_tol):
+    for t_star in _locate_crossings(V, W, ts, raw_v, raw_w, cross_tol):
         try:
-            out.append(crossing_form(vs, ws, t_star))
+            out.append(crossing_form(V, W, t_star))
         except DegenerateForm as exc:
             raise IrregularCrossing(
                 f"irregular crossing at t = {t_star!r}: {exc}",
@@ -384,27 +391,15 @@ def mod2_compare(V, W, interval: tuple[float, float],
                  cross_tol: float = _CROSS_TOL) -> Mod2Report:
     """Compare the Z2-index with the Maslov index mod 2.
 
-    Both sides are computed independently from one sampling of each
-    path: the Z2-index from endpoint determinant signs on an aligned
-    frame chain, whose sampler stacks the frames of ``V`` and ``W``, and
-    the Maslov index from crossing-form signatures.
+    Both sides are computed independently: the Z2-index from endpoint
+    determinant signs on an aligned frame chain over the samplers'
+    paths, and the Maslov index from crossing-form signatures.
     """
-    vs, ws = _as_sampler(V), _as_sampler(W)
     grid = _scan_instants(interval, samples)
-
-    def stacked(f):
-        return lambda ts: np.array([f(t).columns for t in ts.tolist()])
-
-    def reusing(path, f):
-        own = dict(zip(path.grid.tolist(), path.frames))
-        return lambda t: own[t] if t in own else f(t)
-
-    pair = SubspacePathPair(V=path_from_sampler(stacked(vs), grid),
-                            W=path_from_sampler(stacked(ws), grid))
+    pair = SubspacePathPair(V=path_from_sampler(V, grid),
+                            W=path_from_sampler(W, grid))
     rep = z2_index(pair, eps_trans=eps_trans)
-    # the census scans the instants of ``grid``: reuse the frames there
-    census = crossing_census(reusing(pair.V, vs), reusing(pair.W, ws),
-                             interval=interval, samples=samples,
+    census = crossing_census(V, W, interval=interval, samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
     mas = sum(d.signature for d in census)
     return Mod2Report(

@@ -64,8 +64,8 @@ from .linalg import (
     _chain,
     _complements,
     det_sign,
-    orthonormalize,
 )
+from .maslov import graph_frame
 from .z2index import (
     IndexReport,
     SubspacePathPair,
@@ -114,12 +114,10 @@ def finite_parity(T_path: Callable[[float], np.ndarray],
     _check_samples(samples, 2)
     m = _square_at(T_path, 0.0).shape[0]
     lambda0 = np.vstack([np.eye(m), np.zeros((m, m))])
-    eye = np.eye(m)
 
     def graph(ss: np.ndarray) -> np.ndarray:
-        T = np.array([_square_at(T_path, s, m) for s in ss.tolist()])
-        return orthonormalize(np.concatenate(
-            [np.broadcast_to(eye, T.shape), T], axis=1))
+        return graph_frame(np.array([_square_at(T_path, s, m)
+                                     for s in ss.tolist()]))
 
     # sampled first, so that a change of shape is named where it starts
     grid = np.linspace(0.0, 1.0, samples)

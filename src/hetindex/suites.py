@@ -31,7 +31,7 @@ from .errors import (
 from .expr import parse_matrix
 from .flow import LinearFamily, _check_samples, path_from_sampler
 from .linalg import DEGENERATE, _signed_dets, det_sign
-from .maslov import graph_frame, mod2_compare
+from .maslov import graph_path, mod2_compare
 from .parity import decomposition_check, finite_parity
 from .z2index import (
     SubspacePathPair,
@@ -307,9 +307,10 @@ def _trig_symmetric(rng, k: int) -> Callable:
     A2 = rng.standard_normal((k, k))
     A0, A1, A2 = ((M + M.T) / 2 for M in (A0, A1, A2))
 
-    def A(t: float) -> np.ndarray:
-        return A0 + A1 * np.sin(t) + A2 * np.cos(2.0 * t)
-    return A
+    def A(ts: np.ndarray) -> np.ndarray:
+        ts = ts[:, None, None]
+        return A0 + A1 * np.sin(ts) + A2 * np.cos(2.0 * ts)
+    return graph_path(A)
 
 
 def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
@@ -322,15 +323,11 @@ def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
         k = int(rng.choice(_MASLOV_KS))
         outcome = None
         for _ in range(_DRAW_TRIES):
-            Af = _trig_symmetric(rng, k)
-            Bf = _trig_symmetric(rng, k)
+            V = _trig_symmetric(rng, k)
+            W = _trig_symmetric(rng, k)
             span = float(rng.uniform(1.5, 3.0))
             try:
-                rep = mod2_compare(
-                    lambda t, Af=Af: graph_frame(Af(t)),
-                    lambda t, Bf=Bf: graph_frame(Bf(t)),
-                    interval=(0.0, span), samples=201,
-                )
+                rep = mod2_compare(V, W, interval=(0.0, span), samples=201)
             except (DegenerateEndpoint, IrregularCrossing, NotGraphical):
                 continue     # a bad draw, not a violation
             outcome = rep.agree

@@ -244,9 +244,9 @@ def _samples_calls(calls: list, monkeypatch) -> dict:
         calls.append(s)
         return np.diag([1.0, 1.0 - 2.0 * s])
 
-    def plane(t):
-        calls.append(t)
-        return hetindex.graph_frame(np.array([[t]]))
+    def plane(ts):
+        calls.append(ts)
+        return hetindex.graph_frame(ts[:, None, None])
 
     fam = hetindex.LinearFamily.from_callable(S, n=2, k=1)
     monkeypatch.setattr(bifurcation, "linearize_along",

@@ -200,6 +200,20 @@ def test_maslov_command(tmp_path):
     assert rows[0] == ["t", "det"]
 
 
+def test_maslov_non_symmetric_matrix_exits_2_naming_the_instant(tmp_path):
+    # [[2, 0.5 + t], [-0.5 - t, 3]] is symmetric at t = -0.5 only, so
+    # the first bad instant is the second of the 101 on [-0.5, 1]
+    cfg = write_config(tmp_path, {
+        **MASLOV,
+        "A": [["2", "0.5 + t"], ["-0.5 - t", "3"]],
+        "B": [["0", "0"], ["0", "0"]],
+        "interval": [-0.5, 1.0],
+    })
+    res = run_cli(["maslov", "--config", cfg], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "A(-0.485) is not symmetric" in res.stderr
+
+
 def test_schema_violation_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"kind": "subspace-paths", "V": "nope"})
     res = run_cli(["index", "--config", cfg], tmp_path)

@@ -20,6 +20,10 @@ PACKAGE_ROOT = str(Path(hetindex.__file__).resolve().parent.parent)
     ("kernel_coincidence.py", r"lambda = 0\.8:\s+kernel dim 1\s.*"),
     ("maslov_crossings.py",
      r"graphs of t and -t:\s+maslov -1\s+z2 1\s+agree: True"),
+    ("maslov_crossings.py",
+     r"cubic against zero:\s+maslov -1\s+z2 1\s+agree: True"),
+    ("maslov_crossings.py",
+     r"\s+crossing at t =\s+\S+\s+kernel dim 2\s+signature \+0"),
     ("poschl_teller_theorem.py", r"agree: True"),
     ("cubic_bifurcation.py", r"bifurcates: True"),
 ])

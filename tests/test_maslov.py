@@ -5,6 +5,7 @@ import pytest
 
 from hetindex import (
     DegenerateEndpoint,
+    DimensionMismatch,
     InvalidInput,
     IrregularCrossing,
     crossing_form,
@@ -17,6 +18,17 @@ from hetindex import (
     symplectic_form_matrix,
 )
 from hetindex import maslov as maslovmod
+
+
+def line(slope):
+    """Graph sampler of the 1 x 1 matrix slope * t."""
+    return graph_path(lambda ts: slope * ts[:, None, None])
+
+
+def constant(A):
+    """Graph sampler of the constant matrix A."""
+    A = np.asarray(A, dtype=float)
+    return graph_path(lambda ts: np.broadcast_to(A, (len(ts), *A.shape)))
 
 
 def test_symplectic_form_matrix():
@@ -50,39 +62,44 @@ def test_graph_frame_spans_graph():
     assert abs(abs(v @ expect) - 1.0) < 1e-12
 
 
+def test_graph_frame_of_a_stack_is_the_frames_of_its_members():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 3, 3))
+    A = A + np.swapaxes(A, 1, 2)
+    F = graph_frame(A)
+    assert F.shape == (7, 6, 3)
+    for Fi, Ai in zip(F, A):
+        assert np.abs(Fi - graph_frame(Ai).columns).max() <= 1e-14
+
+
 def test_graph_path_wraps_callable():
-    path = graph_path(lambda t: np.array([[t]]))
-    F = path(3.0)
-    v = F.columns.ravel()
-    expect = np.array([1.0, 3.0]) / np.sqrt(10.0)
-    assert abs(abs(v @ expect) - 1.0) < 1e-12
+    path = graph_path(lambda ts: ts[:, None, None])
+    F = path(np.array([3.0, -1.0]))
+    assert F.shape == (2, 2, 1)
+    for v, t in zip(F[:, :, 0], (3.0, -1.0)):
+        expect = np.array([1.0, t]) / np.hypot(1.0, t)
+        assert abs(abs(v @ expect) - 1.0) < 1e-12
 
 
 def test_crossing_form_simple():
-    V = graph_path(lambda t: np.array([[t]]))
-    W = graph_path(lambda t: np.array([[-t]]))
-    data = crossing_form(V, W, 0.0)
+    data = crossing_form(line(1.0), line(-1.0), 0.0)
     assert data.signature == -1
     assert abs(data.instant) < 1e-12
 
 
 def test_crossing_form_rejects_noncrossing():
-    V = graph_path(lambda t: np.array([[t]]))
-    W = graph_path(lambda t: np.array([[-t]]))
     with pytest.raises(InvalidInput):
-        crossing_form(V, W, 0.5)
+        crossing_form(line(1.0), line(-1.0), 0.5)
 
 
 def test_maslov_single_crossing():
-    V = graph_path(lambda t: np.array([[t]]))
-    W = graph_path(lambda t: np.array([[-t]]))
-    assert maslov_index(V, W, interval=(-1.0, 1.0)) == -1
+    assert maslov_index(line(1.0), line(-1.0), interval=(-1.0, 1.0)) == -1
 
 
 def test_maslov_cubic():
     # B - A = t - t^3 crosses zero at -1, 0, 1 with slopes -2, 1, -2
-    V = graph_path(lambda t: np.array([[t ** 3 - t]]))
-    W = graph_path(lambda t: np.array([[0.0]]))
+    V = graph_path(lambda ts: (ts ** 3 - ts)[:, None, None])
+    W = constant([[0.0]])
     assert maslov_index(V, W, interval=(-1.5, 1.5)) == -1
     rep = mod2_compare(V, W, interval=(-1.5, 1.5))
     assert rep.z2 == 1 and rep.maslov == -1 and rep.agree
@@ -90,8 +107,9 @@ def test_maslov_cubic():
 
 
 def test_maslov_two_dimensional():
-    V = graph_path(lambda t: np.diag([t, t - 0.5]))
-    W = graph_path(lambda t: np.zeros((2, 2)))
+    V = graph_path(lambda ts: ts[:, None, None] * np.eye(2)
+                   - np.diag([0.0, 0.5]))
+    W = constant(np.zeros((2, 2)))
     assert maslov_index(V, W, interval=(-0.3, 0.8)) == -2
     rep = mod2_compare(V, W, interval=(-0.3, 0.8))
     assert rep.z2 == 0 and rep.agree
@@ -100,8 +118,8 @@ def test_maslov_two_dimensional():
 def test_maslov_signature_zero_crossing():
     # kernel dim 2 at t = 0 with indefinite form: det(B - A) = -t^2
     # never changes sign, only the sigma_min dip reveals the crossing
-    V = graph_path(lambda t: np.diag([t, -t]))
-    W = graph_path(lambda t: np.zeros((2, 2)))
+    V = graph_path(lambda ts: ts[:, None, None] * np.diag([1.0, -1.0]))
+    W = constant(np.zeros((2, 2)))
     assert maslov_index(V, W, interval=(-1.0, 1.0)) == 0
     rep = mod2_compare(V, W, interval=(-1.0, 1.0))
     assert rep.z2 == 0 and rep.agree
@@ -111,67 +129,103 @@ def test_maslov_signature_zero_crossing():
 
 
 def test_maslov_rejects_tangential_crossing():
-    V = graph_path(lambda t: np.array([[t ** 2]]))
-    W = graph_path(lambda t: np.array([[0.0]]))
+    V = graph_path(lambda ts: (ts ** 2)[:, None, None])
     with pytest.raises(IrregularCrossing):
-        maslov_index(V, W, interval=(-1.0, 1.0))
+        maslov_index(V, constant([[0.0]]), interval=(-1.0, 1.0))
 
 
 def test_maslov_rejects_endpoint_crossing():
-    V = graph_path(lambda t: np.array([[t]]))
-    W = graph_path(lambda t: np.array([[0.0]]))
     with pytest.raises(DegenerateEndpoint):
-        maslov_index(V, W, interval=(0.0, 1.0))
+        maslov_index(line(1.0), constant([[0.0]]), interval=(0.0, 1.0))
 
 
-def test_census_samples_each_scan_instant_once(monkeypatch):
-    # sampler calls: one per scan instant, plus one per brentq and
-    # minimize evaluation and three per crossing form (t0, t0 +- h)
-    calls = {"v": 0, "w": 0, "solver": 0, "form": 0}
+def _recording(calls, path):
+    def run(ts):
+        calls.append(ts)
+        return path(ts)
+    return run
 
-    def counted(key, fn):
-        def run(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return run
 
-    def counting_solver(solve):
-        def run(f, *args, **kwargs):
-            return solve(counted("solver", f), *args, **kwargs)
-        return run
-
-    monkeypatch.setattr(maslovmod, "brentq",
-                        counting_solver(maslovmod.brentq))
-    monkeypatch.setattr(maslovmod, "minimize_scalar",
-                        counting_solver(maslovmod.minimize_scalar))
-    monkeypatch.setattr(maslovmod, "crossing_form",
-                        counted("form", maslovmod.crossing_form))
-    V = counted("v", graph_path(lambda t: np.array([[t ** 3 - t]])))
-    W = counted("w", graph_path(lambda t: np.array([[0.0]])))
+def test_census_samples_each_scan_instant_once():
+    # one call for the whole scan, then length-1 samples for brentq and
+    # minimize_scalar and one three-instant sample per crossing form
+    calls = {"v": [], "w": []}
+    V = _recording(calls["v"],
+                   graph_path(lambda ts: (ts ** 3 - ts)[:, None, None]))
+    W = _recording(calls["w"], constant([[0.0]]))
     census = maslovmod.crossing_census(V, W, interval=(-1.5, 1.5),
                                        samples=101)
     assert len(census) == 3
-    assert calls["solver"] > 0 and calls["form"] == 3
-    budget = 101 + calls["solver"] + 3 * calls["form"]
-    assert calls["v"] <= budget and calls["w"] <= budget
+    for seen in calls.values():
+        assert all(isinstance(ts, np.ndarray) and ts.ndim == 1
+                   for ts in seen)
+        assert np.array_equal(seen[0], np.linspace(-1.5, 1.5, 101))
+        assert [len(ts) for ts in seen[1:]].count(3) == 3
+        assert all(len(ts) in (1, 3) for ts in seen[1:])
 
 
-def test_mod2_compare_samples_each_path_once():
-    # the census scans the frames the Z2 side sampled; one pass over
-    # 101 instants plus localization and forms, not two
-    calls = {"v": 0, "w": 0}
-
-    def counted(key, fn):
-        def run(t):
-            calls[key] += 1
-            return fn(t)
-        return run
-
-    V = counted("v", graph_path(lambda t: np.array([[t]])))
-    W = counted("w", graph_path(lambda t: np.array([[-t]])))
+def test_mod2_compare_reads_each_path_in_two_grid_calls():
+    # the Z2 side and the census each sample the grid in one call; the
+    # rest are refinement, localisation and crossing-form samples
+    calls = {"v": [], "w": []}
+    V = _recording(calls["v"], line(1.0))
+    W = _recording(calls["w"], line(-1.0))
     rep = mod2_compare(V, W, interval=(-1.0, 1.0), samples=101)
     assert rep.z2 == 1 and rep.agree and len(rep.crossings) == 1
-    assert calls["v"] <= 130 and calls["w"] <= 130
+    for seen in calls.values():
+        assert all(isinstance(ts, np.ndarray) and ts.ndim == 1
+                   for ts in seen)
+        assert [len(ts) for ts in seen].count(101) <= 2
+        assert all(len(ts) <= 3 for ts in seen if len(ts) != 101)
+
+
+def test_the_frame_callable_adapters_are_gone():
+    for name in ("_as_sampler", "_scan"):
+        assert not hasattr(maslovmod, name)
+
+
+def _skew_graph(ts):
+    # [[2, 0.5 + t], [-0.5 - t, 3]] is symmetric only at t = -0.5
+    A = np.empty((len(ts), 2, 2))
+    A[:, 0, 0], A[:, 1, 1] = 2.0, 3.0
+    A[:, 0, 1], A[:, 1, 0] = 0.5 + ts, -0.5 - ts
+    return graph_frame(A)
+
+
+@pytest.mark.parametrize("call", [
+    maslovmod.crossing_census, maslov_index, mod2_compare],
+    ids=["census", "index", "mod2"])
+@pytest.mark.parametrize("interval,first_bad", [
+    ((-1.0, 1.0), 0), ((-0.5, 1.0), 1)], ids=["at-start", "after-start"])
+def test_a_path_that_is_not_lagrangian_is_refused(call, interval, first_bad):
+    t = float(np.linspace(*interval, 401)[first_bad])
+    W = constant(np.zeros((2, 2)))
+    with pytest.raises(InvalidInput,
+                       match=rf"path V is not Lagrangian at t={t!r}$"):
+        call(_skew_graph, W, interval)
+    with pytest.raises(InvalidInput,
+                       match=rf"path W is not Lagrangian at t={t!r}$"):
+        call(W, _skew_graph, interval)
+
+
+def test_paths_of_mismatched_shapes_are_refused():
+    with pytest.raises(DimensionMismatch):
+        maslov_index(line(1.0), constant(np.zeros((2, 2))), (-1.0, 1.0))
+    with pytest.raises(DimensionMismatch):
+        crossing_form(line(1.0), constant(np.zeros((2, 2))), 0.0)
+
+
+def test_a_sampled_frame_is_checked_as_path_from_sampler_does():
+    def skewed(ts):
+        F = line(1.0)(ts)
+        F[ts > 0.5] *= 2.0
+        return F
+
+    t = np.linspace(-1.0, 1.0, 401)
+    first = float(t[t > 0.5][0])
+    with pytest.raises(InvalidInput,
+                       match=rf"t={first!r}: columns not orthonormal"):
+        maslov_index(skewed, line(-1.0), (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("call", [
@@ -182,15 +236,8 @@ def test_mod2_compare_samples_each_path_once():
     ids=["one-sample", "no-sample", "reversed"])
 def test_census_refuses_a_malformed_scan_grid(call, interval, samples):
     calls = []
-
-    def counted(fn):
-        def run(t):
-            calls.append(t)
-            return fn(t)
-        return run
-
-    V = counted(graph_path(lambda t: np.array([[t]])))
-    W = counted(graph_path(lambda t: np.array([[-t]])))
+    V = _recording(calls, line(1.0))
+    W = _recording(calls, line(-1.0))
     with pytest.raises(InvalidInput):
         call(V, W, interval, samples=samples)
     assert calls == []
@@ -206,15 +253,8 @@ def test_census_refuses_a_non_finite_interval_end(call, interval):
     # checked before the ends are spaced out: np.linspace over an
     # infinite end warns, and the warning is an error under pytest here
     calls = []
-
-    def counted(fn):
-        def run(t):
-            calls.append(t)
-            return fn(t)
-        return run
-
-    V = counted(graph_path(lambda t: np.array([[t]])))
-    W = counted(graph_path(lambda t: np.array([[-t]])))
+    V = _recording(calls, line(1.0))
+    W = _recording(calls, line(-1.0))
     with pytest.raises(InvalidInput, match="finite"):
         call(V, W, interval)
     assert calls == []
