@@ -15,7 +15,7 @@ integration is chosen so the tracked subspace is attracting: stable
 frames are seeded at +T and integrated backward, unstable frames at -T
 forward.
 
-The integrator is the module's own Dormand-Prince 5(4) loop (RK45),
+The integrator is the module's own Dormand-Prince 8(5,3) loop (DOP853),
 scipy's method operation for operation, so ``rtol`` and ``atol`` keep
 their meaning.  S does not depend on the state, so each step attempt
 evaluates S once, at all its stage instants together.
@@ -269,8 +269,22 @@ def _piecewise(ts: np.ndarray, shape: tuple, pieces) -> np.ndarray:
 
 def _sampled(sampler: Callable, ts: np.ndarray,
              shape: tuple | None = None) -> np.ndarray:
-    """``sampler(ts)`` as a float stack, checked by :func:`_check_stack`."""
-    Y = np.asarray(sampler(ts), dtype=float)
+    """``sampler(ts)`` as a float stack, checked by :func:`_check_stack`.
+
+    A return that is not a real numeric array (a list of Frames, strings,
+    complex values) is refused with InvalidInput naming the first instant.
+    """
+    out = sampler(ts)
+    try:
+        Y = np.asarray(out)
+    except (TypeError, ValueError):     # a ragged sequence, say
+        Y = np.empty(0, dtype=object)
+    if Y.dtype.kind not in "iuf":
+        raise InvalidInput(
+            f"sampler returned {type(out).__name__} of dtype {Y.dtype} from "
+            f"t={float(ts[0])!r}; a sampler maps ts to a (len(ts), n, k) "
+            f"real stack")
+    Y = Y.astype(float, copy=False)
     _check_stack(Y, ts, shape)
     return Y
 
@@ -370,39 +384,171 @@ def _too_wide(lefts: tuple, rights: tuple) -> np.ndarray:
 
 # -- integration core --------------------------------------------------
 #
-# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner,
-# Solving ODEs I, sec. II.4) with the step control, initial-step rule
-# and quartic dense output of scipy's RK45, operation for operation, so
-# that its states are bitwise those of scipy's ``RK45`` solver.
+# Dormand-Prince 8(5,3) (Prince & Dormand 1981; Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.10) with the step control, initial-step rule
+# and degree-7 dense output of scipy's DOP853, operation for operation,
+# so that its states are bitwise those of scipy's ``DOP853`` solver.  The
+# coefficients are scipy's, digit for digit: twelve stages, the last at
+# t + h, whose derivative there is also the next step's first stage
+# (FSAL), and three extra stages that only the dense output reads.
 
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-               1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+def _sparse(cols: int, rows: tuple) -> np.ndarray:
+    """A (len(rows), cols) array, zero but for each row's {column: entry}."""
+    out = np.zeros((len(rows), cols))
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
+_C = np.array([0.0, 0.526001519587677318785587544488e-01,
+               0.789002279381515978178381316732e-01,
+               0.118350341907227396726757197510,
+               0.281649658092772603273242802490,
+               0.333333333333333333333333333333, 0.25,
+               0.307692307692307692307692307692,
+               0.651282051282051282051282051282, 0.6,
+               0.857142857142857142857142857142, 1.0])
+_C_EXTRA = np.array([0.1, 0.2, 0.777777777777777777777777777778])
+_A_ALL = _sparse(16, (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2,
+     1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2,
+     2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1,
+     2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2,
+     3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2,
+     3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1,
+     5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1,
+     3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1,
+     5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1,
+     7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1,
+     3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1,
+     5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1,
+     7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1,
+     7: 2.27394870993505042818970056734e1, 8: 2.49360555267965238987089396762,
+     9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444,
+     5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1,
+     9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1,
+     11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2,
+     6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1,
+     8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1,
+     10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2,
+     5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2,
+     7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4,
+     11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4,
+     13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1,
+     5: -4.69762141536116384314449447206, 6: 7.68342119606259904184240953878,
+     7: 4.06898981839711007970213554331, 8: 3.56727187455281109270669543021e-1,
+     12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+))
+_A, _B, _A_EXTRA = _A_ALL[:12, :12], _A_ALL[12, :12], _A_ALL[13:]
+_E3 = np.append(_B, 0.0)
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = _sparse(13, (
+    {0: 0.1312004499419488073250102996e-1,
+     5: -0.1225156446376204440720569753e+1, 6: -0.4957589496572501915214079952,
+     7: 0.1664377182454986536961530415e+1, 8: -0.3503288487499736816886487290,
+     9: 0.3341791187130174790297318841, 10: 0.8192320648511571246570742613e-1,
+     11: -0.2235530786388629525884427845e-1},
+))[0]
+_D = _sparse(16, (
+    {0: -0.84289382761090128651353491142e+1,
+     5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1,
+     7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1,
+     9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1,
+     11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1,
+     13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1,
+     15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2,
+     5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3,
+     7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2,
+     9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2,
+     11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2,
+     13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1,
+     15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2,
+     5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3,
+     7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2,
+     9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1,
+     11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1,
+     13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2,
+     15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2,
+     5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3,
+     7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2,
+     9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3,
+     11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2,
+     13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2,
+     15: -0.14972683625798562581422125276e+3},
+))
+_DENSE_NODES = np.concatenate([_C[1:], _C_EXTRA])
 _SAFETY = 0.9        # on the step factor from the error estimate
 _MIN_FACTOR = 0.2    # least factor of a step size after a rejection
 _MAX_FACTOR = 10     # greatest factor of a step size after an acceptance
-_ERROR_EXPONENT = -1 / 5   # -1 / (order of the error estimator + 1)
+_ERROR_EXPONENT = -1 / 8   # -1 / (order of the error estimator + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
@@ -410,13 +556,28 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-class _Dense:
-    """Dense output of one solve: the quartic interpolant of each step.
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """The step's error norm from the fifth- and third-order estimates
+    e5 and e3: |h| |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2)), each scaled
+    by ``scale`` and N its length."""
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
-    ``steps`` holds (t_old, t, y_old, Q) per step in the direction of
-    travel.  An instant is read off the step that scipy's
-    ``OdeSolution`` picks for it (at a step end, the earlier step), and
-    the instants of one step in one product, as there.
+
+class _Dense:
+    """Dense output of one solve: the degree-7 interpolant of each step.
+
+    ``steps`` holds (t_old, t, y_old, F) per step in the direction of
+    travel, F the interpolant's seven coefficient rows.  An instant is
+    read off the step that scipy's ``OdeSolution`` picks for it (at a
+    step end, the earlier step), and the instants of one step together,
+    as there.
     """
 
     def __init__(self, steps: list):
@@ -438,12 +599,15 @@ class _Dense:
         cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(seg)]
         ys = []
         for lo, hi in zip(cuts, cuts[1:]):
-            t_old, t_new, y_old, Q = self.steps[seg[lo]]
-            h = t_new - t_old
-            x = (t_sorted[lo:hi] - t_old) / h
-            y = h * np.dot(Q, np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0))
-            y += y_old[:, None]
-            ys.append(y)
+            t_old, t_new, y_old, F = self.steps[seg[lo]]
+            x = ((t_sorted[lo:hi] - t_old) / (t_new - t_old))[:, None]
+            y = np.zeros((hi - lo, len(y_old)))
+            # nested in x and 1 - x alternately, from the highest row
+            for i, f in enumerate(F[::-1]):
+                y += f
+                y *= x if i % 2 == 0 else 1 - x
+            y += y_old
+            ys.append(y.T)
         out = np.empty((len(ys[0]), len(t)))
         out[:, order] = np.hstack(ys)
         return out
@@ -451,17 +615,24 @@ class _Dense:
 
 def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
            t0: float, t1: float, rtol: float, atol: float,
-           dense: bool = False):
+           dense: bool = False, first_step: float | None = None):
     """Solve Y' = S(lambda, t) Y from Y(t0) = Y0 to t1, all lambdas at once.
 
     ``Y0`` is an (m, n, k) stack, one member per lambda of ``lams``,
     carried as one flat state under one step control.  S does not
     depend on the state, so the stage instants of a step attempt are
     known once its size is: one evaluator call per attempt gives S at
-    all of them, t + c h for c = 1/5, 3/10, 4/5, 8/9, 1, and the last
-    one is also the next step's first stage (FSAL).  The initial step
-    rule takes two more calls.  Returns the flat final state and, with
-    ``dense``, a :class:`_Dense` over the steps, else None.
+    all of them, t + c h for the eleven nodes c of ``_C[1:]``.  The last
+    node is 1, so that value also gives the derivative at t + h, which
+    is the next step's first stage (FSAL).  With ``dense`` the same call
+    covers the interpolant's three extra stages, t + c h for c in
+    ``_C_EXTRA``.  The first stage at t0 takes one more call, and the
+    initial-step rule another unless ``first_step``, a step size no
+    longer than |t1 - t0|, is given.
+
+    Returns the flat final state; with ``dense`` a :class:`_Dense` over
+    the steps, else None; and the step size that the controller proposes
+    after the last step.
 
     As in scipy, an rtol below 100 machine epsilons is raised to that,
     and a negative atol is refused (InvalidInput).  Raises
@@ -490,25 +661,31 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
 
     rtol = max(rtol, _RTOL_FLOOR)
     direction = np.sign(t1 - t0)
+    nodes = _DENSE_NODES if dense else _C[1:]
+    stages = len(_C)
     t, y = t0, Y0.ravel()
-    K = np.empty((len(_C) + 1, y.size))
+    # the step's stages, its final derivative, then the extra stages
+    K = np.empty((stages + 1 + len(_C_EXTRA), y.size))
     steps = []
     # a rejected trial may hold inf or NaN; only the outcome is checked
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs(S_at(np.array([t]))[0], y)
-        # the initial step (Hairer, Norsett & Wanner, sec. II.4)
-        scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
-                 abs(t1 - t0))
-        f1 = rhs(S_at(np.array([t + h0 * direction]))[0],
-                 y + h0 * direction * f)
-        d2 = _rms((f1 - f) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
+        if first_step is None:
+            # the initial step (Hairer, Norsett & Wanner, sec. II.4)
+            scale = atol + np.abs(y) * rtol
+            d0, d1 = _rms(y / scale), _rms(f / scale)
+            h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                     abs(t1 - t0))
+            f1 = rhs(S_at(np.array([t + h0 * direction]))[0],
+                     y + h0 * direction * f)
+            d2 = _rms((f1 - f) / scale) / h0
+            if d1 <= 1e-15 and d2 <= 1e-15:
+                h1 = max(1e-6, h0 * 1e-3)
+            else:
+                h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+            h_abs = min(100 * h0, h1, abs(t1 - t0))
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        h_abs = min(100 * h0, h1, abs(t1 - t0))
+            h_abs = first_step
 
         while direction * (t - t1) < 0:
             min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -524,15 +701,16 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
                     t_new = t1
                 h = t_new - t
                 h_abs = np.abs(h)
-                S = S_at(t + _C[1:] * h)
+                S = S_at(t + nodes * h)
                 K[0] = f
-                for s in range(1, len(_C)):
+                for s in range(1, stages):
                     dy = np.dot(K[:s].T, _A[s, :s]) * h
                     K[s] = rhs(S[s - 1], y + dy)
-                y_new = y + h * np.dot(K[:-1].T, _B)
-                f_new = K[-1] = rhs(S[-1], y_new)
+                y_new = y + h * np.dot(K[:stages].T, _B)
+                # the last node is 1: S there is S at t + h
+                f_new = K[stages] = rhs(S[stages - 2], y_new)
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err = _rms(np.dot(K.T, _E) * h / scale)
+                err = _error_norm(K[:stages + 1], h, scale)
                 if err < 1:
                     factor = _MAX_FACTOR if err == 0 else min(
                         _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -541,11 +719,20 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
                 h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                 rejected = True
             if dense:
-                steps.append((t, t_new, y, K.T.dot(_P)))
+                for s in range(stages + 1, len(K)):
+                    dy = np.dot(K[:s].T, _A_EXTRA[s - stages - 1, :s]) * h
+                    K[s] = rhs(S[s - 2], y + dy)
+                delta_y = y_new - y
+                F = np.empty((7, y.size))
+                F[0] = delta_y
+                F[1] = h * f - delta_y
+                F[2] = 2 * delta_y - h * (f_new + f)
+                F[3:] = h * np.dot(_D, K)
+                steps.append((t, t_new, y, F))
             t, y, f = t_new, y_new, f_new
     if not np.all(np.isfinite(y)):
         raise IntegrationFailure(f"non-finite state reached at t={t1}")
-    return y, _Dense(steps) if dense else None
+    return y, _Dense(steps) if dense else None, h_abs
 
 
 def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
@@ -571,8 +758,8 @@ def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
     n = fam.n
     if t == tau:
         return np.eye(n)
-    y, _ = _dopri(fam, np.array([float(lam)]), np.eye(n)[None],
-                  float(tau), float(t), rtol, atol)
+    y, _, _ = _dopri(fam, np.array([float(lam)]), np.eye(n)[None],
+                     float(tau), float(t), rtol, atol)
     return y.reshape(n, n)
 
 
@@ -835,11 +1022,14 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
 
     seeds has shape (m, n, k); all m systems ride in one solve per
     leg, with batched QR and Procrustes alignment between legs, and
-    each solve evaluates S once per step attempt.  Returns the final
-    (m, n, k) frames and, with ``dense``, one ``(leg end, interpolant)``
-    pair per leg in the direction of travel (else none); an interpolant
-    maps an instant of its leg to the raw (m, n, k) solution there,
-    flattened.
+    each solve evaluates S once per step attempt.  The step size is
+    carried across legs: each leg after the first starts at the step
+    the controller proposed at the end of the one before, capped at the
+    leg's length, so only the first leg runs the initial-step rule.
+    Returns the final (m, n, k) frames and, with ``dense``, one
+    ``(leg end, interpolant)`` pair per leg in the direction of travel
+    (else none); an interpolant maps an instant of its leg to the raw
+    (m, n, k) solution there, flattened.
     """
     m, n, k = seeds.shape
     Y = seeds.copy()
@@ -847,8 +1037,11 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
     if k == 0 or t_from == t_to:
         return Y, legs
     pts = _leg_points(t_from, t_to)
+    h_abs = None
     for a, b in zip(pts, pts[1:]):
-        y, sol = _dopri(fam, lams, Y, float(a), float(b), rtol, atol, dense)
+        first_step = None if h_abs is None else min(h_abs, abs(b - a))
+        y, sol, h_abs = _dopri(fam, lams, Y, float(a), float(b), rtol, atol,
+                               dense, first_step)
         if dense:
             legs.append((b, sol))
         Q, _ = np.linalg.qr(y.reshape(m, n, k))

@@ -2,11 +2,12 @@
 
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, quad
 from scipy.linalg import expm
 
 from hetindex import (
@@ -705,6 +706,21 @@ def test_path_from_sampler_refuses_a_broken_stack(defect, error, match):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda ts: [Frame(np.array([[1.0], [0.0]]))] * len(ts),
+    lambda ts: lines(ts).astype(str),
+    lambda ts: lines(ts).astype(complex),
+    lambda ts: [[[1.0], [0.0]], [[1.0]]],
+], ids=["frames", "strings", "complex", "ragged"])
+def test_path_from_sampler_refuses_a_return_that_is_no_real_stack(sampler):
+    # refused before any cast: no TypeError, ValueError or ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=r"from t=0\.0; a sampler maps "
+                           r"ts to a \(len\(ts\), n, k\) real stack$"):
+            path_from_sampler(sampler, np.linspace(0.0, 1.0, 5))
+
+
 def test_orthonormality_test_is_the_frame_test():
     # a defect within 1e-10 passes, as Frame lets it pass
     grid = np.linspace(0.0, 1.0, 5)
@@ -742,20 +758,28 @@ def test_subspace_path_checks_its_stack():
     assert path.frames is path.frames
 
 
-# -- the Dormand-Prince loop against scipy's RK45 ----------------------
+# -- the Dormand-Prince loop against scipy's DOP853 --------------------
 
-def test_tableau_is_scipys_rk45():
-    for mine, scipys in ((flow._C, RK45.C), (flow._A, RK45.A),
-                         (flow._B, RK45.B), (flow._E, RK45.E),
-                         (flow._P, RK45.P)):
-        assert mine.dtype == scipys.dtype and np.array_equal(mine, scipys)
+def test_tableau_is_scipys_dop853():
+    # every written-out constant, shape, dtype and bits
+    for mine, scipys in ((flow._C, DOP853.C), (flow._A, DOP853.A),
+                         (flow._B, DOP853.B), (flow._E3, DOP853.E3),
+                         (flow._E5, DOP853.E5), (flow._D, DOP853.D),
+                         (flow._A_EXTRA, DOP853.A_EXTRA),
+                         (flow._C_EXTRA, DOP853.C_EXTRA)):
+        assert mine.dtype == scipys.dtype and mine.shape == scipys.shape
+        assert mine.tobytes() == np.ascontiguousarray(scipys).tobytes()
     assert (flow._SAFETY, flow._MIN_FACTOR, flow._MAX_FACTOR) == (0.9, 0.2, 10)
-    assert flow._ERROR_EXPONENT == -1 / (RK45.error_estimator_order + 1)
+    assert flow._ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
 
 
-def _solve_ivp_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False):
-    """The oracle for ``flow._dopri``: the same solve by
-    ``solve_ivp(method="RK45")``, S evaluated once per right-hand side."""
+def _scipy_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False,
+                 first_step=None):
+    """The oracle for ``flow._dopri``: scipy's ``DOP853`` solver, started
+    at ``first_step`` when given and stepped by hand to t1, S evaluated
+    once per right-hand side; with the ``OdeSolution`` of its dense
+    output when asked, as ``solve_ivp`` builds it, and the step size it
+    proposes at the end."""
     m, n, k = Y0.shape
     lam_arg = lams[0] if m == 1 else lams
 
@@ -763,10 +787,16 @@ def _solve_ivp_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False):
         S = fam.evaluate_many(lam_arg, s)
         return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
 
-    sol = solve_ivp(rhs, (t0, t1), Y0.ravel(), method="RK45", rtol=rtol,
-                    atol=atol, dense_output=dense)
-    assert sol.success
-    return sol.y[:, -1], sol.sol
+    solver = DOP853(rhs, t0, Y0.ravel(), t1, rtol=rtol, atol=atol,
+                    first_step=first_step)
+    ts, interpolants = [t0], []
+    while solver.status == "running":
+        assert solver.step() is None
+        if dense:
+            ts.append(solver.t)
+            interpolants.append(solver.dense_output())
+    sol = OdeSolution(ts, interpolants) if dense else None
+    return solver.y, sol, solver.h_abs
 
 
 ODE_FAMILIES = {"poschl-teller": poschl_teller_family,
@@ -778,12 +808,13 @@ ODE_FAMILIES = {"poschl-teller": poschl_teller_family,
 @pytest.mark.parametrize("m", [1, 2, 201])
 @pytest.mark.parametrize("family", ODE_FAMILIES)
 def test_transport_is_bitwise_solve_ivp(family, m, t, monkeypatch):
-    # stable frames travel backward, unstable ones forward
+    # stable frames travel backward, unstable ones forward, over several
+    # legs each, every leg after the first started at the carried step
     fam = ODE_FAMILIES[family]()
     lams = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.37])
     got = [flow._subspace_stack(fam, lams, which, t)
            for which in ("stable", "unstable")]
-    monkeypatch.setattr(flow, "_dopri", _solve_ivp_dopri)
+    monkeypatch.setattr(flow, "_dopri", _scipy_dopri)
     want = [flow._subspace_stack(fam, lams, which, t)
             for which in ("stable", "unstable")]
     for a, b in zip(got, want):
@@ -797,7 +828,7 @@ def test_dense_path_samples_are_bitwise_solve_ivp(family, monkeypatch):
     ts = np.concatenate([np.random.default_rng(3).uniform(-6.0, 6.0, 40),
                          grid])
     runs = []
-    for dopri in (flow._dopri, _solve_ivp_dopri):
+    for dopri in (flow._dopri, _scipy_dopri):
         monkeypatch.setattr(flow, "_dopri", dopri)
         for which in ("stable", "unstable"):
             path = invariant_subspace_path(fam, 0.8, which, grid)
@@ -808,30 +839,83 @@ def test_dense_path_samples_are_bitwise_solve_ivp(family, monkeypatch):
             assert np.array_equal(a, b)
 
 
-def test_one_evaluation_per_step_attempt(monkeypatch):
-    # solve_ivp evaluates S for each of its six right-hand sides per
-    # attempt, plus two per solve for f(t0) and the initial-step rule;
-    # the loop takes one call per attempt and the same two per solve
+def _counting_poschl_teller(calls: list) -> LinearFamily:
+    """The Poschl-Teller family, recording the instants of each call."""
     pt = poschl_teller_family()
-    calls = []
 
     def counting(lam, t):
-        calls.append(1)
+        calls.append(np.size(t))
         return pt.evaluate_many(lam, t)
+    return LinearFamily.from_callable(None, n=2, k=1, batched=counting)
 
-    fam = LinearFamily.from_callable(None, n=2, k=1, batched=counting)
+
+def test_one_evaluation_per_step_attempt(monkeypatch):
+    # scipy's DOP853 evaluates S for each of its twelve right-hand sides
+    # per attempt, plus one per leg for f(t0) and one for the first
+    # leg's initial-step rule; the loop takes one call per attempt and
+    # the same calls per leg
+    calls = []
+    fam = _counting_poschl_teller(calls)
     lams = np.linspace(0.0, 1.0, 201)
     seeds = flow._subspace_stack(fam, lams, "unstable", -20.0)
     counts = []
-    for dopri in (flow._dopri, _solve_ivp_dopri):
+    for dopri in (flow._dopri, _scipy_dopri):
         monkeypatch.setattr(flow, "_dopri", dopri)
         calls.clear()
         flow._transport_batched(fam, lams, seeds, -20.0, 0.0, 1e-9, 1e-12)
         counts.append(len(calls))
-    solves = len(flow._leg_points(-20.0, 0.0)) - 1
-    attempts = (counts[1] - 2 * solves) / 6
-    assert attempts == int(attempts) > solves
-    assert counts[0] == 2 * solves + attempts
+    legs = len(flow._leg_points(-20.0, 0.0)) - 1
+    attempts = (counts[1] - legs - 1) / 12
+    assert attempts == int(attempts) > legs
+    assert counts[0] == legs + 1 + attempts
+
+
+def test_legs_after_the_first_start_at_the_carried_step(monkeypatch):
+    # the first leg evaluates S at t0 and once for the initial-step rule,
+    # one instant each; every later leg at t0 only, then once per attempt
+    # at its eleven stage instants, starting at the step the previous leg
+    # proposed, capped at the leg's length
+    calls = []
+    fam = _counting_poschl_teller(calls)
+    lams = np.linspace(0.0, 1.0, 201)
+    seeds = flow._subspace_stack(fam, lams, "unstable", -20.0)
+    legs = []
+    real = flow._dopri
+
+    def recording(fam, lams, Y0, t0, t1, rtol, atol, dense, first_step):
+        calls.clear()
+        out = real(fam, lams, Y0, t0, t1, rtol, atol, dense, first_step)
+        legs.append((t0, t1, first_step, out[2], list(calls)))
+        return out
+
+    monkeypatch.setattr(flow, "_dopri", recording)
+    flow._transport_batched(fam, lams, seeds, -20.0, 0.0, 1e-9, 1e-12)
+    assert len(legs) == len(flow._leg_points(-20.0, 0.0)) - 1 > 1
+    (*_, first_step, _, sizes), *rest = legs
+    assert first_step is None
+    assert sizes[:2] == [1, 1] and set(sizes[2:]) == {11}
+    for previous, (t0, t1, first_step, _, sizes) in zip(legs, rest):
+        assert first_step == min(previous[3], abs(t1 - t0))
+        assert sizes[0] == 1 and set(sizes[1:]) == {11}
+
+
+def test_two_legs_are_one_solver_continued():
+    # a two-leg transport is scipy's DOP853 stepped over the first leg,
+    # re-orthonormalized, then restarted at the step it proposed
+    fam = poschl_teller_family()
+    lams = np.linspace(0.0, 1.0, 7)
+    seeds = flow._subspace_stack(fam, lams, "unstable", -4.0)
+    Y, h_abs = seeds, None
+    for a, b in ((-4.0, -2.0), (-2.0, 0.0)):
+        first_step = None if h_abs is None else min(h_abs, abs(b - a))
+        y, _, h_abs = _scipy_dopri(fam, lams, Y, a, b, 1e-9, 1e-12,
+                                   first_step=first_step)
+        Q, _ = np.linalg.qr(y.reshape(Y.shape))
+        U, _, Vt = np.linalg.svd(np.einsum("mji,mjk->mik", Q, Y))
+        Y = np.einsum("mij,mjk->mik", Q, U @ Vt)
+    got, _ = flow._transport_batched(fam, lams, seeds, -4.0, 0.0,
+                                     1e-9, 1e-12)
+    assert np.array_equal(got, Y)
 
 
 def _diverging_family():

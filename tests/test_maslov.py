@@ -1,5 +1,7 @@
 """Crossing forms and the Maslov index against the Z2-index."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,23 @@ def test_a_sampled_frame_is_checked_as_path_from_sampler_does():
     with pytest.raises(InvalidInput,
                        match=rf"t={first!r}: columns not orthonormal"):
         maslov_index(skewed, line(-1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda ts: [graph_frame(np.array([[t]])) for t in ts],
+    lambda ts: line(1.0)(ts).astype(str),
+    lambda ts: line(1.0)(ts).astype(complex),
+], ids=["frames", "strings", "complex"])
+def test_a_return_that_is_no_real_stack_is_refused(sampler):
+    # a list of Frames, as a t -> Frame path would give, strings and
+    # complex frames are refused before any cast, naming the contract
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for V, W in ((sampler, line(-1.0)), (line(-1.0), sampler)):
+            with pytest.raises(InvalidInput, match=r"from t=-1\.0; a "
+                               r"sampler maps ts to a \(len\(ts\), n, k\) "
+                               r"real stack$"):
+                maslov_index(V, W, (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("call", [
