@@ -8,12 +8,16 @@ solutions, checks the standing hypotheses (limits exist and are
 hyperbolic, with the declared dimension split), and tracks the frames
 of E^s and E^u along t and along lambda.
 
-Frames are propagated under the flow with periodic re-orthonormalization
-and Procrustes alignment (continuous-QR style); raw fundamental-solution
-columns would collapse onto the dominant direction.  The direction of
-integration is chosen so the tracked subspace is attracting: stable
-frames are seeded at +T and integrated backward, unstable frames at -T
-forward.
+Frames are propagated under the flow and restarted every 2 time units
+on their QR factor, signed so that R has a positive diagonal
+(continuous-QR style); raw fundamental-solution columns would collapse
+onto the dominant direction.  The direction of integration is chosen so
+the tracked subspace is attracting: stable frames are seeded at +T and
+integrated backward, unstable frames at -T forward.  A pair (E^u, E^s)
+travels in one solve, the stable block in mirrored time, so both sides
+share every S evaluation and one step control (the standard scheme for
+Evans-function shooting: Humpherys, Sandstede & Zumbrun, Numer. Math.
+103, 2006).
 
 The integrator is the module's own Dormand-Prince 8(5,3) loop (DOP853),
 scipy's method operation for operation, so ``rtol`` and ``atol`` keep
@@ -44,6 +48,7 @@ from .linalg import (
     SpectralSplit,
     _ORTHO_TOL,
     _gaps,
+    _signed_qr,
     orthonormalize,
     spectral_split,
 )
@@ -613,71 +618,111 @@ class _Dense:
         return out
 
 
+def _check_tolerances(rtol: float, atol: float) -> None:
+    """Refuse a NaN or infinite ``rtol`` or ``atol``, and a negative
+    ``atol``; an rtol below the floor is raised to it later, as scipy
+    does."""
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not np.isfinite(tol):
+            raise InvalidInput(f"{name} must be finite, got {tol!r}")
+    if atol < 0:
+        raise InvalidInput(f"atol must not be negative, got {atol!r}")
+
+
 def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
            t0: float, t1: float, rtol: float, atol: float,
-           dense: bool = False, first_step: float | None = None):
+           dense: bool = False, first_step: float | None = None,
+           mirrored: tuple | None = None):
     """Solve Y' = S(lambda, t) Y from Y(t0) = Y0 to t1, all lambdas at once.
 
-    ``Y0`` is an (m, n, k) stack, one member per lambda of ``lams``,
-    carried as one flat state under one step control.  S does not
-    depend on the state, so the stage instants of a step attempt are
-    known once its size is: one evaluator call per attempt gives S at
-    all of them, t + c h for the eleven nodes c of ``_C[1:]``.  The last
-    node is 1, so that value also gives the derivative at t + h, which
-    is the next step's first stage (FSAL).  With ``dense`` the same call
-    covers the interpolant's three extra stages, t + c h for c in
-    ``_C_EXTRA``.  The first stage at t0 takes one more call, and the
-    initial-step rule another unless ``first_step``, a step size no
-    longer than |t1 - t0|, is given.
+    ``Y0`` is an (m, n, k) stack, one member per lambda of ``lams``.
+    ``mirrored``, when given, is a pair (Z0, c): a second stack, (m, n,
+    j), carried beside Y in mirrored time, Z' = -S(lambda, c - t) Z from
+    Z(t0) = Z0, so that Z(t) is the solution of the family at the
+    instant c - t.  All blocks ride in one flat state (Y's entries, then
+    Z's) under one step control.  S does not depend on the state, so
+    the stage instants of a step attempt are known once its size is: one
+    evaluator call per attempt gives S at all of them, for every block,
+    t + c h for the eleven nodes c of ``_C[1:]``.  The last node is 1,
+    so that value also gives the derivative at t + h, which is the next
+    step's first stage (FSAL).  With ``dense`` the same call covers the
+    interpolant's three extra stages, t + c h for c in ``_C_EXTRA``.
+    The first stage at t0 takes one more call, and the initial-step rule
+    another unless ``first_step``, a step size no longer than |t1 - t0|,
+    is given.
 
     Returns the flat final state; with ``dense`` a :class:`_Dense` over
     the steps, else None; and the step size that the controller proposes
     after the last step.
 
-    As in scipy, an rtol below 100 machine epsilons is raised to that,
-    and a negative atol is refused (InvalidInput).  Raises
-    IntegrationFailure, naming the instant, when no step of ten float
-    spacings or more meets the tolerances (a non-finite state or S ends
-    there too), or when the final state is not finite.
+    As in scipy, an rtol below 100 machine epsilons is raised to that;
+    a NaN or infinite tolerance, or a negative atol, is refused
+    (InvalidInput) before S is evaluated.  Raises IntegrationFailure,
+    naming the instant, when no step of ten float spacings or more meets
+    the tolerances (a non-finite state or S ends there too), or when the
+    final state is not finite.
     """
-    if atol < 0:
-        raise InvalidInput(f"atol must not be negative, got {atol!r}")
-    m, n, k = Y0.shape
+    _check_tolerances(rtol, atol)
+    m, n, _ = Y0.shape
     # a lone lambda goes in as a scalar: evaluators, numpy or Python,
     # run faster on it than on a length-1 array
     lam_arg = lams[0] if m == 1 else lams
+    Z0, c = (None, None) if mirrored is None else mirrored
+    y = Y0.ravel() if Z0 is None else np.concatenate([Y0.ravel(), Z0.ravel()])
 
-    def S_at(ts: np.ndarray) -> np.ndarray:
-        """S at each of ``ts``: (len(ts), n, n), or (len(ts), m, n, n)."""
-        S = fam.evaluate_many(lam_arg, ts if m == 1 else ts[:, None])
-        want = (len(ts), n, n) if m == 1 else (len(ts), m, n, n)
+    def blocks(v: np.ndarray) -> list:
+        """Views of the flat state ``v`` as its (m, n, .) blocks."""
+        if Z0 is None:
+            return [v.reshape(Y0.shape)]
+        return [v[:Y0.size].reshape(Y0.shape), v[Y0.size:].reshape(Z0.shape)]
+
+    def S_at(ts: np.ndarray) -> tuple:
+        """S at each of ``ts`` for each block, (len(ts), n, n) or
+        (len(ts), m, n, n); the mirrored block's is S at c - ts, negated,
+        as its right-hand side reads it."""
+        at = ts if Z0 is None else np.concatenate([ts, c - ts])
+        S = fam.evaluate_many(lam_arg, at if m == 1 else at[:, None])
+        want = (len(at), n, n) if m == 1 else (len(at), m, n, n)
         if S.shape != want:
             raise DimensionMismatch(f"evaluator returned {S.shape}, "
                                     f"expected {want}")
-        return S
-
-    def rhs(S: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
+        return (S,) if Z0 is None else (S[:len(ts)], -S[len(ts):])
 
     rtol = max(rtol, _RTOL_FLOOR)
     direction = np.sign(t1 - t0)
     nodes = _DENSE_NODES if dense else _C[1:]
     stages = len(_C)
-    t, y = t0, Y0.ravel()
+    t = t0
     # the step's stages, its final derivative, then the extra stages
     K = np.empty((stages + 1 + len(_C_EXTRA), y.size))
+    # the state the right-hand side reads, and K's rows, as block views
+    arg = np.empty(y.size)
+    arg_blocks, K_blocks = blocks(arg), [blocks(row) for row in K]
+
+    def rhs(S: tuple, s: int, out: list) -> None:
+        """The derivative at ``arg``, each block's S at instant s, into
+        the block views ``out``."""
+        for Sb, a, o in zip(S, arg_blocks, out):
+            np.einsum("...ij,...jk->...ik", Sb[s], a, out=o)
+
+    def derivative(instant: float, state: np.ndarray) -> np.ndarray:
+        """The derivative at ``state`` and ``instant``, as a new array."""
+        arg[:] = state
+        out = np.empty(y.size)
+        rhs(S_at(np.array([instant])), 0, blocks(out))
+        return out
+
     steps = []
     # a rejected trial may hold inf or NaN; only the outcome is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        f = rhs(S_at(np.array([t]))[0], y)
+        f = derivative(t, y)
         if first_step is None:
             # the initial step (Hairer, Norsett & Wanner, sec. II.4)
             scale = atol + np.abs(y) * rtol
             d0, d1 = _rms(y / scale), _rms(f / scale)
             h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
                      abs(t1 - t0))
-            f1 = rhs(S_at(np.array([t + h0 * direction]))[0],
-                     y + h0 * direction * f)
+            f1 = derivative(t + h0 * direction, y + h0 * direction * f)
             d2 = _rms((f1 - f) / scale) / h0
             if d1 <= 1e-15 and d2 <= 1e-15:
                 h1 = max(1e-6, h0 * 1e-3)
@@ -705,10 +750,13 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
                 K[0] = f
                 for s in range(1, stages):
                     dy = np.dot(K[:s].T, _A[s, :s]) * h
-                    K[s] = rhs(S[s - 1], y + dy)
+                    np.add(y, dy, out=arg)
+                    rhs(S, s - 1, K_blocks[s])
                 y_new = y + h * np.dot(K[:stages].T, _B)
                 # the last node is 1: S there is S at t + h
-                f_new = K[stages] = rhs(S[stages - 2], y_new)
+                arg[:] = y_new
+                rhs(S, stages - 2, K_blocks[stages])
+                f_new = K[stages]
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 err = _error_norm(K[:stages + 1], h, scale)
                 if err < 1:
@@ -721,7 +769,8 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
             if dense:
                 for s in range(stages + 1, len(K)):
                     dy = np.dot(K[:s].T, _A_EXTRA[s - stages - 1, :s]) * h
-                    K[s] = rhs(S[s - 2], y + dy)
+                    np.add(y, dy, out=arg)
+                    rhs(S, s - 2, K_blocks[s])
                 delta_y = y_new - y
                 F = np.empty((7, y.size))
                 F[0] = delta_y
@@ -729,7 +778,8 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
                 F[2] = 2 * delta_y - h * (f_new + f)
                 F[3:] = h * np.dot(_D, K)
                 steps.append((t, t_new, y, F))
-            t, y, f = t_new, y_new, f_new
+            # K's rows are overwritten by the next attempt
+            t, y, f = t_new, y_new, f_new.copy()
     if not np.all(np.isfinite(y)):
         raise IntegrationFailure(f"non-finite state reached at t={t1}")
     return y, _Dense(steps) if dense else None, h_abs
@@ -877,15 +927,19 @@ def _leg_points(t_from: float, t_to: float) -> np.ndarray:
     return np.linspace(t_from, t_to, legs + 1)
 
 
-def _seed(limits: AsymptoticLimits, which: str,
-          far: float) -> tuple[Frame, float]:
-    """Seed frame at the attracting end, and its instant beyond |far|."""
-    T = max(limits.horizon, abs(far) + _SEED_MARGIN)
-    if which == "stable":
-        return limits.split_plus.v_minus, T
-    if which == "unstable":
-        return limits.split_minus.v_plus, -T
-    raise InvalidInput(f"which must be 'stable' or 'unstable', got {which!r}")
+def _reach(horizon: float, t: float) -> float:
+    """|seed instant| of a transport to t: at least the limits' horizon,
+    and ``_SEED_MARGIN`` beyond |t|."""
+    return max(horizon, abs(t) + _SEED_MARGIN)
+
+
+def _is_stable(which: str) -> bool:
+    """Whether ``which`` names the stable side (InvalidInput unless it
+    names a side)."""
+    if which not in ("stable", "unstable"):
+        raise InvalidInput(
+            f"which must be 'stable' or 'unstable', got {which!r}")
+    return which == "stable"
 
 
 def _check_declared_dims(fam: LinearFamily, limits: AsymptoticLimits):
@@ -934,10 +988,13 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
         As :func:`path_from_sampler`.
     """
     grid = _checked_grid(grid)
-    stable = which == "stable"
+    stable = _is_stable(which)
+    _check_tolerances(rtol, atol)
     limits = asymptotic_limits(fam, lam)
-    seed, t0 = _seed(limits, which, grid[-1] if stable else grid[0])
     _check_declared_dims(fam, limits)
+    reach = _reach(limits.horizon, grid[-1] if stable else grid[0])
+    seed, t0 = ((limits.split_plus.v_minus, reach) if stable
+                else (limits.split_minus.v_plus, -reach))
     t_end = grid[0] if stable else grid[-1]
     _, legs = _transport_batched(fam, np.array([float(lam)]),
                                  seed.columns[None], t0, t_end, rtol, atol,
@@ -1017,38 +1074,47 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
 def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
                        t_from: float, t_to: float,
                        rtol: float, atol: float,
-                       dense: bool = False) -> tuple[np.ndarray, list]:
+                       dense: bool = False,
+                       mirror: tuple | None = None) -> tuple:
     """Carry one frame per lambda under the flow, all lambdas at once.
 
-    seeds has shape (m, n, k); all m systems ride in one solve per
-    leg, with batched QR and Procrustes alignment between legs, and
-    each solve evaluates S once per step attempt.  The step size is
-    carried across legs: each leg after the first starts at the step
-    the controller proposed at the end of the one before, capped at the
+    seeds has shape (m, n, k), carried from t_from to t_to.  ``mirror``,
+    when given, is a pair (seeds_s, t_end): a second (m, n, j) stack
+    carried in the same solves in mirrored time, from the instant
+    t_end + (t_to - t_from) to t_end (``_dopri``'s ``mirrored`` block,
+    with c = t_end + t_to).  All blocks ride in one solve per leg of at
+    most 2 time units, under one step control, and each solve evaluates
+    S once per step attempt for all of them.  Between legs every block
+    restarts on its QR factor, signed so that R has a positive diagonal:
+    the restarted frame spans what was transported, keeps its
+    orientation, and is continuous in lambda.  The step size is carried
+    across legs: each leg after the first starts at the step the
+    controller proposed at the end of the one before, capped at the
     leg's length, so only the first leg runs the initial-step rule.
-    Returns the final (m, n, k) frames and, with ``dense``, one
-    ``(leg end, interpolant)`` pair per leg in the direction of travel
-    (else none); an interpolant maps an instant of its leg to the raw
-    (m, n, k) solution there, flattened.
+
+    Returns the final (m, n, k) frames, or with ``mirror`` the pair of
+    final stacks; and, with ``dense``, one ``(leg end, interpolant)``
+    pair per leg in the direction of travel (else none).  An interpolant
+    maps an instant of its leg to the raw solution there, flattened.
     """
-    m, n, k = seeds.shape
-    Y = seeds.copy()
+    Ys = [seeds.copy()] + ([] if mirror is None else [mirror[0].copy()])
     legs: list = []
-    if k == 0 or t_from == t_to:
-        return Y, legs
-    pts = _leg_points(t_from, t_to)
-    h_abs = None
-    for a, b in zip(pts, pts[1:]):
-        first_step = None if h_abs is None else min(h_abs, abs(b - a))
-        y, sol, h_abs = _dopri(fam, lams, Y, float(a), float(b), rtol, atol,
-                               dense, first_step)
-        if dense:
-            legs.append((b, sol))
-        Q, _ = np.linalg.qr(y.reshape(m, n, k))
-        M = np.einsum("mji,mjk->mik", Q, Y)
-        U, _, Vt = np.linalg.svd(M)
-        Y = np.einsum("mij,mjk->mik", Q, U @ Vt)
-    return Y, legs
+    if any(Y.shape[2] for Y in Ys) and t_from != t_to:
+        pts = _leg_points(t_from, t_to)
+        c = None if mirror is None else mirror[1] + t_to
+        h_abs = None
+        for a, b in zip(pts, pts[1:]):
+            first_step = None if h_abs is None else min(h_abs, abs(b - a))
+            leg = (fam, lams, Ys[0], float(a), float(b), rtol, atol, dense,
+                   first_step)
+            y, sol, h_abs = (_dopri(*leg) if c is None
+                             else _dopri(*leg, mirrored=(Ys[1], c)))
+            if dense:
+                legs.append((b, sol))
+            parts = np.split(y, np.cumsum([Y.size for Y in Ys[:-1]]))
+            Ys = [_signed_qr(p.reshape(Y.shape))[0] if Y.shape[2] else Y
+                  for p, Y in zip(parts, Ys)]
+    return (Ys[0] if mirror is None else tuple(Ys)), legs
 
 
 # The benchmark's tracer (perfbench/tracing.py) also wraps transport
@@ -1065,14 +1131,16 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
 
     The limits of all lambdas come from one batched call; a failing
     lambda raises as :func:`asymptotic_limits` would, the first in grid
-    order.  A caller that tracks a determinant sign across the sweep
-    aligns the frames along lambda itself.
+    order.  All lambdas then ride in one transport.  A caller that
+    tracks a determinant sign across the sweep aligns the frames along
+    lambda itself.
 
     Raises
     ------
     InvalidInput
-        Unless ``lams`` is a non-empty 1-d sequence; nothing is
-        evaluated then.
+        Unless ``lams`` is a non-empty 1-d sequence, ``which`` names a
+        side, ``t`` is finite, and ``rtol`` and ``atol`` are finite with
+        atol >= 0; nothing is evaluated then.
     """
     return list(map(Frame._trusted,
                     _subspace_stack(fam, lams, which, t, rtol, atol)))
@@ -1082,23 +1150,63 @@ def _subspace_stack(fam: LinearFamily, lams: Sequence[float], which: str,
                     t: float, rtol: float = _DEFAULT_RTOL,
                     atol: float = _DEFAULT_ATOL) -> np.ndarray:
     """:func:`subspaces_over_lambda` as one (len(lams), n, k) stack."""
+    stable = _is_stable(which)
+    return _subspace_stacks(fam, lams, None if stable else t,
+                            t if stable else None, rtol, atol)[stable]
+
+
+def _subspace_stacks(fam: LinearFamily, lams: Sequence[float],
+                     t_u: float | None, t_s: float | None,
+                     rtol: float = _DEFAULT_RTOL,
+                     atol: float = _DEFAULT_ATOL) -> tuple:
+    """(E^u(t_u), E^s(t_s)) at every lambda, as (len(lams), n, k) and
+    (len(lams), n, n - k) stacks in arbitrary orientation; a side whose
+    instant is None is neither seeded nor transported, and is None.
+
+    One :func:`_limits_over_lambda` call seeds both sides, and a failing
+    lambda raises as :func:`asymptotic_limits` would, the first in grid
+    order.  E^u is seeded at v_plus(S^-) and carried forward from -T_u,
+    E^s at v_minus(S^+) and carried backward from T_s, each T past every
+    lambda's horizon and ``_SEED_MARGIN`` beyond its instant.  With both
+    instants given, both sides travel in one transport, the stable one
+    in mirrored time, so the two spans must be equal: where they differ
+    the shorter side is seeded further out.  The frames are the final
+    QR restarts, so orthonormal, and finite, since the solve raises on
+    a non-finite state.
+
+    Raises
+    ------
+    InvalidInput
+        Unless ``lams`` is a non-empty 1-d sequence, each given instant
+        is finite, and ``rtol`` and ``atol`` are finite with atol >= 0;
+        nothing is evaluated then.
+    """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not len(lams):
         raise InvalidInput(f"lambdas must be a non-empty 1-d sequence, "
                            f"got shape {lams.shape}")
-    seeds = []
-    t0 = None
-    for limits in _limits_over_lambda(fam, lams):
-        limits = _unwrap(limits)
-        seed, t0_cur = _seed(limits, which, t)
-        _check_declared_dims(fam, limits)
-        seeds.append(seed.columns)
-        t0 = t0_cur if t0 is None else (max(t0, t0_cur) if t0_cur > 0
-                                        else min(t0, t0_cur))
-    # QR factors times polar factors: orthonormal by construction, and
-    # finite, since the solve raises on a non-finite state
-    return _transport_batched(fam, lams, np.asarray(seeds), t0, t,
-                              rtol, atol)[0]
+    for t in (t_u, t_s):
+        if t is not None and not np.isfinite(t):
+            raise InvalidInput(f"t must be finite, got {t!r}")
+    _check_tolerances(rtol, atol)
+    limits = []
+    for L in _limits_over_lambda(fam, lams):
+        limits.append(_unwrap(L))
+        _check_declared_dims(fam, limits[-1])
+    horizon = max(L.horizon for L in limits)
+    seeds_u = np.array([L.split_minus.v_plus.columns for L in limits])
+    seeds_s = np.array([L.split_plus.v_minus.columns for L in limits])
+    if t_s is None:
+        return _transport_batched(fam, lams, seeds_u, -_reach(horizon, t_u),
+                                  t_u, rtol, atol)[0], None
+    a_s = _reach(horizon, t_s)
+    if t_u is None:
+        return None, _transport_batched(fam, lams, seeds_s, a_s, t_s,
+                                        rtol, atol)[0]
+    # the longer span sets the start of both
+    t_from = min(-_reach(horizon, t_u), t_u - (a_s - t_s))
+    return _transport_batched(fam, lams, seeds_u, t_from, t_u, rtol, atol,
+                              mirror=(seeds_s, t_s))[0]
 
 
 # -- hypothesis checks -------------------------------------------------

@@ -208,16 +208,24 @@ def orthonormalize(basis):
     if k == 0 or m == 0:
         Q = np.zeros((m, n, k))
     else:
-        Q, R = _qr(B)
+        Q, R = _signed_qr(B)
         smin = _svals(R)[:, -1]
         low = smin <= _RANK_TOL
         if low.any():
             raise RankDeficient(f"smallest singular value "
                                 f"{smin[low.argmax()]:.2e} <= {_RANK_TOL}")
-        signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
-        signs[signs == 0] = 1.0
-        Q = Q * signs[:, None, :]
     return Q if stacked else Frame._trusted(Q[0])
+
+
+def _signed_qr(B: np.ndarray) -> tuple:
+    """Reduced QR factors (Q, R) of an (m, n, k) stack, k >= 1, with Q's
+    columns signed so that R's diagonal is positive (a zero diagonal
+    entry counts as positive).  R is returned unsigned: its singular
+    values are those of the signed factor."""
+    Q, R = _qr(B)
+    signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
+    signs[signs == 0] = 1.0
+    return Q * signs[:, None, :], R
 
 
 def _gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ from .flow import (
     _limits_over_lambda,
     _require_A1_A3,
     _subspace_stack,
+    _subspace_stacks,
     _unwrap,
     path_from_sampler,
 )
@@ -620,12 +621,15 @@ def _boundary_frames(fam: LinearFamily, lams: np.ndarray, tau: float,
                      rtol: float = 1e-9, atol: float = 1e-12) -> tuple:
     """(E^u(-tau), E^s(tau), B_u, B_s), one (len(lams), n, .) stack each.
 
-    B_u and B_s are the complements whose transposes form the boundary
-    rows; they are aligned along lams, since the operator signs depend
-    on their orientation.  E^u and E^s are left as sampled.
+    E^u and E^s come from one transport of both sides, the stable one in
+    mirrored time (``flow._subspace_stacks``); this pair is the operator
+    route's own, apart from the Z2 pair of
+    :func:`boundary_pair_over_lambda`.  B_u and B_s are the complements
+    whose transposes form the boundary rows; they are aligned along
+    lams, since the operator signs depend on their orientation.  E^u
+    and E^s are left as sampled.
     """
-    e_u = _subspace_stack(fam, lams, "unstable", -tau, rtol, atol)
-    e_s = _subspace_stack(fam, lams, "stable", tau, rtol, atol)
+    e_u, e_s = _subspace_stacks(fam, lams, -tau, tau, rtol, atol)
     return e_u, e_s, _chain(_complements(e_u)), _chain(_complements(e_s))
 
 
@@ -650,7 +654,7 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
     each sign change between nonzero-sign grid points bisected to an
     interval of width ``_LOCALIZE_TOL``.  A sample is (lambda, sign,
     b_u, b_s), held as one stack each; each round samples its midpoints
-    with one batched transport per side and signs them with one
+    with one batched transport of both sides and signs them with one
     :func:`_block_signs` call over the E^u frames their B_u come from;
     a zero-sign midpoint takes its left end's sign.
     """
@@ -664,8 +668,7 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
                 & (rights[0] - lefts[0] > _LOCALIZE_TOL))
 
     def sample_mids(mids, lefts):
-        e_u = _subspace_stack(fam, mids, "unstable", -tau, rtol, atol)
-        e_s = _subspace_stack(fam, mids, "stable", tau, rtol, atol)
+        e_u, e_s = _subspace_stacks(fam, mids, -tau, tau, rtol, atol)
         b_u = _align_to(lefts[2], _complements(e_u))
         b_s = _align_to(lefts[3], _complements(e_s))
         signs = _block_signs(fam, mids, tau, N, (e_u, e_s, b_u, b_s))
@@ -683,17 +686,25 @@ def _localize_flips(fam, lams, signs, tau, N, frames,
 def boundary_pair_over_lambda(fam: LinearFamily, lams: Sequence[float],
                               t: float = 0.0, rtol: float = 1e-9,
                               atol: float = 1e-12) -> SubspacePathPair:
-    """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths;
-    ``lams`` is checked as by :func:`operator_parity`, before any work."""
-    lams = _checked_grid(lams)
+    """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths.
 
-    def path(which: str) -> SubspacePath:
+    The frames on ``lams`` come from one transport of both sides, the
+    stable one in mirrored time (``flow._subspace_stacks``); at t != 0
+    the side with the shorter span is seeded further out, so that the
+    two spans match.  Each path's sampler, which serves refinement
+    midpoints, is a one-sided sweep.  ``lams`` is checked as by
+    :func:`operator_parity`, and ``t`` must be finite, before any work.
+    """
+    lams = _checked_grid(lams)
+    e_u, e_s = _subspace_stacks(fam, lams, t, t, rtol, atol)
+
+    def path(which: str, stack: np.ndarray) -> SubspacePath:
         def sampler(ls: np.ndarray) -> np.ndarray:
             return _subspace_stack(fam, ls, which, t, rtol, atol)
 
-        return SubspacePath(grid=lams, stack=sampler(lams), sampler=sampler)
+        return SubspacePath(grid=lams, stack=stack, sampler=sampler)
 
-    return SubspacePathPair(V=path("stable"), W=path("unstable"))
+    return SubspacePathPair(V=path("stable", e_s), W=path("unstable", e_u))
 
 
 @dataclass(frozen=True)

@@ -774,20 +774,32 @@ def test_tableau_is_scipys_dop853():
 
 
 def _scipy_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False,
-                 first_step=None):
+                 first_step=None, mirrored=None):
     """The oracle for ``flow._dopri``: scipy's ``DOP853`` solver, started
     at ``first_step`` when given and stepped by hand to t1, S evaluated
     once per right-hand side; with the ``OdeSolution`` of its dense
     output when asked, as ``solve_ivp`` builds it, and the step size it
-    proposes at the end."""
-    m, n, k = Y0.shape
+    proposes at the end.  With ``mirrored`` = (Z0, c) the system is the
+    two-block one, Y' = S(lambda, t) Y beside Z' = -S(lambda, c - t) Z,
+    on the flat state (Y, Z)."""
+    m, n, _ = Y0.shape
     lam_arg = lams[0] if m == 1 else lams
 
-    def rhs(s, y):
+    def block(s, y):
         S = fam.evaluate_many(lam_arg, s)
-        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, k)).ravel()
+        return np.einsum("...ij,...jk->...ik", S, y.reshape(m, n, -1)).ravel()
 
-    solver = DOP853(rhs, t0, Y0.ravel(), t1, rtol=rtol, atol=atol,
+    if mirrored is None:
+        rhs, y0 = block, Y0.ravel()
+    else:
+        Z0, c = mirrored
+
+        def rhs(s, y):
+            return np.concatenate([block(s, y[:Y0.size]),
+                                   -block(c - s, y[Y0.size:])])
+
+        y0 = np.concatenate([Y0.ravel(), Z0.ravel()])
+    solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol,
                     first_step=first_step)
     ts, interpolants = [t0], []
     while solver.status == "running":
@@ -899,23 +911,123 @@ def test_legs_after_the_first_start_at_the_carried_step(monkeypatch):
         assert sizes[0] == 1 and set(sizes[1:]) == {11}
 
 
+def _positive_qr(Y):
+    """Each member's QR factor, its columns signed so that R's diagonal
+    is positive."""
+    Q, R = np.linalg.qr(Y)
+    signs = np.where(np.diagonal(R, axis1=1, axis2=2) < 0, -1.0, 1.0)
+    return Q * signs[:, None, :]
+
+
 def test_two_legs_are_one_solver_continued():
     # a two-leg transport is scipy's DOP853 stepped over the first leg,
-    # re-orthonormalized, then restarted at the step it proposed
-    fam = poschl_teller_family()
+    # each block restarted on its QR factor with a positive R diagonal,
+    # then stepped on from the step it proposed.  In the three-dimensional
+    # draw E^u has one column and E^s two, so the rule is not that of a
+    # line; paired with E^u, E^s rides in mirrored time about 0
+    fam = orbit_draw(1)
     lams = np.linspace(0.0, 1.0, 7)
-    seeds = flow._subspace_stack(fam, lams, "unstable", -4.0)
-    Y, h_abs = seeds, None
-    for a, b in ((-4.0, -2.0), (-2.0, 0.0)):
-        first_step = None if h_abs is None else min(h_abs, abs(b - a))
-        y, _, h_abs = _scipy_dopri(fam, lams, Y, a, b, 1e-9, 1e-12,
-                                   first_step=first_step)
-        Q, _ = np.linalg.qr(y.reshape(Y.shape))
-        U, _, Vt = np.linalg.svd(np.einsum("mji,mjk->mik", Q, Y))
-        Y = np.einsum("mij,mjk->mik", Q, U @ Vt)
-    got, _ = flow._transport_batched(fam, lams, seeds, -4.0, 0.0,
-                                     1e-9, 1e-12)
-    assert np.array_equal(got, Y)
+    seeds_u = flow._subspace_stack(fam, lams, "unstable", -4.0)
+    seeds_s = flow._subspace_stack(fam, lams, "stable", 4.0)
+    for mirror in (None, (seeds_s, 0.0)):
+        blocks = [seeds_u] if mirror is None else [seeds_u, seeds_s]
+        h_abs = None
+        for a, b in ((-4.0, -2.0), (-2.0, 0.0)):
+            first_step = None if h_abs is None else min(h_abs, abs(b - a))
+            y, _, h_abs = _scipy_dopri(
+                fam, lams, blocks[0], a, b, 1e-9, 1e-12,
+                first_step=first_step,
+                mirrored=None if mirror is None else (blocks[1], 0.0))
+            parts = np.split(y, [seeds_u.size])[:len(blocks)]
+            blocks = [_positive_qr(p.reshape(B.shape))
+                      for p, B in zip(parts, blocks)]
+        got, _ = flow._transport_batched(fam, lams, seeds_u, -4.0, 0.0,
+                                         1e-9, 1e-12, mirror=mirror)
+        for a, b in zip(got if mirror else (got,), blocks):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("targets", [(0.0, 0.0), (-15.0, 15.0)],
+                         ids=["t=0", "tau=15"])
+@pytest.mark.parametrize("m", [1, 2, 201])
+@pytest.mark.parametrize("family", ODE_FAMILIES)
+def test_pair_transport_is_bitwise_dop853(family, m, targets, monkeypatch):
+    # both sides in one solve: scipy's DOP853 stepped by hand on the
+    # two-block system, E^u forward in t and E^s in mirrored time
+    fam = ODE_FAMILIES[family]()
+    lams = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.37])
+    got = flow._subspace_stacks(fam, lams, *targets)
+    monkeypatch.setattr(flow, "_dopri", _scipy_dopri)
+    want = flow._subspace_stacks(fam, lams, *targets)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _projectors(stack):
+    return stack @ np.swapaxes(stack, 1, 2)
+
+
+@pytest.mark.parametrize("family", ODE_FAMILIES)
+def test_pair_with_unequal_spans_matches_one_sided_sweeps(family, monkeypatch):
+    # at t = 1.5 the unstable side travels further than the stable one;
+    # the stable side is seeded further out so the spans match, and
+    # both subspaces are those of two one-sided sweeps
+    fam = ODE_FAMILIES[family]()
+    lams = np.linspace(0.0, 1.0, 11)
+    calls = []
+    real = flow._transport_batched
+
+    def counting(*args, **kwargs):
+        calls.append((args[3:5], kwargs.get("mirror") is not None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_transport_batched", counting)
+    e_u, e_s = flow._subspace_stacks(fam, lams, 1.5, 1.5)
+    horizon = max(L.horizon for L in flow._limits_over_lambda(fam, lams))
+    assert calls == [((-max(horizon, 6.5), 1.5), True)]
+    for got, which in ((e_u, "unstable"), (e_s, "stable")):
+        want = flow._subspace_stack(fam, lams, which, 1.5)
+        assert np.abs(_projectors(got) - _projectors(want)).max() < 1e-9
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda fam, t: subspace_at(fam, 0.5, "stable", t),
+    lambda fam, t: subspace_at(fam, 0.5, "unstable", t),
+    lambda fam, t: subspaces_over_lambda(fam, [0.0, 1.0], "stable", t),
+    lambda fam, t: subspaces_over_lambda(fam, [0.0, 1.0], "unstable", t),
+    lambda fam, t: parity.boundary_pair_over_lambda(fam, [0.0, 1.0], t=t),
+], ids=["at-stable", "at-unstable", "sweep-stable", "sweep-unstable",
+        "pair"])
+def test_non_finite_instant_is_refused(call, t):
+    calls = []
+    fam = _counting_poschl_teller(calls)
+    with pytest.raises(InvalidInput, match="t must be finite"):
+        call(fam, t)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda fam, tol: subspace_at(fam, 0.5, "stable", 0.0, **tol),
+    lambda fam, tol: fundamental_solution(fam, 0.5, -1.0, 1.0, **tol),
+    lambda fam, tol: invariant_subspace_path(fam, 0.5, "unstable",
+                                             [-1.0, 1.0], **tol),
+    lambda fam, tol: parity.operator_parity(fam, [0.0, 1.0], tau=6.0,
+                                            N=200, **tol),
+    lambda fam, tol: parity.boundary_pair_over_lambda(fam, [0.0, 1.0],
+                                                      **tol),
+], ids=["subspace_at", "fundamental", "invariant-path", "operator-parity",
+        "pair"])
+def test_non_finite_tolerance_is_refused(call, bad, name):
+    calls = []
+    fam = _counting_poschl_teller(calls)
+    with pytest.raises(InvalidInput, match=f"{name} must be finite"):
+        call(fam, {name: bad})
+    assert calls == []
 
 
 def _diverging_family():

@@ -587,6 +587,61 @@ def test_malformed_lambdas_are_refused(lams, transports):
     assert fam._splits == {}
 
 
+def _count_sweeps(monkeypatch) -> dict:
+    """Counts of ``flow._limits_over_lambda`` calls, of
+    ``flow._transport_batched`` calls, and of those transports that
+    carry both sides."""
+    counts = {"limits": 0, "transports": 0, "paired": 0}
+    limits, transport = flowmod._limits_over_lambda, flowmod._transport_batched
+
+    def counting_limits(*args, **kwargs):
+        counts["limits"] += 1
+        return limits(*args, **kwargs)
+
+    def counting_transport(*args, **kwargs):
+        counts["transports"] += 1
+        counts["paired"] += kwargs.get("mirror") is not None
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(flowmod, "_limits_over_lambda", counting_limits)
+    monkeypatch.setattr(flowmod, "_transport_batched", counting_transport)
+    return counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: boundary_pair_over_lambda(fam, _GRID),
+    lambda fam: boundary_pair_over_lambda(fam, _GRID, t=1.5),
+    lambda fam: paritymod._boundary_frames(fam, _GRID, 8.0),
+], ids=["pair", "pair-t", "boundary-frames"])
+def test_a_pair_sweep_is_one_limits_call_and_one_transport(call,
+                                                           monkeypatch):
+    counts = _count_sweeps(monkeypatch)
+    call(poschl_teller_family())
+    assert counts == {"limits": 1, "transports": 1, "paired": 1}
+
+
+def test_each_flip_bisection_round_is_one_pair_sweep(monkeypatch):
+    fam = poschl_teller_family("8*lambda")
+    lams = np.linspace(0.0, 1.0, 41)
+    frames = paritymod._boundary_frames(fam, lams, 8.0)
+    signs = paritymod._block_signs(fam, lams, 8.0, 400, frames)
+    counts = _count_sweeps(monkeypatch)
+    rounds = []
+    block_signs = paritymod._block_signs
+
+    def counting(*args):
+        rounds.append(1)
+        return block_signs(*args)
+
+    monkeypatch.setattr(paritymod, "_block_signs", counting)
+    flips = paritymod._localize_flips(fam, lams, signs, 8.0, 400, frames,
+                                      1e-9, 1e-12)
+    assert flips == [0.250390625, 0.750390625]
+    assert len(rounds) > 1
+    assert counts == dict.fromkeys(("limits", "transports", "paired"),
+                                   len(rounds))
+
+
 # -- the index theorem -------------------------------------------------
 
 def test_boundary_pair_crossing_location():
