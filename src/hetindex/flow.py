@@ -28,7 +28,7 @@ evaluates S once, at all its stage instants together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -259,17 +259,6 @@ def _check_stack(Y: np.ndarray, ts: np.ndarray, shape: tuple | None):
         raise InvalidInput(
             f"frame sampled at t={float(ts[i])!r}: columns not "
             f"orthonormal (defect {defect[i]:.2e} > {_ORTHO_TOL})")
-
-
-def _piecewise(ts: np.ndarray, shape: tuple, pieces) -> np.ndarray:
-    """A (len(ts), n, k) stack from ``(mask, sampler)`` pieces that
-    cover ``ts``: each sampler is called once, on its own instants, and
-    not at all when it has none."""
-    out = np.empty((len(ts), *shape))
-    for at, sampler in pieces:
-        if at.any():
-            out[at] = sampler(ts[at])
-    return out
 
 
 def _sampled(sampler: Callable, ts: np.ndarray,
@@ -576,13 +565,13 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
 
 
 class _Dense:
-    """Dense output of one solve: the degree-7 interpolant of each step.
+    """Dense output of a transport: the degree-7 interpolant of each step.
 
     ``steps`` holds (t_old, t, y_old, F) per step in the direction of
-    travel, F the interpolant's seven coefficient rows.  An instant is
-    read off the step that scipy's ``OdeSolution`` picks for it (at a
-    step end, the earlier step), and the instants of one step together,
-    as there.
+    travel, over all legs of the transport, F the interpolant's seven
+    coefficient rows.  An instant is read off the step that scipy's
+    ``OdeSolution`` picks for it (at a step end, the earlier step), and
+    the instants of one step together, as there.
     """
 
     def __init__(self, steps: list):
@@ -651,9 +640,9 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
     another unless ``first_step``, a step size no longer than |t1 - t0|,
     is given.
 
-    Returns the flat final state; with ``dense`` a :class:`_Dense` over
-    the steps, else None; and the step size that the controller proposes
-    after the last step.
+    Returns the flat final state; with ``dense`` the list of its steps as
+    :class:`_Dense` holds them (else an empty list); and the step size
+    that the controller proposes after the last step.
 
     As in scipy, an rtol below 100 machine epsilons is raised to that;
     a NaN or infinite tolerance, or a negative atol, is refused
@@ -782,7 +771,7 @@ def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
             t, y, f = t_new, y_new, f_new.copy()
     if not np.all(np.isfinite(y)):
         raise IntegrationFailure(f"non-finite state reached at t={t1}")
-    return y, _Dense(steps) if dense else None, h_abs
+    return y, steps, h_abs
 
 
 def fundamental_solution(fam: LinearFamily, lam: float, tau: float, t: float,
@@ -971,17 +960,16 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     Stable frames are seeded at v_minus(S^+) beyond the last grid point
     and transported backward; unstable frames at v_plus(S^-) forward,
     in one transport to the far grid end that keeps its dense output.
-    Inside the transported span the sampler reads each leg's
-    interpolant at all its requested instants at once and
-    orthonormalizes them in one stacked QR, within the integration
-    tolerance of a fresh :func:`subspace_at`, which it calls outside
-    the span.  The grid is
+    The sampler reads that one interpolant at all requested instants at
+    once and orthonormalizes them in one stacked QR, within the
+    integration tolerance of a fresh :func:`subspace_at`.  The grid is
     refined as by :func:`path_from_sampler`; orientation is arbitrary.
 
     Raises
     ------
     InvalidInput
-        If the grid is not one :func:`path_from_sampler` accepts.
+        If the grid is not one :func:`path_from_sampler` accepts; from
+        the sampler, naming the instant, outside the transported span.
     DimensionMismatch
         If the spectral dimensions contradict the declared k.
     GapTooLarge
@@ -990,40 +978,42 @@ def invariant_subspace_path(fam: LinearFamily, lam: float, which: str,
     grid = _checked_grid(grid)
     stable = _is_stable(which)
     _check_tolerances(rtol, atol)
-    limits = asymptotic_limits(fam, lam)
+    return _dense_paths(fam, lam, asymptotic_limits(fam, lam), grid, stable,
+                        False, rtol, atol)[0]
+
+
+def _dense_paths(fam: LinearFamily, lam: float, limits: AsymptoticLimits,
+                 grid: np.ndarray, stable: bool, pair: bool,
+                 rtol: float, atol: float) -> tuple:
+    """The path of E^s(t) (``stable``) or E^u(t) on ``grid``, and with
+    ``pair`` that of the other side at -t, from one dense transport from
+    +-reach (:func:`_reach` of the far grid end) to the near grid end, the
+    other side in the mirrored block (c = 0, entries after the first's).
+    A sampler orthonormalizes its block at all its instants in one stacked
+    QR, and refuses an instant outside the transported span (InvalidInput).
+    """
     _check_declared_dims(fam, limits)
     reach = _reach(limits.horizon, grid[-1] if stable else grid[0])
-    seed, t0 = ((limits.split_plus.v_minus, reach) if stable
-                else (limits.split_minus.v_plus, -reach))
-    t_end = grid[0] if stable else grid[-1]
-    _, legs = _transport_batched(fam, np.array([float(lam)]),
-                                 seed.columns[None], t0, t_end, rtol, atol,
-                                 dense=True)
-    # in the direction of travel a leg serves the instants after its
-    # start up to and including its end
-    ahead = -1.0 if stable else 1.0
-    ends = ahead * np.array([b for b, _ in legs])
-    n, k = seed.n, seed.k
+    sides = (limits.split_plus.v_minus, limits.split_minus.v_plus)
+    sides = sides if stable else sides[::-1]
+    t0, t_end = (reach, grid[0]) if stable else (-reach, grid[-1])
+    _, dense = _transport_batched(
+        fam, np.array([float(lam)]), sides[0].columns[None], t0, t_end,
+        rtol, atol, dense=True,
+        mirror=(sides[1].columns[None], -t_end) if pair else None)
+    lo, hi = sorted((float(t0), float(t_end)))
+    n, k0 = fam.n, sides[0].k
 
-    def from_leg(j: int) -> Callable:
-        return lambda ts: orthonormalize(legs[j][1](ts).T.reshape(-1, n, k))
+    def read(start: int, k: int, ts: np.ndarray) -> np.ndarray:
+        out = ~((lo <= ts) & (ts <= hi))
+        if out.any():
+            raise InvalidInput(f"t={float(ts[out.argmax()])!r} lies outside "
+                               f"the transported span [{lo!r}, {hi!r}]")
+        Y = dense(ts)[start:start + n * k] if k else np.empty((0, 0))
+        return orthonormalize(Y.T.reshape(len(ts), n, k))
 
-    def fresh(ts: np.ndarray) -> np.ndarray:
-        return np.array([subspace_at(fam, lam, which, t, rtol, atol).columns
-                         for t in ts.tolist()])
-
-    def sampler(ts: np.ndarray) -> np.ndarray:
-        seeded = ts == t0
-        inside = ((ahead * t0 < ahead * ts) & (ahead * ts <= ahead * t_end)
-                  & bool(legs))
-        leg = np.searchsorted(ends, ahead * ts)
-        return _piecewise(ts, (n, k), [
-            (seeded, lambda _: seed.columns),
-            *((inside & (leg == j), from_leg(j))
-              for j in np.unique(leg[inside])),
-            (~(seeded | inside), fresh)])
-
-    return path_from_sampler(sampler, grid)
+    return tuple(path_from_sampler(partial(read, i * n * k0, side.k), grid)
+                 for i, side in enumerate(sides[:1 + pair]))
 
 
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
@@ -1093,12 +1083,12 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
     leg's length, so only the first leg runs the initial-step rule.
 
     Returns the final (m, n, k) frames, or with ``mirror`` the pair of
-    final stacks; and, with ``dense``, one ``(leg end, interpolant)``
-    pair per leg in the direction of travel (else none).  An interpolant
-    maps an instant of its leg to the raw solution there, flattened.
+    final stacks; and a :class:`_Dense` of the raw flat state over the
+    steps of all legs, or None without ``dense`` or a solve.  A restart
+    keeps each block's span: an orthonormalized reading is a frame of it.
     """
     Ys = [seeds.copy()] + ([] if mirror is None else [mirror[0].copy()])
-    legs: list = []
+    steps: list = []
     if any(Y.shape[2] for Y in Ys) and t_from != t_to:
         pts = _leg_points(t_from, t_to)
         c = None if mirror is None else mirror[1] + t_to
@@ -1109,12 +1099,12 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
                    first_step)
             y, sol, h_abs = (_dopri(*leg) if c is None
                              else _dopri(*leg, mirrored=(Ys[1], c)))
-            if dense:
-                legs.append((b, sol))
+            steps += sol
             parts = np.split(y, np.cumsum([Y.size for Y in Ys[:-1]]))
             Ys = [_signed_qr(p.reshape(Y.shape))[0] if Y.shape[2] else Y
                   for p, Y in zip(parts, Ys)]
-    return (Ys[0] if mirror is None else tuple(Ys)), legs
+    return ((Ys[0] if mirror is None else tuple(Ys)),
+            _Dense(steps) if steps else None)
 
 
 # The benchmark's tracer (perfbench/tracing.py) also wraps transport

@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     GapTooLarge,
     InternalMismatch,
+    InvalidInput,
     NotClosed,
     TailNotTransversal,
 )
@@ -41,9 +42,8 @@ from .flow import (
     SubspacePath,
     _bisect,
     _check_samples,
-    _piecewise,
+    _dense_paths,
     asymptotic_limits,
-    invariant_subspace_path,
 )
 from .linalg import (
     DEGENERATE,
@@ -69,6 +69,16 @@ __all__ = [
 ]
 
 _GAP_REFINE = 0.2
+
+
+def _piecewise(ts: np.ndarray, shape: tuple, pieces) -> np.ndarray:
+    """A (len(ts), n, k) stack from ``(mask, sampler)`` pieces covering
+    ``ts``: each sampler is called once, on its own instants, if any."""
+    out = np.empty((len(ts), *shape))
+    for at, sampler in pieces:
+        if at.any():
+            out[at] = sampler(ts[at])
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,9 +264,13 @@ def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
 
     Raises
     ------
+    InvalidInput
+        Unless tail_T is finite and > 0; nothing is refined then.
     TailNotTransversal
         If a tail sample is degenerate or the tail det sign flips.
     """
+    if not (np.isfinite(tail_T) and tail_T > 0):
+        raise InvalidInput(f"tail_T must be finite and > 0, got {tail_T!r}")
     ts, dets, signs, depth = _refine_pair(pair, eps_trans)
 
     for side, mask in (("left", ts <= -tail_T), ("right", ts >= tail_T)):
@@ -297,7 +311,8 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
 
     The pair lives on [0, T] with T the family horizon; the far end
     approximates the limit pair (V^-(S^+), V^+(S^-)), whose
-    transversality is the boundary non-degeneracy condition.
+    transversality is the boundary non-degeneracy condition.  The limits
+    are read once, and one dense transport gives E^s(t) and E^u(-t).
 
     Raises
     ------
@@ -318,13 +333,8 @@ def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
         )
 
     T = limits.horizon
-    grid = np.linspace(0.0, T, samples)
-    V = invariant_subspace_path(fam, lam, "stable", grid, rtol, atol)
-    U = invariant_subspace_path(fam, lam, "unstable", -grid[::-1],
-                                rtol, atol)
-    # reflect U's own grid: refinement may have densified it
-    W = SubspacePath(grid=-U.grid[::-1], stack=U.stack[::-1],
-                     sampler=lambda s: U.sampler(-s))
+    V, W = _dense_paths(fam, lam, limits, np.linspace(0.0, T, samples),
+                        True, True, rtol, atol)
     # the paths start at t = 0 with E^s(0) and E^u(0)
     if _pair_dets(V.stack[:1], W.stack[:1], eps_trans)[1][0] == DEGENERATE:
         raise BoundaryDegenerate(

@@ -242,7 +242,7 @@ def test_invariant_subspace_path_chains():
                                            ("unstable", 9.0)])
 def test_invariant_path_sampler_against_fresh_transport(lam, which, outside):
     # the sampler reads the path's own dense output inside the
-    # transported span and transports afresh only outside it
+    # transported span and refuses an instant outside it
     fam = poschl_teller_family()
     grid = np.linspace(-6.0, 6.0, 25)
     path = invariant_subspace_path(fam, lam, which, grid)
@@ -253,8 +253,8 @@ def test_invariant_path_sampler_against_fresh_transport(lam, which, outside):
     for t, F in zip(ts, path.sample(ts)):
         fresh = subspace_at(fam, lam, which, float(t))
         assert gap_distance(Frame(F), fresh) < 1e-6
-    assert np.array_equal(path.sampler(np.array([outside]))[0],
-                          subspace_at(fam, lam, which, outside).columns)
+    with pytest.raises(InvalidInput, match=f"t={outside!r} lies outside"):
+        path.sample(np.array([0.0, outside]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -777,9 +777,9 @@ def _scipy_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False,
                  first_step=None, mirrored=None):
     """The oracle for ``flow._dopri``: scipy's ``DOP853`` solver, started
     at ``first_step`` when given and stepped by hand to t1, S evaluated
-    once per right-hand side; with the ``OdeSolution`` of its dense
-    output when asked, as ``solve_ivp`` builds it, and the step size it
-    proposes at the end.  With ``mirrored`` = (Z0, c) the system is the
+    once per right-hand side; with the list of its steps' interpolants
+    (empty unless ``dense``; ``_merged`` joins them), and the step size
+    it proposes at the end.  With ``mirrored`` = (Z0, c) the system is the
     two-block one, Y' = S(lambda, t) Y beside Z' = -S(lambda, c - t) Z,
     on the flat state (Y, Z)."""
     m, n, _ = Y0.shape
@@ -801,14 +801,19 @@ def _scipy_dopri(fam, lams, Y0, t0, t1, rtol, atol, dense=False,
         y0 = np.concatenate([Y0.ravel(), Z0.ravel()])
     solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol,
                     first_step=first_step)
-    ts, interpolants = [t0], []
+    interpolants = []
     while solver.status == "running":
         assert solver.step() is None
         if dense:
-            ts.append(solver.t)
             interpolants.append(solver.dense_output())
-    sol = OdeSolution(ts, interpolants) if dense else None
-    return solver.y, sol, solver.h_abs
+    return solver.y, interpolants, solver.h_abs
+
+
+def _merged(interpolants):
+    """One ``OdeSolution`` over the step interpolants of all legs, as
+    ``solve_ivp`` builds one over the steps of a solve."""
+    ts = [interpolants[0].t_old] + [step.t for step in interpolants]
+    return OdeSolution(ts, interpolants)
 
 
 ODE_FAMILIES = {"poschl-teller": poschl_teller_family,
@@ -840,8 +845,9 @@ def test_dense_path_samples_are_bitwise_solve_ivp(family, monkeypatch):
     ts = np.concatenate([np.random.default_rng(3).uniform(-6.0, 6.0, 40),
                          grid])
     runs = []
-    for dopri in (flow._dopri, _scipy_dopri):
+    for dopri, dense in ((flow._dopri, flow._Dense), (_scipy_dopri, _merged)):
         monkeypatch.setattr(flow, "_dopri", dopri)
+        monkeypatch.setattr(flow, "_Dense", dense)
         for which in ("stable", "unstable"):
             path = invariant_subspace_path(fam, 0.8, which, grid)
             runs.append((path.grid, path.stack, path.sample(ts)))

@@ -6,6 +6,7 @@ import pytest
 from hetindex import (
     BoundaryDegenerate,
     DegenerateEndpoint,
+    InvalidInput,
     NotClosed,
     SubspacePathPair,
     TailNotTransversal,
@@ -146,6 +147,21 @@ def test_unbounded_rejects_degenerate_tail():
         z2_index_unbounded(pair, tail_T=5.0)
 
 
+@pytest.mark.parametrize("tail_T", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_unbounded_refuses_a_tail_horizon_not_finite_and_positive(
+        tail_T, monkeypatch):
+    # refused before any refinement, as the CLI schema refuses it: a
+    # tail at 0 or below would read core samples as tail samples
+    pair = make_pair(rotating, fixed_vertical, -3.0, 3.0)
+    refined = []
+    monkeypatch.setattr(z2index, "_refine_pair",
+                        lambda *args: refined.append(args))
+    with pytest.raises(InvalidInput, match="tail_T must be finite and > 0"):
+        z2_index_unbounded(pair, tail_T=tail_T)
+    assert refined == []
+
+
 def test_close_loop_structure():
     pair = make_pair(rotating, fixed_vertical, 0.0, np.pi / 4)
     loop = close_loop(pair)
@@ -189,21 +205,44 @@ def test_geometric_parity_poschl_teller():
 
 
 def test_geometric_parity_transports_once_per_side(monkeypatch):
-    # each path is one dense transport whose interpolants serve every
-    # refinement midpoint; collecting grid frames in five refinement
-    # rounds, each re-integrating from the seed, then one fresh
-    # transport per later midpoint, made 36 calls here
+    # both sides ride in one dense transport, E^u in mirrored time,
+    # whose interpolant serves every refinement midpoint, and the limits
+    # are read once
     calls = []
-    real = flow._transport_batched
+    for name in ("_transport_batched", "_limits_over_lambda"):
+        real = getattr(flow, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args[3:5])
-        return real(*args, **kwargs)
+        def counting(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "_transport_batched", counting)
+        monkeypatch.setattr(flow, name, counting)
     rep = geometric_parity(poschl_teller_family(), 1.0, samples=81)
     assert rep.value == 1 and rep.refinement_depth == 16
-    assert len(calls) <= 2
+    assert sorted(calls) == ["_limits_over_lambda", "_transport_batched"]
+
+
+def _projectors(stack):
+    return stack @ np.swapaxes(stack, 1, 2)
+
+
+@pytest.mark.parametrize("family", [poschl_teller_family,
+                                    lambda: orbit_draw(1)],
+                         ids=["poschl-teller", "connecting-n3"])
+def test_orbit_pair_is_the_one_sided_paths(family):
+    # V(t) = E^s(t) and W(t) = E^u(-t) from the one mirrored solve agree
+    # with the paths of two one-sided transports
+    fam, lam = family(), 0.3
+    limits = flow.asymptotic_limits(fam, lam)
+    grid = np.linspace(0.0, limits.horizon, 41)
+    V, W = flow._dense_paths(fam, lam, limits, grid, True, True,
+                             1e-9, 1e-12)
+    ts = np.union1d(V.grid, W.grid)
+    e_s = flow.invariant_subspace_path(fam, lam, "stable", grid)
+    e_u = flow.invariant_subspace_path(fam, lam, "unstable", -grid[::-1])
+    for got, want in ((V.sample(ts), e_s.sample(ts)),
+                      (W.sample(ts), e_u.sample(-ts))):
+        assert np.abs(_projectors(got) - _projectors(want)).max() < 1e-7
 
 
 @pytest.mark.parametrize("run", [
