@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class LinearFamily:
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
         if not self.t_max > 0:
             raise InvalidInput("t_max must be positive")
+        if not callable(self._eval):
+            raise InvalidInput("a family needs an evaluator: build it with "
+                               "from_matrix_expr or from_callable")
         object.__setattr__(self, "_splits", {})
 
     @staticmethod
@@ -298,7 +301,7 @@ class HypothesisReport:
     min_gap: float
     lambdas_checked: int
     lam_range: tuple
-    note: str = "sampled, not uniform"
+    note: ClassVar[str] = "sampled, not uniform"
 
 
 def _checked_grid(grid: Sequence[float]) -> np.ndarray:
@@ -989,8 +992,8 @@ def _dense_paths(fam: LinearFamily, lam: float, limits: AsymptoticLimits,
     ``pair`` that of the other side at -t, from one dense transport from
     +-reach (:func:`_reach` of the far grid end) to the near grid end, the
     other side in the mirrored block (c = 0, entries after the first's).
-    A sampler orthonormalizes its block at all its instants in one stacked
-    QR, and refuses an instant outside the transported span (InvalidInput).
+    The samplers share one interpolant read (:func:`_pair_samplers`), and
+    refuse an instant outside the transported span (InvalidInput).
     """
     _check_declared_dims(fam, limits)
     reach = _reach(limits.horizon, grid[-1] if stable else grid[0])
@@ -1002,18 +1005,35 @@ def _dense_paths(fam: LinearFamily, lam: float, limits: AsymptoticLimits,
         rtol, atol, dense=True,
         mirror=(sides[1].columns[None], -t_end) if pair else None)
     lo, hi = sorted((float(t0), float(t_end)))
-    n, k0 = fam.n, sides[0].k
+    n, ks = fam.n, [side.k for side in sides]
 
-    def read(start: int, k: int, ts: np.ndarray) -> np.ndarray:
+    def read(ts: np.ndarray) -> tuple:
         out = ~((lo <= ts) & (ts <= hi))
         if out.any():
             raise InvalidInput(f"t={float(ts[out.argmax()])!r} lies outside "
                                f"the transported span [{lo!r}, {hi!r}]")
-        Y = dense(ts)[start:start + n * k] if k else np.empty((0, 0))
-        return orthonormalize(Y.T.reshape(len(ts), n, k))
+        Y = dense(ts).T if dense else np.empty((len(ts), 0))
+        return tuple(orthonormalize(Y[:, a:a + n * k].reshape(len(ts), n, k))
+                     for a, k in zip((0, n * ks[0]), ks[:1 + pair]))
 
-    return tuple(path_from_sampler(partial(read, i * n * k0, side.k), grid)
-                 for i, side in enumerate(sides[:1 + pair]))
+    return tuple(path_from_sampler(sampler, grid)
+                 for sampler in _pair_samplers(read)[:1 + pair])
+
+
+def _pair_samplers(joint: Callable) -> tuple:
+    """The samplers of a pair's two paths from ``joint``, which maps ts
+    to both stacks there.  They share a memo of the last ts, keyed on
+    its bytes, so asking both at the same instants, as each refinement
+    round does, makes one ``joint`` call."""
+    memo = [None, None]
+
+    def sampler(side: int, ts: np.ndarray) -> np.ndarray:
+        key = np.asarray(ts, dtype=float).tobytes()
+        if memo[0] != key:
+            memo[:] = key, joint(ts)
+        return memo[1][side]
+
+    return partial(sampler, 0), partial(sampler, 1)
 
 
 def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
@@ -1132,17 +1152,10 @@ def subspaces_over_lambda(fam: LinearFamily, lams: Sequence[float], which: str,
         side, ``t`` is finite, and ``rtol`` and ``atol`` are finite with
         atol >= 0; nothing is evaluated then.
     """
-    return list(map(Frame._trusted,
-                    _subspace_stack(fam, lams, which, t, rtol, atol)))
-
-
-def _subspace_stack(fam: LinearFamily, lams: Sequence[float], which: str,
-                    t: float, rtol: float = _DEFAULT_RTOL,
-                    atol: float = _DEFAULT_ATOL) -> np.ndarray:
-    """:func:`subspaces_over_lambda` as one (len(lams), n, k) stack."""
     stable = _is_stable(which)
-    return _subspace_stacks(fam, lams, None if stable else t,
-                            t if stable else None, rtol, atol)[stable]
+    return list(map(Frame._trusted, _subspace_stacks(
+        fam, lams, None if stable else t, t if stable else None, rtol,
+        atol)[stable]))
 
 
 def _subspace_stacks(fam: LinearFamily, lams: Sequence[float],

@@ -24,7 +24,7 @@ All operations are pure functions on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -162,7 +162,7 @@ class SpectralSplit:
 
     v_plus: Frame
     v_minus: Frame
-    gap: float = field(default=0.0)
+    gap: float
 
     def __post_init__(self):
         if self.v_plus.n != self.v_minus.n:

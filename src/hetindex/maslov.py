@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     DegenerateEndpoint,
@@ -261,6 +260,8 @@ def _locate_crossings(V, W, ts: np.ndarray, raw_v: np.ndarray,
     their alignment chains give the oriented det trace, in one stacked
     determinant, for sign-change bisection.
     """
+    from scipy.optimize import brentq, minimize_scalar  # census-only
+
     def at(path, t: float) -> np.ndarray:    # the localisers' one instant
         return _sampled(path, np.array([t]), raw_v.shape[1:])
 
@@ -383,7 +384,7 @@ class Mod2Report:
     maslov: int
     agree: bool
     crossings: tuple
-    index_report: IndexReport | None = None
+    index_report: IndexReport
 
 
 def mod2_compare(V, W, interval: tuple[float, float],

@@ -52,8 +52,8 @@ from .flow import (
     _check_samples,
     _checked_grid,
     _limits_over_lambda,
+    _pair_samplers,
     _require_A1_A3,
-    _subspace_stack,
     _subspace_stacks,
     _unwrap,
     path_from_sampler,
@@ -528,9 +528,9 @@ class ParityReport:
     tau: float
     N: int
     endpoint_margins: tuple
-    stable_tau: bool | None = None
-    stable_N: bool | None = None
-    sigma_mins: np.ndarray | None = None
+    stable_tau: bool | None
+    stable_N: bool | None
+    sigma_mins: np.ndarray | None
 
 
 def operator_parity(fam: LinearFamily, lams: Sequence[float],
@@ -688,23 +688,18 @@ def boundary_pair_over_lambda(fam: LinearFamily, lams: Sequence[float],
                               atol: float = 1e-12) -> SubspacePathPair:
     """The pair lambda -> (E^s_lambda(t), E^u_lambda(t)) as subspace paths.
 
-    The frames on ``lams`` come from one transport of both sides, the
-    stable one in mirrored time (``flow._subspace_stacks``); at t != 0
-    the side with the shorter span is seeded further out, so that the
-    two spans match.  Each path's sampler, which serves refinement
-    midpoints, is a one-sided sweep.  ``lams`` is checked as by
-    :func:`operator_parity`, and ``t`` must be finite, before any work.
+    The frames on ``lams``, and at each refinement round's midpoints,
+    come from one transport of both sides, the stable one in mirrored
+    time (``flow._subspace_stacks``); at t != 0 the side with the
+    shorter span is seeded further out, so that the two spans match.
+    ``lams`` is checked as by :func:`operator_parity`, and ``t`` must
+    be finite, before any work.
     """
     lams = _checked_grid(lams)
-    e_u, e_s = _subspace_stacks(fam, lams, t, t, rtol, atol)
-
-    def path(which: str, stack: np.ndarray) -> SubspacePath:
-        def sampler(ls: np.ndarray) -> np.ndarray:
-            return _subspace_stack(fam, ls, which, t, rtol, atol)
-
-        return SubspacePath(grid=lams, stack=stack, sampler=sampler)
-
-    return SubspacePathPair(V=path("stable", e_s), W=path("unstable", e_u))
+    V, W = _pair_samplers(
+        lambda ls: _subspace_stacks(fam, ls, t, t, rtol, atol)[::-1])
+    return SubspacePathPair(V=SubspacePath(lams, V(lams), V),
+                            W=SubspacePath(lams, W(lams), W))
 
 
 @dataclass(frozen=True)
@@ -790,17 +785,15 @@ def decomposition_check(fam: LinearFamily, lams: Sequence[float],
     independent = drift <= 1e-9
 
     # V^-(S^+) and V^+(S^-) over lambda
-    def limit_path(frame_of: Callable) -> SubspacePath:
-        def sampler(ls: np.ndarray) -> np.ndarray:
-            return np.array([frame_of(_unwrap(L)).columns
-                             for L in _limits_over_lambda(fam, ls)])
+    def limit_frames(limits: list) -> tuple:
+        return (np.array([L.split_plus.v_minus.columns for L in limits]),
+                np.array([L.split_minus.v_plus.columns for L in limits]))
 
-        return SubspacePath(lams, [frame_of(L).columns for L in limits],
-                            sampler)
-
-    V = limit_path(lambda L: L.split_plus.v_minus)
-    W = limit_path(lambda L: L.split_minus.v_plus)
-    limit_term = z2_index(SubspacePathPair(V=V, W=W))
+    V, W = _pair_samplers(lambda ls: limit_frames(
+        [_unwrap(L) for L in _limits_over_lambda(fam, ls)]))
+    v, w = limit_frames(limits)
+    limit_term = z2_index(SubspacePathPair(V=SubspacePath(lams, v, V),
+                                           W=SubspacePath(lams, w, W)))
     if independent and limit_term.value != 0:
         raise InternalMismatch(
             "lambda-independent limits produced a nonzero limit term"

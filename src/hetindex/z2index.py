@@ -154,12 +154,11 @@ class IndexReport:
 class ClosedLoop:
     """Result of closing a path pair over the doubled interval.
 
-    ``v_loop`` runs over [0, 2] with v_loop(0) = v_loop(2); ``w_tilde``
-    is the reversed W-path on [1, 2] the closure stays transversal to.
+    ``v_loop`` runs over [0, 2] with v_loop(0) = v_loop(2); ``epsilon``
+    is the plateau width the closure used.
     """
 
     v_loop: SubspacePath
-    w_tilde: SubspacePath
     epsilon: float
 
 
@@ -475,8 +474,7 @@ def close_loop(pair: SubspacePathPair,
                 grid=np.concatenate([norm_grid, ext[1:]]),
                 stack=np.concatenate([V.stack, v_frames[1:]]),
                 sampler=loop_sampler)
-            w_tilde = SubspacePath(grid=ext, stack=w_frames, sampler=w_ext)
-            return ClosedLoop(v_loop=v_loop, w_tilde=w_tilde, epsilon=eps)
+            return ClosedLoop(v_loop=v_loop, epsilon=eps)
         eps *= 0.5
     raise CannotClose(
         f"transversal closure failed at every plateau width down to {eps * 2}"

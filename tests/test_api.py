@@ -8,9 +8,12 @@ adds it to the list, so each one is a decision, not an accident.
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +43,6 @@ OPTIONAL = {
     "errors.ParseError(expected)",
     "expr.parse(variables)",
     "expr.parse_matrix(variables)",
-    "flow.HypothesisReport(note)",
     "flow.LinearFamily(_eval)",
     "flow.LinearFamily(matrix)",
     "flow.LinearFamily(t_max)",
@@ -57,9 +59,7 @@ OPTIONAL = {
     "flow.subspace_at(rtol)",
     "flow.subspaces_over_lambda(atol)",
     "flow.subspaces_over_lambda(rtol)",
-    "linalg.SpectralSplit(gap)",
     "linalg.det_sign(eps_trans)",
-    "maslov.Mod2Report(index_report)",
     "maslov.crossing_census(cross_tol)",
     "maslov.crossing_census(eps_trans)",
     "maslov.crossing_census(samples)",
@@ -69,9 +69,6 @@ OPTIONAL = {
     "maslov.mod2_compare(cross_tol)",
     "maslov.mod2_compare(eps_trans)",
     "maslov.mod2_compare(samples)",
-    "parity.ParityReport(sigma_mins)",
-    "parity.ParityReport(stable_N)",
-    "parity.ParityReport(stable_tau)",
     "parity.boundary_pair_over_lambda(atol)",
     "parity.boundary_pair_over_lambda(rtol)",
     "parity.boundary_pair_over_lambda(t)",
@@ -138,6 +135,12 @@ REMOVED = {
     "parity.decomposition_check(lams)",
     "parity.operator_parity(lams)",
     "parity.verify_index_theorem(lams)",
+    "flow.HypothesisReport(note)",
+    "linalg.SpectralSplit(gap)",
+    "maslov.Mod2Report(index_report)",
+    "parity.ParityReport(sigma_mins)",
+    "parity.ParityReport(stable_N)",
+    "parity.ParityReport(stable_tau)",
 }
 
 
@@ -203,6 +206,14 @@ def test_no_module_imports_scipy_integrate():
             assert not any(name == "scipy.integrate"
                            or name.startswith("scipy.integrate.")
                            for name in names), path.name
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the Maslov census uses the optimizers, and it imports them
+    src = pathlib.Path(hetindex.__file__).parents[1]
+    code = "import sys, hetindex; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_one_power_rounding(monkeypatch):

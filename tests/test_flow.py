@@ -187,6 +187,11 @@ def test_family_rejects_nan_horizon():
         LinearFamily(n=2, k=1, t_max=float("nan"))
 
 
+def test_family_requires_an_evaluator():
+    with pytest.raises(InvalidInput, match="from_matrix_expr or from_callable"):
+        LinearFamily(2, 1)
+
+
 def test_asymptotic_limits_tanh():
     lim = asymptotic_limits(tanh_family(), 0.0)
     assert np.allclose(lim.s_minus, np.diag([1.0, -1.0]), atol=1e-8)
@@ -816,6 +821,13 @@ def _merged(interpolants):
     return OdeSolution(ts, interpolants)
 
 
+def _one_sided(fam, lams, which, t):
+    """E^s(t) or E^u(t) at every lambda of ``lams`` as one stack, each
+    side carried alone."""
+    return np.array([F.columns
+                     for F in subspaces_over_lambda(fam, lams, which, t)])
+
+
 ODE_FAMILIES = {"poschl-teller": poschl_teller_family,
                 "connecting-n2": lambda: orbit_draw(0),
                 "connecting-n3": lambda: orbit_draw(1)}
@@ -829,10 +841,10 @@ def test_transport_is_bitwise_solve_ivp(family, m, t, monkeypatch):
     # legs each, every leg after the first started at the carried step
     fam = ODE_FAMILIES[family]()
     lams = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.37])
-    got = [flow._subspace_stack(fam, lams, which, t)
+    got = [_one_sided(fam, lams, which, t)
            for which in ("stable", "unstable")]
     monkeypatch.setattr(flow, "_dopri", _scipy_dopri)
-    want = [flow._subspace_stack(fam, lams, which, t)
+    want = [_one_sided(fam, lams, which, t)
             for which in ("stable", "unstable")]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -875,7 +887,7 @@ def test_one_evaluation_per_step_attempt(monkeypatch):
     calls = []
     fam = _counting_poschl_teller(calls)
     lams = np.linspace(0.0, 1.0, 201)
-    seeds = flow._subspace_stack(fam, lams, "unstable", -20.0)
+    seeds = _one_sided(fam, lams, "unstable", -20.0)
     counts = []
     for dopri in (flow._dopri, _scipy_dopri):
         monkeypatch.setattr(flow, "_dopri", dopri)
@@ -896,7 +908,7 @@ def test_legs_after_the_first_start_at_the_carried_step(monkeypatch):
     calls = []
     fam = _counting_poschl_teller(calls)
     lams = np.linspace(0.0, 1.0, 201)
-    seeds = flow._subspace_stack(fam, lams, "unstable", -20.0)
+    seeds = _one_sided(fam, lams, "unstable", -20.0)
     legs = []
     real = flow._dopri
 
@@ -933,8 +945,8 @@ def test_two_legs_are_one_solver_continued():
     # line; paired with E^u, E^s rides in mirrored time about 0
     fam = orbit_draw(1)
     lams = np.linspace(0.0, 1.0, 7)
-    seeds_u = flow._subspace_stack(fam, lams, "unstable", -4.0)
-    seeds_s = flow._subspace_stack(fam, lams, "stable", 4.0)
+    seeds_u = _one_sided(fam, lams, "unstable", -4.0)
+    seeds_s = _one_sided(fam, lams, "stable", 4.0)
     for mirror in (None, (seeds_s, 0.0)):
         blocks = [seeds_u] if mirror is None else [seeds_u, seeds_s]
         h_abs = None
@@ -992,7 +1004,7 @@ def test_pair_with_unequal_spans_matches_one_sided_sweeps(family, monkeypatch):
     horizon = max(L.horizon for L in flow._limits_over_lambda(fam, lams))
     assert calls == [((-max(horizon, 6.5), 1.5), True)]
     for got, which in ((e_u, "unstable"), (e_s, "stable")):
-        want = flow._subspace_stack(fam, lams, which, 1.5)
+        want = _one_sided(fam, lams, which, 1.5)
         assert np.abs(_projectors(got) - _projectors(want)).max() < 1e-9
 
 

@@ -642,6 +642,16 @@ def test_each_flip_bisection_round_is_one_pair_sweep(monkeypatch):
                                    len(rounds))
 
 
+def test_each_pair_refinement_round_is_one_pair_sweep(monkeypatch):
+    # V and W sample each round's midpoints from one transport of both
+    # sides: the grid and 19 rounds make 20 sweeps
+    counts = _count_sweeps(monkeypatch)
+    rep = z2_index(boundary_pair_over_lambda(poschl_teller_family(),
+                                             np.linspace(0.0, 1.0, 3)))
+    assert (rep.value, len(rep.grid), rep.refinement_depth) == (1, 26, 19)
+    assert counts == {"limits": 20, "transports": 20, "paired": 20}
+
+
 # -- the index theorem -------------------------------------------------
 
 def test_boundary_pair_crossing_location():

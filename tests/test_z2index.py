@@ -18,7 +18,7 @@ from hetindex import (
     z2_index,
     z2_index_unbounded,
 )
-from hetindex import flow, suites, z2index
+from hetindex import flow, parity, suites, z2index
 from hetindex.parity import decomposition_check
 from hetindex.suites import poschl_teller_family
 from scalar_reference import orbit_draw, refine_pair, scalar
@@ -42,6 +42,22 @@ def flipping(ts):
     # the rotating line, its orientation flipping many times per radian
     sign = np.where(np.sin(40.0 * ts) < 0.0, -1.0, 1.0)
     return sign[:, None, None] * line(ts)
+
+
+def turning_limit_family():
+    """S = (1 - w) A + w A^+(lambda), w = (1 + tanh t) / 2, A = diag(1, -1)
+    and A^+ = 2 u u^T - I with u the line at angle pi lambda: V^-(S^+)
+    turns half around over [0, 1] while V^+(S^-) stays put."""
+    A = np.diag([1.0, -1.0])
+
+    def batched(lam, t):
+        u = line(np.pi * np.asarray(lam, dtype=float) + 0.0 * t)
+        w = 0.5 * (1.0 + np.tanh(t))[..., None, None]
+        return (1.0 - w) * A + w * (2.0 * u @ np.swapaxes(u, -1, -2)
+                                    - np.eye(2))
+
+    return flow.LinearFamily.from_callable(batched, n=2, k=1,
+                                           batched=batched)
 
 
 def make_pair(vs, ws, a, b, points=101):
@@ -220,6 +236,63 @@ def test_geometric_parity_transports_once_per_side(monkeypatch):
     rep = geometric_parity(poschl_teller_family(), 1.0, samples=81)
     assert rep.value == 1 and rep.refinement_depth == 16
     assert sorted(calls) == ["_limits_over_lambda", "_transport_batched"]
+
+
+def _rounds_and_calls(monkeypatch, owner, name, run) -> tuple:
+    """[rounds, calls of ``owner.name``] of each ``_refine_pair`` call
+    that ``run()`` makes, a round being one midpoint sampling, and what
+    ``run()`` returns."""
+    log, inside = [], []
+    real_refine, real_bisect = z2index._refine_pair, z2index._bisect
+    real = getattr(owner, name)
+
+    def refine(pair, eps_trans):
+        log.append([0, 0])
+        inside.append(True)
+        try:
+            return real_refine(pair, eps_trans)
+        finally:
+            inside.pop()
+
+    def bisect(ts, samples, split, sample_mids, depths=None):
+        def counted(mids, lefts):
+            log[-1][0] += 1
+            return sample_mids(mids, lefts)
+
+        return real_bisect(ts, samples, split, counted, depths)
+
+    def counting(*args, **kwargs):
+        if inside:
+            log[-1][1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(z2index, "_refine_pair", refine)
+    monkeypatch.setattr(z2index, "_bisect", bisect)
+    monkeypatch.setattr(owner, name, counting)
+    result = run()
+    return log, result
+
+
+def test_orbit_pair_reads_its_interpolant_once_per_round(monkeypatch):
+    # V and W sample the same midpoints from one read of the shared
+    # dense output
+    [(rounds, reads)], _ = _rounds_and_calls(
+        monkeypatch, flow._Dense, "__call__",
+        lambda: geometric_parity(poschl_teller_family(), 1.0, samples=81))
+    assert rounds > 1 and reads == rounds
+
+
+def test_limit_pair_reads_its_limits_once_per_round(monkeypatch):
+    # the limits of S^+ turn with lambda, so the limit pair refines, and
+    # each round reads V^-(S^+) and V^+(S^-) from one limits call
+    log, rep = _rounds_and_calls(
+        monkeypatch, parity, "_limits_over_lambda",
+        lambda: decomposition_check(turning_limit_family(),
+                                    np.linspace(0.0, 1.0, 5), samples=41))
+    assert rep.holds and not rep.limits_lambda_independent
+    assert rep.limit_term.value == 1 and rep.limit_term.crossings == (0.5,)
+    rounds, calls = log[-1]           # the limit pair is indexed last
+    assert rounds > 1 and calls == rounds
 
 
 def _projectors(stack):
