@@ -41,6 +41,7 @@ from .expr import (
 from .flow import (
     HypothesisReport,
     LinearFamily,
+    _check_positive,
     _check_samples,
     _require_A1_A3,
 )
@@ -87,6 +88,14 @@ class NonlinearFamily:
     as an n x 1 grid, and differentiates it once into the n x n matrix
     of dg_i/dz_j and compiles that; both raise ``DomainError`` where an
     entry has no real value.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a restpoint is not a length-n vector.
+    InvalidInput
+        If t_max is not a finite number > 0, lam_range is not
+        increasing, or a restpoint leaves max |g| above 1e-8.
     """
 
     g: tuple
@@ -108,8 +117,7 @@ class NonlinearFamily:
             raise DimensionMismatch(
                 f"restpoints must be length-{n} vectors"
             )
-        if not self.t_max > 0:
-            raise InvalidInput("t_max must be positive")
+        _check_positive(self.t_max, "t_max")
         a, b = self.lam_range
         if not b > a:
             raise InvalidInput("lam_range must be increasing")
@@ -213,6 +221,9 @@ def validate_branch(nf: NonlinearFamily, branch: Branch,
 
     Raises
     ------
+    InvalidInput
+        If ``branch_tol`` is not a finite number > 0; neither the branch
+        nor g is evaluated then.
     BranchResidualTooLarge
         If the ODE residual exceeds ``branch_tol`` on the sampled
         grid, or the values at -t_max/+t_max miss z_minus/z_plus by
@@ -221,6 +232,7 @@ def validate_branch(nf: NonlinearFamily, branch: Branch,
         If the branch, its derivative or g has no real value at a
         sampled point.
     """
+    _check_positive(branch_tol, "branch_tol")
     if branch.n != nf.n:
         raise DimensionMismatch(
             f"branch has {branch.n} components, family has {nf.n}"
@@ -372,8 +384,9 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     Raises
     ------
     InvalidInput
-        If ``samples`` is not an integer >= 2, or ``lam_range`` is not
-        increasing or reaches outside the family's ``lam_range``.
+        If ``samples`` is not an integer >= 2, ``lam_range`` is not
+        increasing or reaches outside the family's ``lam_range``, or
+        ``branch_tol`` is not a finite number > 0.
     HypothesisFailure
         If a sampled limit hypothesis fails (assumption named).
     BranchResidualTooLarge

@@ -100,6 +100,15 @@ class LinearFamily:
     matrix : MatrixExpr or None
         The expression grid of an expression family.
 
+    Raises
+    ------
+    DimensionMismatch
+        If k lies outside 0..n.
+    InvalidInput
+        If t_max is not a finite number > 0, or the family has no
+        evaluator (build it with ``from_matrix_expr`` or
+        ``from_callable``).
+
     Each family keeps the spectral split of each distinct limit
     matrix, keyed by its shape and bytes, and nothing else; a family
     made by ``dataclasses.replace`` starts with none.
@@ -115,8 +124,7 @@ class LinearFamily:
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
             raise DimensionMismatch(f"k={self.k} outside 0..{self.n}")
-        if not self.t_max > 0:
-            raise InvalidInput("t_max must be positive")
+        _check_positive(self.t_max, "t_max")
         if not callable(self._eval):
             raise InvalidInput("a family needs an evaluator: build it with "
                                "from_matrix_expr or from_callable")
@@ -325,6 +333,12 @@ def _check_samples(samples, least: int, name: str = "samples") -> None:
             f"{name} must be an integer >= {least}, got {samples!r}")
 
 
+def _check_positive(value, name: str) -> None:
+    """Refuse a ``name`` that is not a finite number > 0 (NaN included)."""
+    if not 0 < value < np.inf:
+        raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+
+
 # -- midpoint refinement -----------------------------------------------
 
 def _bisect(ts: np.ndarray, samples: tuple, split: Callable,
@@ -372,6 +386,23 @@ def _bisect(ts: np.ndarray, samples: tuple, split: Callable,
                                zip((ts, depth, *samples),
                                    (mids, depth[cut], *new)))
         samples = tuple(samples)
+
+
+def _refuse_unresolved(ts: np.ndarray, samples: tuple, depths: np.ndarray,
+                       split: Callable, jump: str) -> None:
+    """Raise GapTooLarge on the first interval of a ``_bisect`` result
+    that ``split`` still holds on where halving had to stop: after
+    ``_MAX_DEPTH`` halvings, or at floating-point resolution.  ``jump``
+    says what the samples do there, for the message."""
+    a, b = ts[:-1], ts[1:]
+    mids = 0.5 * (a + b)
+    stopped = np.flatnonzero((depths >= _MAX_DEPTH) | ~(a < mids)
+                             | ~(mids < b))
+    wide = stopped[split(tuple(s[stopped] for s in samples),
+                         tuple(s[stopped + 1] for s in samples))]
+    if len(wide):
+        raise GapTooLarge(f"{jump} between t={float(a[wide[0]])!r} and "
+                          f"t={float(b[wide[0]])!r}")
 
 
 def _too_wide(lefts: tuple, rights: tuple) -> np.ndarray:
@@ -1066,16 +1097,8 @@ def path_from_sampler(sampler: Callable, grid: Sequence[float]) -> SubspacePath:
     ts, (F,), depths = _bisect(
         ts, (F,), _too_wide,
         lambda mids, lefts: (_sampled(sampler, mids, shape),))
-    # an interval is left wide only where refinement had to stop
-    a, b = ts[:-1], ts[1:]
-    mids = 0.5 * (a + b)
-    stopped = np.flatnonzero((depths >= _MAX_DEPTH) | ~(a < mids)
-                             | ~(mids < b))
-    wide = stopped[_too_wide((F[stopped],), (F[stopped + 1],))]
-    if len(wide):
-        raise GapTooLarge(f"subspace jumps by more than 0.4 in gap between "
-                          f"t={float(a[wide[0]])!r} and "
-                          f"t={float(b[wide[0]])!r}")
+    _refuse_unresolved(ts, (F,), depths, _too_wide,
+                       "subspace jumps by more than 0.4 in gap")
     return SubspacePath(grid=ts, stack=F, sampler=sampler)
 
 

@@ -32,7 +32,13 @@ from .errors import (
     IrregularCrossing,
     NotGraphical,
 )
-from .flow import _check_samples, _checked_grid, _sampled, path_from_sampler
+from .flow import (
+    _check_positive,
+    _check_samples,
+    _checked_grid,
+    _sampled,
+    path_from_sampler,
+)
 from .linalg import (
     DEGENERATE,
     Frame,
@@ -331,14 +337,15 @@ def crossing_census(V, W, interval: tuple[float, float],
     Raises
     ------
     InvalidInput
-        Unless ``samples`` is an integer >= 2, both interval ends are
-        finite and the scan instants are strictly increasing; neither
-        path is read then.
+        Unless ``cross_tol`` is a finite number > 0, ``samples`` is an
+        integer >= 2, both interval ends are finite and the scan
+        instants are strictly increasing; neither path is read then.
     DegenerateEndpoint
         If an endpoint is itself a crossing.
     IrregularCrossing
         If some crossing has a degenerate form; carries the instant.
     """
+    _check_positive(cross_tol, "cross_tol")
     ts = _scan_instants(interval, samples)
     raw_v, raw_w = _sample_pair(V, W, ts)
     ends = np.concatenate([raw_v[[0, -1]], raw_w[[0, -1]]], axis=2)
@@ -365,7 +372,8 @@ def maslov_index(V, W, interval: tuple[float, float],
                  eps_trans: float = 1e-6) -> int:
     """Maslov index: sum of crossing-form signatures over the interior.
 
-    Raises whatever :func:`crossing_census` raises.
+    Raises whatever :func:`crossing_census` raises, InvalidInput for a
+    ``cross_tol`` that is not a finite number > 0 included.
     """
     census = crossing_census(V, W, interval=interval, samples=samples,
                              cross_tol=cross_tol, eps_trans=eps_trans)
@@ -394,8 +402,18 @@ def mod2_compare(V, W, interval: tuple[float, float],
 
     Both sides are computed independently: the Z2-index from endpoint
     determinant signs on an aligned frame chain over the samplers'
-    paths, and the Maslov index from crossing-form signatures.
+    paths, and the Maslov index from crossing-form signatures.  Past
+    the checks below it raises what :func:`z2_index` and
+    :func:`crossing_census` raise, the Z2 side first.
+
+    Raises
+    ------
+    InvalidInput
+        Unless ``cross_tol`` is a finite number > 0, ``samples`` is an
+        integer >= 2 and both interval ends are finite; neither path is
+        read then.
     """
+    _check_positive(cross_tol, "cross_tol")
     grid = _scan_instants(interval, samples)
     pair = SubspacePathPair(V=path_from_sampler(V, grid),
                             W=path_from_sampler(W, grid))

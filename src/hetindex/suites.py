@@ -9,19 +9,19 @@ the index, and the three-term decomposition of the index over lambda.
 
 Draws that violate a precondition (non-transversal endpoint, an
 irregular crossing) are redrawn a bounded number of times; a genuine
-identity violation is recorded as a failure, never redrawn.
+identity violation is recorded as a failure, never redrawn, and so is
+any other package error a case raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     BoundaryDegenerate,
-    CannotClose,
     DegenerateEndpoint,
     HetindexError,
     InternalMismatch,
@@ -75,6 +75,26 @@ class SuiteResult:
     def summary(self) -> str:
         status = "ok" if self.ok else "FAIL"
         return f"{self.name}: {self.passes}/{self.total} {status}"
+
+
+def _tally(name: str, labels: Sequence, case: Callable) -> SuiteResult:
+    """Run ``case(label)`` once per label, in order, and tally the cases.
+
+    A case returns None when it passes and its failure message when it
+    fails; a package error it raises is its failure, recorded as
+    ``"<Type>: <message>"``, and the suite goes on to the next case.
+    """
+    failures = []
+    for label in labels:
+        try:
+            failure = case(label)
+        except HetindexError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is not None:
+            failures.append((label, failure))
+    return SuiteResult(name=name, total=len(labels),
+                       passes=len(labels) - len(failures),
+                       failures=tuple(failures))
 
 
 def poschl_teller_family(depth: str = "2.5*lambda",
@@ -203,7 +223,7 @@ def _prop_sum(rng, pair, vs, ws) -> bool | None:
     other = _draw_rotation_pair(rng, n2, k2)
     if other is None:
         return None
-    _, vs2, ws2 = other
+    pair2, vs2, ws2 = other
 
     def block_sum(f, g) -> Callable:
         def sample(ts: np.ndarray) -> np.ndarray:
@@ -218,8 +238,7 @@ def _prop_sum(rng, pair, vs, ws) -> bool | None:
     v_sum, w_sum = block_sum(vs, vs2), block_sum(ws, ws2)
 
     summed = _pair_from_samplers(v_sum, w_sum, 0.0, 1.0)
-    i1 = z2_index(_pair_from_samplers(vs, ws, 0.0, 1.0)).value
-    i2 = z2_index(_pair_from_samplers(vs2, ws2, 0.0, 1.0)).value
+    i1, i2 = z2_index(pair).value, z2_index(pair2).value
     return z2_index(summed).value == (i1 + i2) % 2
 
 
@@ -238,28 +257,19 @@ def suite_properties(trials: int = 500, seed: int = 0) -> list[SuiteResult]:
     results = []
     for ordinal, (name, prop) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, 101, ordinal])
-        failures = []
-        passes = 0
-        for case in range(trials):
+
+        def case(_):
             n = int(rng.choice(_PROPERTY_DIMS))
             k = int(rng.integers(1, n))
             drawn = _draw_rotation_pair(rng, n, k)
             if drawn is None:
-                failures.append((case, "no transversal draw"))
-                continue
-            try:
-                verdict = prop(rng, *drawn)
-            except HetindexError as exc:
-                failures.append((case, f"{type(exc).__name__}: {exc}"))
-                continue
+                return "no transversal draw"
+            verdict = prop(rng, *drawn)
             if verdict is None:
-                failures.append((case, "no usable split point"))
-            elif verdict:
-                passes += 1
-            else:
-                failures.append((case, "identity violated"))
-        results.append(SuiteResult(name=name, total=trials, passes=passes,
-                                   failures=tuple(failures)))
+                return "no usable split point"
+            return None if verdict else "identity violated"
+
+        results.append(_tally(name, range(trials), case))
     return results
 
 
@@ -269,34 +279,26 @@ def suite_finite_parity(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Determinant route against graph route on random matrix paths."""
     _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 202])
-    failures = []
-    passes = 0
-    for case in range(trials):
+
+    def case(_):
         m = int(rng.choice(_FINITE_DIMS))
-        path = None
         for _ in range(_DRAW_TRIES):
             T0 = rng.standard_normal((m, m))
             T1 = rng.standard_normal((m, m))
             mid = rng.standard_normal((m, m)) * rng.uniform(0.0, 3.0)
             if (det_sign(T0) != DEGENERATE
                     and det_sign(T1) != DEGENERATE):
-                path = lambda s, T0=T0, T1=T1, mid=mid: (
-                    (1.0 - s) * T0 + s * T1 + s * (1.0 - s) * mid)
                 break
-        if path is None:
-            failures.append((case, "no invertible-end draw"))
-            continue
+        else:
+            return "no invertible-end draw"
         try:
-            finite_parity(path, samples=101)
+            finite_parity(lambda s: (1.0 - s) * T0 + s * T1
+                          + s * (1.0 - s) * mid, samples=101)
         except InternalMismatch as exc:
-            failures.append((case, str(exc)))
-            continue
-        except HetindexError as exc:
-            failures.append((case, f"{type(exc).__name__}: {exc}"))
-            continue
-        passes += 1
-    return SuiteResult(name="finite-parity-two-routes", total=trials,
-                       passes=passes, failures=tuple(failures))
+            return str(exc)
+        return None
+
+    return _tally("finite-parity-two-routes", range(trials), case)
 
 
 # -- Maslov mod 2 ------------------------------------------------------
@@ -317,11 +319,9 @@ def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Z2-index against Maslov index mod 2 on random Lagrangian pairs."""
     _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 303])
-    failures = []
-    passes = 0
-    for case in range(trials):
+
+    def case(_):
         k = int(rng.choice(_MASLOV_KS))
-        outcome = None
         for _ in range(_DRAW_TRIES):
             V = _trig_symmetric(rng, k)
             W = _trig_symmetric(rng, k)
@@ -330,16 +330,10 @@ def suite_maslov_mod2(trials: int = 200, seed: int = 0) -> SuiteResult:
                 rep = mod2_compare(V, W, interval=(0.0, span), samples=201)
             except (DegenerateEndpoint, IrregularCrossing, NotGraphical):
                 continue     # a bad draw, not a violation
-            outcome = rep.agree
-            break
-        if outcome is None:
-            failures.append((case, "no regular draw"))
-        elif outcome:
-            passes += 1
-        else:
-            failures.append((case, "z2 != maslov mod 2"))
-    return SuiteResult(name="maslov-mod2-agreement", total=trials,
-                       passes=passes, failures=tuple(failures))
+            return None if rep.agree else "z2 != maslov mod 2"
+        return "no regular draw"
+
+    return _tally("maslov-mod2-agreement", range(trials), case)
 
 
 # -- loop orientability ------------------------------------------------
@@ -348,29 +342,20 @@ def suite_orientability(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Orientability of the closed loop against the index of the pair."""
     _check_samples(trials, 1, "trials")
     rng = np.random.default_rng([seed, 404])
-    failures = []
-    passes = 0
-    for case in range(trials):
+
+    def case(_):
         n = int(rng.choice(_LOOP_DIMS))
         k = int(rng.integers(1, n))
         drawn = _draw_rotation_pair(rng, n, k)
         if drawn is None:
-            failures.append((case, "no transversal draw"))
-            continue
-        pair, _, _ = drawn
-        try:
-            value = z2_index(pair).value
-            orient = bundle_orientability(close_loop(pair))
-        except (CannotClose, HetindexError) as exc:
-            failures.append((case, f"{type(exc).__name__}: {exc}"))
-            continue
-        if orient == value:
-            passes += 1
-        else:
-            failures.append(
-                (case, f"orientability {orient} != index {value}"))
-    return SuiteResult(name="loop-orientability", total=trials,
-                       passes=passes, failures=tuple(failures))
+            return "no transversal draw"
+        pair = drawn[0]
+        value = z2_index(pair).value
+        orient = bundle_orientability(close_loop(pair))
+        return (None if orient == value
+                else f"orientability {orient} != index {value}")
+
+    return _tally("loop-orientability", range(trials), case)
 
 
 # -- decomposition of the index over lambda ----------------------------
@@ -408,15 +393,13 @@ def suite_decomposition(extra_families: int = 20,
     """Index over lambda == geo(S_0) + geo(S_1) + limit term, mod 2."""
     _check_samples(extra_families, 0, "extra_families")
     rng = np.random.default_rng([seed, 505])
-    failures = []
     lams = np.linspace(0.0, 1.0, 101)
-    rep = decomposition_check(poschl_teller_family(), lams=lams, samples=151)
-    passes = int(rep.holds)
-    if not rep.holds:
-        failures.append(("poschl-teller", "decomposition violated"))
 
-    for case in range(extra_families):
-        done = False
+    def case(label):
+        if label == "poschl-teller":
+            rep = decomposition_check(poschl_teller_family(), lams=lams,
+                                      samples=151)
+            return None if rep.holds else "decomposition violated"
         for _ in range(_DRAW_TRIES):
             n = int(rng.integers(2, 4))
             k = int(rng.integers(1, n))
@@ -425,16 +408,11 @@ def suite_decomposition(extra_families: int = 20,
                 rep = decomposition_check(fam, lams=lams, samples=101)
             except (BoundaryDegenerate, DegenerateEndpoint):
                 continue     # nondegeneracy is a precondition of the draw
-            if rep.holds:
-                passes += 1
-            else:
-                failures.append((case, "decomposition violated"))
-            done = True
-            break
-        if not done:
-            failures.append((case, "no nondegenerate draw"))
-    return SuiteResult(name="index-decomposition", total=1 + extra_families,
-                       passes=passes, failures=tuple(failures))
+            return None if rep.holds else "decomposition violated"
+        return "no nondegenerate draw"
+
+    return _tally("index-decomposition",
+                  ("poschl-teller", *range(extra_families)), case)
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:

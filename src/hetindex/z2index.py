@@ -43,6 +43,7 @@ from .flow import (
     _bisect,
     _check_samples,
     _dense_paths,
+    _refuse_unresolved,
     asymptotic_limits,
 )
 from .linalg import (
@@ -193,6 +194,9 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
     ts, (v, w), depths = _bisect(
         pair.grid, (V.stack, W.stack), too_wide,
         lambda mids, lefts: (V.sample(mids), W.sample(mids)))
+    _refuse_unresolved(ts, (v, w), depths, too_wide,
+                       f"a path of the pair jumps by {_GAP_REFINE} or more "
+                       f"in gap")
 
     # orientation sweep: chain Procrustes from the left end
     v, w = _chain(v), _chain(w)
@@ -224,6 +228,11 @@ def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6) -> IndexReport:
     ------
     DegenerateEndpoint
         If det M at either end is within eps_trans (relative) of zero.
+    GapTooLarge
+        If a path of the pair still jumps by 0.2 or more in gap where
+        halving had to stop (after 20 halvings of an interval, or at
+        floating-point resolution), as at a discontinuity; the error
+        names the interval.
     """
     ts, dets, signs, depth = _refine_pair(pair, eps_trans)
     if signs[0] == DEGENERATE or signs[-1] == DEGENERATE:

@@ -51,6 +51,15 @@ def bisect(ts, samples, split, sample_mids, depths=None):
                  for half in (0, 1)]
 
 
+def refuse_unresolved(ts, samples, depths, split):
+    """GapTooLarge where halving stopped with ``split`` still true."""
+    for i, depth in enumerate(depths):
+        a, b = ts[i], ts[i + 1]
+        stopped = depth >= MAX_DEPTH or not a < 0.5 * (a + b) < b
+        if stopped and split(samples[i], samples[i + 1]):
+            raise GapTooLarge(f"jump between t={a!r} and t={b!r}")
+
+
 def too_wide(a, b):
     return gap_distance(a, b) > 0.4
 
@@ -60,11 +69,7 @@ def path_from_sampler(sampler, grid):
     pts = np.asarray(grid, dtype=float).tolist()
     pts, raw, depths = bisect(pts, [sampler(t) for t in pts], too_wide,
                               lambda ts, lefts: [sampler(t) for t in ts])
-    for i, depth in enumerate(depths):
-        a, b = pts[i], pts[i + 1]
-        stopped = depth >= MAX_DEPTH or not a < 0.5 * (a + b) < b
-        if stopped and too_wide(raw[i], raw[i + 1]):
-            raise GapTooLarge(f"jump between t={a!r} and t={b!r}")
+    refuse_unresolved(pts, raw, depths, too_wide)
     return np.asarray(pts), raw
 
 
@@ -86,6 +91,7 @@ def refine_pair(grid, v_frames, w_frames, vs, ws, eps_trans=1e-6):
 
     ts, pts, depths = bisect(
         ts, pts, wide, lambda mids, lefts: [(vs(t), ws(t)) for t in mids])
+    refuse_unresolved(ts, pts, depths, wide)
     v_raw, w_raw = zip(*pts)
     chain = traced(list(zip(align_chain(v_raw), align_chain(w_raw))),
                    eps_trans)

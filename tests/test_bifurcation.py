@@ -255,3 +255,27 @@ def test_detect_bifurcation_rejects_range_beyond_family():
     with pytest.raises(InvalidInput):
         detect_bifurcation(cubic_family(lam_range=(0.2, 1.0)),
                            zero_branch(), lam_range=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("branch_tol", [float("nan"), -1e-6, 0.0,
+                                        float("inf")])
+@pytest.mark.parametrize("entry", [validate_branch, linearize_along,
+                                   detect_bifurcation])
+def test_bad_branch_tol_is_refused_before_evaluation(entry, branch_tol,
+                                                     monkeypatch):
+    # a NaN branch_tol was reported as a residual "exceeding nan"
+    nf, branch = cubic_family(), zero_branch()
+
+    def unevaluated(*args):
+        raise AssertionError("evaluated before checking branch_tol")
+
+    monkeypatch.setattr(Branch, "evaluate", unevaluated)
+    monkeypatch.setattr(NonlinearFamily, "evaluate", unevaluated)
+    with pytest.raises(InvalidInput, match="branch_tol"):
+        entry(nf, branch, branch_tol=branch_tol)
+
+
+@pytest.mark.parametrize("t_max", [float("inf"), -float("inf")])
+def test_rejects_infinite_horizon(t_max):
+    with pytest.raises(InvalidInput, match="t_max"):
+        NonlinearFamily.from_sources(CUBIC_G, [0, 0], [0, 0], t_max=t_max)

@@ -187,6 +187,14 @@ def test_family_rejects_nan_horizon():
         LinearFamily(n=2, k=1, t_max=float("nan"))
 
 
+@pytest.mark.parametrize("t_max", [float("inf"), -float("inf")])
+def test_family_rejects_infinite_horizon(t_max):
+    # an infinite horizon used to construct, and subspace_at then died
+    # with an OverflowError
+    with pytest.raises(InvalidInput, match="t_max"):
+        poschl_teller_family(t_max=t_max)
+
+
 def test_family_requires_an_evaluator():
     with pytest.raises(InvalidInput, match="from_matrix_expr or from_callable"):
         LinearFamily(2, 1)

@@ -10,6 +10,7 @@ from hetindex import (
     DimensionMismatch,
     InvalidInput,
     IrregularCrossing,
+    crossing_census,
     crossing_form,
     graph_frame,
     graph_path,
@@ -277,3 +278,19 @@ def test_census_refuses_a_non_finite_interval_end(call, interval):
     with pytest.raises(InvalidInput, match="finite"):
         call(V, W, interval)
     assert calls == []
+
+
+def _unread(ts):
+    raise AssertionError("read a path before checking cross_tol")
+
+
+@pytest.mark.parametrize("cross_tol", [float("nan"), 0.0, -1.0,
+                                       float("inf")])
+@pytest.mark.parametrize("entry", [crossing_census, maslov_index,
+                                   mod2_compare])
+def test_bad_cross_tol_is_refused_before_either_path_is_read(entry,
+                                                              cross_tol):
+    # a NaN, zero or negative cross_tol made the dip scan find nothing,
+    # so a signature-zero crossing went unreported
+    with pytest.raises(InvalidInput, match="cross_tol"):
+        entry(_unread, _unread, interval=(-1.0, 1.0), cross_tol=cross_tol)

@@ -1,10 +1,19 @@
-"""The randomized suites' own samplers."""
+"""The randomized suites' own samplers and their tally."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hetindex import InvalidInput, suites
+from hetindex import (
+    BoundaryDegenerate,
+    DegenerateEndpoint,
+    GapTooLarge,
+    InvalidInput,
+    NotStabilized,
+    suites,
+)
 
 
 def test_skew_expm_and_rotation_sampler_match_expm():
@@ -91,3 +100,39 @@ def test_suite_results_are_pinned_on_benchmark_seeds(key):
         result = suite(trials=1, seed=seed)
         got = result if isinstance(result, list) else [result]
         assert got == want, (key, seed)
+
+
+def _scripted(outcomes):
+    """A stand-in that raises or returns the next of ``outcomes`` per call."""
+    calls = iter(outcomes)
+
+    def run(*args, **kwargs):
+        out = next(calls)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    return run
+
+
+def test_a_package_error_fails_only_its_maslov_case(monkeypatch):
+    # a DegenerateEndpoint is a bad draw and redraws; any other package
+    # error is its case's failure, and the suite goes on
+    agree = SimpleNamespace(agree=True)
+    monkeypatch.setattr(suites, "mod2_compare", _scripted([
+        GapTooLarge("jump"), DegenerateEndpoint("end"), agree, agree]))
+    assert suites.suite_maslov_mod2(trials=3, seed=0) == suites.SuiteResult(
+        name="maslov-mod2-agreement", total=3, passes=2,
+        failures=((0, "GapTooLarge: jump"),))
+
+
+def test_a_package_error_fails_only_its_decomposition_case(monkeypatch):
+    # the Poschl-Teller case first, then the drawn families: a
+    # BoundaryDegenerate redraws, a NotStabilized fails its case only
+    holds = SimpleNamespace(holds=True)
+    monkeypatch.setattr(suites, "decomposition_check", _scripted([
+        NotStabilized("well"), BoundaryDegenerate("redraw"),
+        NotStabilized("drawn"), holds]))
+    assert suites.suite_decomposition(extra_families=2, seed=0) == (
+        suites.SuiteResult(name="index-decomposition", total=3, passes=1,
+                           failures=(("poschl-teller", "NotStabilized: well"),
+                                     (0, "NotStabilized: drawn"))))

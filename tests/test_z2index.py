@@ -1,12 +1,16 @@
 """Z2-index of path pairs, loop closure, geometric parity."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hetindex import (
     BoundaryDegenerate,
     DegenerateEndpoint,
+    GapTooLarge,
     InvalidInput,
+    LinearFamily,
     NotClosed,
     SubspacePathPair,
     TailNotTransversal,
@@ -357,3 +361,45 @@ def test_refine_pair_matches_the_scalar_reference(run, monkeypatch):
         assert np.max(np.abs(dets - ref[1])) <= 1e-12
         refined += len(ts) > len(pair.grid)
     assert pairs and refined
+
+
+def _stepped_well(depth):
+    """q = 1 - depth [lambda > 0.5371] sech^2 t: E^s(0) and E^u(0) jump
+    where the well switches on."""
+    def batched(lam, t):
+        lam, t = np.broadcast_arrays(np.asarray(lam, float),
+                                     np.asarray(t, float))
+        S = np.zeros(lam.shape + (2, 2))
+        S[..., 0, 1] = 1.0
+        S[..., 1, 0] = 1.0 - depth * (lam > 0.5371) / np.cosh(t) ** 2
+        return S
+    return LinearFamily.from_callable(batched, n=2, k=1, batched=batched)
+
+
+def _refused_interval(exc) -> tuple:
+    return tuple(float(x) for x in re.findall(r"t=([-+0-9.e]+)", str(exc)))
+
+
+def test_a_pair_refuses_a_jump_it_cannot_resolve():
+    # the V path turns by 0.3 rad at t = 0.5, a jump of 0.296 in gap: too
+    # small for path_from_sampler (0.4) and for chaining (0.5) to refuse,
+    # so only the pair's own refinement, stopped at 20 halvings, sees it
+    def stepped(ts):
+        return line(np.where(ts > 0.5, 0.3, 0.0))
+
+    with pytest.raises(GapTooLarge, match="0.2 or more") as info:
+        z2_index(make_pair(stepped, fixed_vertical, 0.0, 1.0, 11))
+    a, b = _refused_interval(info.value)
+    assert a <= 0.5 < b and b - a < 1e-5
+
+
+@pytest.mark.parametrize("depth", [1.0, 1.3])
+def test_a_lambda_pair_refuses_a_jump_it_cannot_resolve(depth):
+    # E^s(0) and E^u(0) jump by 0.27 (depth 1) and 0.38 (depth 1.3) in
+    # gap at lambda = 0.5371; the index across the jump used to read 0
+    pair = parity.boundary_pair_over_lambda(_stepped_well(depth),
+                                            np.linspace(0.0, 1.0, 11))
+    with pytest.raises(GapTooLarge, match="0.2 or more") as info:
+        z2_index(pair)
+    a, b = _refused_interval(info.value)
+    assert a <= 0.5371 < b and b - a < 1e-5
