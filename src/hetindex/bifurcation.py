@@ -29,6 +29,9 @@ from .errors import (
     DomainError,
     InvalidInput,
     NotHyperbolic,
+    _check_positive,
+    _check_samples,
+    _checked_range,
 )
 from .expr import (
     MatrixExpr,
@@ -38,13 +41,7 @@ from .expr import (
     parse_vector,
     substitute,
 )
-from .flow import (
-    HypothesisReport,
-    LinearFamily,
-    _check_positive,
-    _check_samples,
-    _require_A1_A3,
-)
+from .flow import HypothesisReport, LinearFamily, _require_A1_A3
 from .linalg import spectral_split
 from .parity import boundary_pair_over_lambda
 from .z2index import IndexReport, z2_index
@@ -94,8 +91,9 @@ class NonlinearFamily:
     DimensionMismatch
         If a restpoint is not a length-n vector.
     InvalidInput
-        If t_max is not a finite number > 0, lam_range is not
-        increasing, or a restpoint leaves max |g| above 1e-8.
+        If t_max is not a finite number > 0, lam_range is not two
+        finite numbers a < b, or a restpoint leaves max |g| above 1e-8;
+        g is not evaluated before the first two checks.
     """
 
     g: tuple
@@ -118,9 +116,7 @@ class NonlinearFamily:
                 f"restpoints must be length-{n} vectors"
             )
         _check_positive(self.t_max, "t_max")
-        a, b = self.lam_range
-        if not b > a:
-            raise InvalidInput("lam_range must be increasing")
+        _checked_range(self.lam_range, "lam_range")
         args = ("lambda", "t") + _z_names(n)
         object.__setattr__(self, "_g_eval",
                            compile_matrix(_column(self.g), args))
@@ -384,9 +380,10 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     Raises
     ------
     InvalidInput
-        If ``samples`` is not an integer >= 2, ``lam_range`` is not
-        increasing or reaches outside the family's ``lam_range``, or
-        ``branch_tol`` is not a finite number > 0.
+        If ``samples`` is not an integer >= 2, ``lam_range`` is not two
+        finite numbers a < b or reaches outside the family's
+        ``lam_range``, or ``branch_tol`` is not a finite number > 0;
+        neither the branch nor g is evaluated then.
     HypothesisFailure
         If a sampled limit hypothesis fails (assumption named).
     BranchResidualTooLarge
@@ -395,9 +392,8 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
         If an endpoint pair is numerically non-transversal.
     """
     _check_samples(samples, 2)
-    a, b = lam_range if lam_range is not None else nf.lam_range
-    if not b > a:
-        raise InvalidInput("lam_range must be increasing")
+    a, b = _checked_range(lam_range if lam_range is not None
+                          else nf.lam_range, "lam_range")
     lo, hi = nf.lam_range
     if a < lo or b > hi:
         raise InvalidInput(
@@ -415,5 +411,5 @@ def detect_bifurcation(nf: NonlinearFamily, branch: Branch,
     return BifurcationVerdict(
         bifurcates=bifurcates, index=report.value,
         lam_candidates=report.crossings, hypotheses=hyp, note=note,
-        lam_range=(float(a), float(b)), index_report=report,
+        lam_range=(a, b), index_report=report,
     )

@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     HetindexError,
     InvalidInput,
+    _checked_range,
 )
 from .expr import compile_matrix, parse_matrix
 from .flow import LinearFamily, path_from_sampler
@@ -144,12 +145,8 @@ def resolve_config(raw: dict, origin: str = "<config>") -> dict:
 
 def _build_linear_family(cfg: dict) -> LinearFamily:
     m = parse_matrix(cfg["S"], variables=("t", "lambda"))
-    if m.rows != m.cols:
-        raise ConfigError(f"S is {m.rows}x{m.cols}, must be square")
     if m.rows != cfg["n"]:
-        raise ConfigError(f"S is {m.rows}x{m.rows} but n = {cfg['n']}")
-    if not 0 <= cfg["k"] <= cfg["n"]:
-        raise ConfigError(f"k = {cfg['k']} outside 0..{cfg['n']}")
+        raise ConfigError(f"S has {m.rows} rows but n = {cfg['n']}")
     return LinearFamily.from_matrix_expr(m, k=cfg["k"],
                                          t_max=cfg["t_max"])
 
@@ -161,39 +158,32 @@ def _frame_sampler(entries):
     def sample(ts: np.ndarray) -> np.ndarray:
         return orthonormalize(fn(ts))
 
-    return sample, m.rows, m.cols
+    return sample
 
 
 def _build_pair(cfg: dict):
-    vs, nv, kv = _frame_sampler(cfg["V"])
-    ws, nw, kw = _frame_sampler(cfg["W"])
-    if nv != nw:
-        raise ConfigError(f"V has {nv} rows, W has {nw}")
-    if kv + kw != nv:
-        raise ConfigError(
-            f"column counts {kv} + {kw} must equal the ambient dim {nv}")
-    a, b = cfg["interval"]
-    grid = np.linspace(float(a), float(b), cfg["samples"])
+    vs, ws = _frame_sampler(cfg["V"]), _frame_sampler(cfg["W"])
+    grid = np.linspace(*_checked_range(cfg["interval"], "interval"),
+                       cfg["samples"])
     return SubspacePathPair(V=path_from_sampler(vs, grid),
                             W=path_from_sampler(ws, grid))
 
 
 def _lagrangian_graph_sampler(entries, label: str):
-    m = parse_matrix(entries, variables=("t",))
-    if m.rows != m.cols:
-        raise ConfigError(f"{label} is {m.rows}x{m.cols}, must be square")
-    fn = compile_matrix(m, ("t",))
+    fn = compile_matrix(parse_matrix(entries, variables=("t",)), ("t",))
 
     def sample(ts: np.ndarray) -> np.ndarray:
         M = fn(ts)
+        frames = graph_frame(M)     # refuses a non-square A
         Mt = np.swapaxes(M, 1, 2)
         bad = np.abs(M - Mt).max(axis=(1, 2)) > 1e-8
         if bad.any():
             raise ConfigError(
                 f"{label}({ts[bad.argmax()]:.6g}) is not symmetric")
-        return graph_frame((M + Mt) / 2.0)
+        # an exactly symmetric A is its own symmetric part
+        return frames if (M == Mt).all() else graph_frame((M + Mt) / 2.0)
 
-    return sample, m.rows
+    return sample
 
 
 # -- report output -----------------------------------------------------
@@ -278,8 +268,8 @@ def cmd_index(cfg: dict, out_dir: Path) -> int:
         grid = rep.grid
     elif cfg["kind"] == "linear-family":
         fam = _build_linear_family(cfg)
-        a, b = cfg["lam_range"]
-        lams = np.linspace(float(a), float(b), cfg["lam_samples"])
+        lams = np.linspace(*_checked_range(cfg["lam_range"], "lam_range"),
+                           cfg["lam_samples"])
         pair = boundary_pair_over_lambda(fam, lams, t=cfg["t"],
                                          rtol=cfg["rtol"], atol=cfg["atol"])
         rep = z2_index(pair, eps_trans=cfg["eps_trans"])
@@ -322,8 +312,8 @@ def cmd_verify_theorem(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("verify-theorem expects kind linear-family")
     t0 = time.perf_counter()
     fam = _build_linear_family(cfg)
-    a, b = cfg["lam_range"]
-    lams = np.linspace(float(a), float(b), cfg["lam_samples"])
+    lams = np.linspace(*_checked_range(cfg["lam_range"], "lam_range"),
+                       cfg["lam_samples"])
     rep = verify_index_theorem(
         fam, lams, tau=cfg["tau"], N=cfg["N"],
         stability=cfg["stability"], track_sigma=cfg["track_sigma"],
@@ -362,9 +352,6 @@ def cmd_bifurcate(cfg: dict, out_dir: Path) -> int:
     nf = NonlinearFamily.from_sources(
         cfg["g"], cfg["z_minus"], cfg["z_plus"],
         t_max=cfg["t_max"], lam_range=tuple(cfg["lam_range"]))
-    if len(cfg["branch"]) != nf.n:
-        raise ConfigError(
-            f"branch has {len(cfg['branch'])} components, g has {nf.n}")
     branch = Branch.from_sources(cfg["branch"])
     verdict = detect_bifurcation(
         nf, branch, samples=cfg["lam_samples"],
@@ -392,10 +379,8 @@ def cmd_maslov(cfg: dict, out_dir: Path) -> int:
     if cfg["kind"] != "lagrangian-paths":
         raise ConfigError("maslov expects kind lagrangian-paths")
     t0 = time.perf_counter()
-    vs, ka = _lagrangian_graph_sampler(cfg["A"], "A")
-    ws, kb = _lagrangian_graph_sampler(cfg["B"], "B")
-    if ka != kb:
-        raise ConfigError(f"A is {ka}x{ka} but B is {kb}x{kb}")
+    vs = _lagrangian_graph_sampler(cfg["A"], "A")
+    ws = _lagrangian_graph_sampler(cfg["B"], "B")
     rep = mod2_compare(vs, ws, interval=tuple(cfg["interval"]),
                        samples=cfg["samples"],
                        eps_trans=cfg["eps_trans"],

@@ -7,17 +7,32 @@ grouped under :class:`InvalidInput`; errors that signal a numerical
 degeneracy that the algorithms cannot resolve (non-transversal
 endpoints, irregular crossings) are grouped under :class:`Degeneracy`.
 The split mirrors the CLI exit-code contract (2 vs 3).
+
+The checkers that refuse malformed input live here too, at the bottom
+of the import graph, so that every module applies one rule per kind of
+input: ``_check_samples`` for a count, ``_check_positive`` for a finite
+number > 0, ``_checked_grid`` for a sample grid and ``_checked_range``
+for an interval [a, b].  Each raises :class:`InvalidInput` naming the
+parameter (the grid checker excepted: it speaks of "grid").
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
 
 
 class HetindexError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidInput(HetindexError):
-    """Input violates a precondition or a hypothesis check."""
+class InvalidInput(HetindexError, ValueError):
+    """Input violates a precondition or a hypothesis check.
+
+    Also a ValueError, so that a caller's ``except ValueError`` keeps
+    catching bad arguments.
+    """
 
 
 class Degeneracy(HetindexError):
@@ -166,3 +181,46 @@ class HypothesisFailure(InvalidInput):
 
 class ConfigError(InvalidInput):
     """Configuration file fails schema validation or is inconsistent."""
+
+
+# -- input checkers ----------------------------------------------------
+
+def _check_samples(samples, least: int, name: str = "samples") -> None:
+    """Refuse a count, the parameter ``name``, that is not an integer
+    >= ``least``; a bool or a float, even an integral one, is refused."""
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < least):
+        raise InvalidInput(
+            f"{name} must be an integer >= {least}, got {samples!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    """Refuse a ``name`` that is not a finite number > 0 (NaN included)."""
+    if not 0 < value < np.inf:
+        raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _checked_grid(grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array: two or more finite, increasing samples."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise InvalidInput("grid must hold at least two samples")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidInput("grid samples must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidInput("grid must be strictly increasing")
+    return grid
+
+
+def _checked_range(pair, name: str) -> tuple[float, float]:
+    """The range ``name`` as floats (a, b): exactly two finite numbers
+    with a < b."""
+    try:
+        ends = np.asarray(pair, dtype=float)
+    except (TypeError, ValueError):
+        ends = None
+    if (ends is None or ends.shape != (2,)
+            or not -np.inf < ends[0] < ends[1] < np.inf):
+        raise InvalidInput(
+            f"{name} must be two finite numbers a < b, got {pair!r}")
+    return float(ends[0]), float(ends[1])

@@ -33,7 +33,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UnboundVariable
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    ParseError,
+    UnboundVariable,
+)
 
 __all__ = [
     "Expr",
@@ -554,7 +559,14 @@ def _codegen(e: Expr, args: Sequence[str]) -> Callable:
 
 @dataclass(frozen=True)
 class MatrixExpr:
-    """Rectangular grid of expressions, one per matrix entry."""
+    """Rectangular grid of expressions, one per matrix entry.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the entry grid does not have ``rows`` rows of ``cols``
+        entries each.
+    """
 
     rows: int
     cols: int
@@ -562,10 +574,10 @@ class MatrixExpr:
 
     def __post_init__(self):
         if len(self.entries) != self.rows:
-            raise ValueError("entry grid does not match declared rows")
+            raise DimensionMismatch("entry grid does not match declared rows")
         for row in self.entries:
             if len(row) != self.cols:
-                raise ValueError("entry grid is not rectangular")
+                raise DimensionMismatch("entry grid is not rectangular")
 
 
 def parse_matrix(entries, variables: Iterable[str] = ("t", "lambda")) -> MatrixExpr:

@@ -41,6 +41,10 @@ from .errors import (
     InvalidInput,
     NotHyperbolic,
     NotStabilized,
+    _check_positive,
+    _check_samples,
+    _checked_grid,
+    _checked_range,
 )
 from .expr import MatrixExpr, compile_matrix
 from .linalg import (
@@ -310,33 +314,6 @@ class HypothesisReport:
     lambdas_checked: int
     lam_range: tuple
     note: ClassVar[str] = "sampled, not uniform"
-
-
-def _checked_grid(grid: Sequence[float]) -> np.ndarray:
-    """The grid as a float array: two or more finite, increasing samples."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise InvalidInput("grid must hold at least two samples")
-    if not np.all(np.isfinite(grid)):
-        raise InvalidInput("grid samples must be finite")
-    if not np.all(np.diff(grid) > 0):
-        raise InvalidInput("grid must be strictly increasing")
-    return grid
-
-
-def _check_samples(samples, least: int, name: str = "samples") -> None:
-    """Refuse a count, the parameter ``name``, that is not an integer
-    >= ``least``; a bool or a float, even an integral one, is refused."""
-    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
-            or samples < least):
-        raise InvalidInput(
-            f"{name} must be an integer >= {least}, got {samples!r}")
-
-
-def _check_positive(value, name: str) -> None:
-    """Refuse a ``name`` that is not a finite number > 0 (NaN included)."""
-    if not 0 < value < np.inf:
-        raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
 
 
 # -- midpoint refinement -----------------------------------------------
@@ -1249,9 +1226,11 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
     Raises
     ------
     InvalidInput
-        Unless ``samples`` is an integer >= 1; nothing is evaluated then.
+        Unless ``samples`` is an integer >= 1 and ``lam_range`` is two
+        finite numbers a < b; nothing is evaluated then.
     """
     _check_samples(samples, 1)
+    lam_range = _checked_range(lam_range, "lam_range")
     violations = []
     min_gap = np.inf
     lams = np.linspace(*lam_range, samples)
@@ -1277,7 +1256,7 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
         violations=tuple(violations),
         min_gap=float(min_gap) if np.isfinite(min_gap) else float("nan"),
         lambdas_checked=samples,
-        lam_range=(float(lam_range[0]), float(lam_range[1])),
+        lam_range=lam_range,
     )
 
 

@@ -37,6 +37,7 @@ from .errors import (
     InvalidInput,
     NotHyperbolic,
     RankDeficient,
+    _check_positive,
 )
 
 __all__ = [
@@ -102,9 +103,11 @@ class Frame:
 
     Raises
     ------
-    ValueError
-        If ``columns`` is not 2-d, has more columns than rows, or its
-        columns fail orthonormality at 1e-10.
+    DimensionMismatch
+        If ``columns`` is not 2-d or has more columns than rows.
+    InvalidInput
+        If the columns fail orthonormality at 1e-10, a non-finite entry
+        included.
     """
 
     columns: np.ndarray
@@ -112,14 +115,15 @@ class Frame:
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
         if cols.ndim != 2:
-            raise ValueError("frame columns must form a 2-d array")
+            raise DimensionMismatch("frame columns must form a 2-d array")
         n, k = cols.shape
         if k > n:
-            raise ValueError(f"frame has more columns ({k}) than rows ({n})")
+            raise DimensionMismatch(
+                f"frame has more columns ({k}) than rows ({n})")
         if k > 0:
             defect = np.abs(cols.T @ cols - np.eye(k)).max()
             if not defect <= _ORTHO_TOL:
-                raise ValueError(
+                raise InvalidInput(
                     f"columns not orthonormal (defect {defect:.2e} > {_ORTHO_TOL})"
                 )
         object.__setattr__(self, "columns", _readonly(cols))
@@ -284,6 +288,10 @@ def spectral_split(S) -> SpectralSplit:
 
     Raises
     ------
+    DimensionMismatch
+        If S is not a square matrix.
+    InvalidInput
+        If S has a non-finite entry; nothing is factored then.
     NotHyperbolic
         If some eigenvalue has |Re mu| <= ``_HYPERBOLIC_TOL`` (1e-8).
     """
@@ -291,6 +299,8 @@ def spectral_split(S) -> SpectralSplit:
     n = S.shape[0]
     if S.shape != (n, n):
         raise DimensionMismatch(f"expected a square matrix, got {S.shape}")
+    if not np.isfinite(S).all():
+        raise InvalidInput("matrix has non-finite entries")
     gap = float(np.min(np.abs(np.linalg.eigvals(S).real))) if n else 0.0
     if n and gap <= _HYPERBOLIC_TOL:
         raise NotHyperbolic(f"eigenvalue within {gap:.2e} of the imaginary "
@@ -330,8 +340,7 @@ def _signed_dets(M: np.ndarray, eps_trans: float) -> tuple:
     One stacked SVD finds the degenerate matrices, whose sign is
     DEGENERATE; one stacked slogdet gives det = sign * exp(log|det|).
     """
-    if not eps_trans > 0:
-        raise InvalidInput(f"eps_trans must be positive, got {eps_trans!r}")
+    _check_positive(eps_trans, "eps_trans")
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape[1:]}")
     if not np.isfinite(M).all():
@@ -355,8 +364,9 @@ def det_sign(M, eps_trans: float = 1e-6) -> int:
     Raises
     ------
     InvalidInput
-        If eps_trans is not positive, since a NaN would pass every
-        matrix, or if M has a non-finite entry, which has no sign.
+        If eps_trans is not a finite number > 0 (a NaN would pass every
+        matrix, an inf fail every one), or if M has a non-finite entry,
+        which has no sign.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return int(_signed_dets(M[None], eps_trans)[1][0])

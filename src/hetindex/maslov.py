@@ -31,11 +31,12 @@ from .errors import (
     InvalidInput,
     IrregularCrossing,
     NotGraphical,
-)
-from .flow import (
     _check_positive,
     _check_samples,
     _checked_grid,
+    _checked_range,
+)
+from .flow import (
     _sampled,
     path_from_sampler,
 )
@@ -107,8 +108,16 @@ def is_lagrangian(F: Frame) -> bool:
 def graph_frame(A):
     """Frame of the graph {(x, Ax)} of a (k, k) matrix A; for an
     (m, k, k) stack, the (m, 2k, k) array of their frames from one
-    stacked QR."""
+    stacked QR.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the matrices of A are not square.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got {A.shape}")
     return orthonormalize(np.concatenate(
         [np.broadcast_to(np.eye(A.shape[-1]), A.shape), A], axis=-2))
 
@@ -170,7 +179,8 @@ def _graph_matrix(F: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _scan_instants(interval: tuple[float, float], samples: int) -> np.ndarray:
     _check_samples(samples, 2)
     # the ends are checked first: spacing out an infinite one warns
-    return _checked_grid(np.linspace(*_checked_grid(interval), samples))
+    return _checked_grid(np.linspace(*_checked_range(interval, "interval"),
+                                     samples))
 
 
 def _sample_pair(V: Callable, W: Callable, ts: np.ndarray) -> tuple:
@@ -338,8 +348,9 @@ def crossing_census(V, W, interval: tuple[float, float],
     ------
     InvalidInput
         Unless ``cross_tol`` is a finite number > 0, ``samples`` is an
-        integer >= 2, both interval ends are finite and the scan
-        instants are strictly increasing; neither path is read then.
+        integer >= 2, ``interval`` is two finite numbers a < b and the
+        scan instants are strictly increasing; neither path is read
+        then.
     DegenerateEndpoint
         If an endpoint is itself a crossing.
     IrregularCrossing
@@ -410,8 +421,8 @@ def mod2_compare(V, W, interval: tuple[float, float],
     ------
     InvalidInput
         Unless ``cross_tol`` is a finite number > 0, ``samples`` is an
-        integer >= 2 and both interval ends are finite; neither path is
-        read then.
+        integer >= 2 and ``interval`` is two finite numbers a < b;
+        neither path is read then.
     """
     _check_positive(cross_tol, "cross_tol")
     grid = _scan_instants(interval, samples)

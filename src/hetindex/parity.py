@@ -41,16 +41,16 @@ from .errors import (
     DegenerateEndpoint,
     DimensionMismatch,
     InternalMismatch,
-    InvalidInput,
     UnstableTruncation,
+    _check_positive,
+    _check_samples,
+    _checked_grid,
 )
 from .flow import (
     HypothesisReport,
     LinearFamily,
     SubspacePath,
     _bisect,
-    _check_samples,
-    _checked_grid,
     _limits_over_lambda,
     _pair_samplers,
     _require_A1_A3,
@@ -224,15 +224,6 @@ def _operators(fam: LinearFamily, lams: Sequence[float], tau: float, N: int,
         yield _assemble(template, fam.n, N, h, S, bu.T, bs.T)
 
 
-def _check_truncation(tau: float, N: int) -> None:
-    """Refuse a truncation [-tau, tau] that is not a finite positive
-    interval, or a step count N that is not an integer >= 2."""
-    if not (np.isfinite(tau) and tau > 0):
-        raise InvalidInput(f"tau must be finite and positive, got {tau!r}")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidInput(f"N must be an integer >= 2, got {N!r}")
-
-
 def discretize(fam: LinearFamily, lam: float, tau: float,
                N: int) -> DiscretizedOperator:
     """Crank-Nicolson discretization of d/dt - S(lambda, .) on [-tau, tau].
@@ -242,9 +233,10 @@ def discretize(fam: LinearFamily, lam: float, tau: float,
     Raises
     ------
     InvalidInput
-        If tau is not finite and positive or N is not an integer >= 2.
+        If tau is not a finite number > 0 or N is not an integer >= 2.
     """
-    _check_truncation(tau, N)
+    _check_positive(tau, "tau")
+    _check_samples(N, 2, "N")
     frames = _boundary_frames(fam, np.array([lam], dtype=float), tau)
     M, = _operators(fam, [lam], tau, N, *frames[2:])
     return DiscretizedOperator(lam, tau, N, M,
@@ -557,7 +549,7 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float],
     ------
     InvalidInput
         If ``lams`` is not a finite, strictly increasing grid of two or
-        more samples, ``tau`` is not finite and positive, or ``N`` is
+        more samples, ``tau`` is not a finite number > 0, or ``N`` is
         not an integer >= 2.
     DegenerateEndpoint
         If an endpoint operator fails the invertibility test; the
@@ -570,7 +562,8 @@ def operator_parity(fam: LinearFamily, lams: Sequence[float],
         ``stability`` is set).
     """
     lams = _checked_grid(lams)
-    _check_truncation(tau, N)
+    _check_positive(tau, "tau")
+    _check_samples(N, 2, "N")
     frames = _boundary_frames(fam, lams, tau, rtol, atol)
     signs = _block_signs(fam, lams, tau, N, frames)
 
@@ -726,11 +719,14 @@ def verify_index_theorem(fam: LinearFamily, lams: Sequence[float],
     ------
     InvalidInput
         If ``lams`` is not a finite, strictly increasing grid of two or
-        more samples (checked before any work).
+        more samples, ``tau`` is not a finite number > 0, or ``N`` is
+        not an integer >= 2 (checked before any work).
     HypothesisFailure
         If the sampled limit hypotheses fail (names the assumption).
     """
     lams = _checked_grid(lams)
+    _check_positive(tau, "tau")
+    _check_samples(N, 2, "N")
     hyp = _require_A1_A3(fam, _HYPOTHESIS_SAMPLES, (lams[0], lams[-1]))
     parity = operator_parity(fam, lams, tau, N, stability=stability,
                              track_sigma=track_sigma,

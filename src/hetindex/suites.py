@@ -27,9 +27,10 @@ from .errors import (
     InternalMismatch,
     IrregularCrossing,
     NotGraphical,
+    _check_samples,
 )
 from .expr import parse_matrix
-from .flow import LinearFamily, _check_samples, path_from_sampler
+from .flow import LinearFamily, path_from_sampler
 from .linalg import DEGENERATE, _signed_dets, det_sign
 from .maslov import graph_path, mod2_compare
 from .parity import decomposition_check, finite_parity

@@ -33,15 +33,15 @@ from .errors import (
     DimensionMismatch,
     GapTooLarge,
     InternalMismatch,
-    InvalidInput,
     NotClosed,
     TailNotTransversal,
+    _check_positive,
+    _check_samples,
 )
 from .flow import (
     LinearFamily,
     SubspacePath,
     _bisect,
-    _check_samples,
     _dense_paths,
     _refuse_unresolved,
     asymptotic_limits,
@@ -277,8 +277,7 @@ def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
     TailNotTransversal
         If a tail sample is degenerate or the tail det sign flips.
     """
-    if not (np.isfinite(tail_T) and tail_T > 0):
-        raise InvalidInput(f"tail_T must be finite and > 0, got {tail_T!r}")
+    _check_positive(tail_T, "tail_T")
     ts, dets, signs, depth = _refine_pair(pair, eps_trans)
 
     for side, mask in (("left", ts <= -tail_T), ("right", ts >= tail_T)):

@@ -144,22 +144,22 @@ REMOVED = {
 }
 
 
-def _with_defaults(obj, qual: str) -> set:
+def _parameters(obj, qual: str) -> dict:
+    """module.qualname(parameter) -> inspect.Parameter of obj."""
     try:
         params = inspect.signature(obj).parameters.values()
     except (TypeError, ValueError):
-        return set()
-    return {f"{qual}({p.name})" for p in params
-            if p.default is not inspect.Parameter.empty}
+        return {}
+    return {f"{qual}({p.name})": p for p in params}
 
 
-def optional_parameters() -> set:
-    """Optional parameters of the public names of the package and of
-    each of its modules (those in ``__all__`` where a module has one),
-    with the public methods of the classes among them."""
+def public_parameters() -> dict:
+    """Parameters of the public names of the package and of each of its
+    modules (those in ``__all__`` where a module has one), with the
+    public methods of the classes among them."""
     modules = [hetindex] + [importlib.import_module(f"hetindex.{m.name}")
                             for m in pkgutil.iter_modules(hetindex.__path__)]
-    found = set()
+    found = {}
     for mod in modules:
         names = getattr(mod, "__all__",
                         [n for n in vars(mod) if not n.startswith("_")])
@@ -171,13 +171,19 @@ def optional_parameters() -> set:
                 continue
             qual = (obj.__module__.removeprefix("hetindex.") + "."
                     + obj.__qualname__)
-            found |= _with_defaults(obj, qual)
+            found.update(_parameters(obj, qual))
             if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     member = getattr(member, "__func__", member)
                     if not attr.startswith("_") and inspect.isfunction(member):
-                        found |= _with_defaults(member, f"{qual}.{attr}")
+                        found.update(_parameters(member, f"{qual}.{attr}"))
     return found
+
+
+def optional_parameters() -> set:
+    """The public parameters that have a default."""
+    return {key for key, p in public_parameters().items()
+            if p.default is not inspect.Parameter.empty}
 
 
 def test_optional_parameters_are_the_listed_ones():
@@ -304,4 +310,195 @@ def test_a_malformed_sample_count_is_refused_first(name, samples,
     call = _samples_calls(calls, monkeypatch)[name]
     with pytest.raises(hetindex.InvalidInput, match="samples"):
         call(samples)
+    assert calls == []
+
+
+# -- positive numbers and ranges ----------------------------------------
+
+#: names of the parameters that must be a finite number > 0, and of
+#: those that must be a range: two finite numbers a < b
+POSITIVE = {"tau", "tail_T", "eps_trans", "cross_tol", "branch_tol", "t_max"}
+RANGES = {"lam_range", "interval"}
+
+#: parameters of those names that are no such input: fields of results,
+#: and the initial instant of a fundamental solution
+NOT_CHECKED = {
+    "bifurcation.BifurcationVerdict(lam_range)",
+    "flow.HypothesisReport(lam_range)",
+    "flow.fundamental_solution(tau)",
+    "parity.DiscretizedOperator(tau)",
+    "parity.ParityReport(tau)",
+    "z2index.IndexReport(eps_trans)",
+}
+
+
+def _checked_calls(calls: list, monkeypatch) -> dict:
+    """module.qualname(parameter) -> f(value), one per public positive
+    or range parameter; every evaluation of an input appends to
+    ``calls``, which is empty on return."""
+    from hetindex import bifurcation, flow, linalg, maslov, parity, suites
+    from hetindex import z2index
+
+    def S(lam, t):
+        calls.append((lam, t))
+        return np.diag([-np.tanh(t), np.tanh(t)])
+
+    def T(s):
+        calls.append(s)
+        return np.diag([1.0, 1.0 - 2.0 * s])
+
+    def graph(sign):
+        def sample(ts):
+            calls.append(ts)
+            return hetindex.graph_frame(sign * ts[:, None, None])
+        return sample
+
+    def line(ts):
+        calls.append(ts)
+        return np.stack([np.cos(ts), np.sin(ts)], axis=-1)[:, :, None]
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, spied)
+
+    for cls, name in ((bifurcation.NonlinearFamily, "evaluate"),
+                      (bifurcation.NonlinearFamily, "jacobian"),
+                      (bifurcation.Branch, "evaluate"),
+                      (bifurcation.Branch, "derivative")):
+        spy(cls, name)
+    fam = flow.LinearFamily.from_callable(S, n=2, k=1)
+    nf = bifurcation.NonlinearFamily.from_sources(
+        ["z2", "z1"], z_minus=[0.0, 0.0], z_plus=[0.0, 0.0])
+    branch = bifurcation.Branch.from_sources(["0", "0"])
+    def fixed(column):
+        return lambda ts: np.broadcast_to(column, (len(ts), 2, 1))
+
+    grid = np.linspace(0.0, 3.0, 7)
+    pair = z2index.SubspacePathPair(
+        V=flow.path_from_sampler(line, grid),
+        W=flow.path_from_sampler(fixed([[0.0], [1.0]]), grid))
+    loop = flow.path_from_sampler(fixed([[1.0], [0.0]]), grid)
+    A, B = graph(1.0), graph(-1.0)
+    lams = [0.0, 1.0]
+    calls.clear()
+    return {
+        "bifurcation.NonlinearFamily(lam_range)":
+            lambda v: bifurcation.NonlinearFamily(
+                nf.g, nf.z_minus, nf.z_plus, lam_range=v),
+        "bifurcation.NonlinearFamily(t_max)":
+            lambda v: bifurcation.NonlinearFamily(
+                nf.g, nf.z_minus, nf.z_plus, t_max=v),
+        "bifurcation.NonlinearFamily.from_sources(lam_range)":
+            lambda v: bifurcation.NonlinearFamily.from_sources(
+                ["z2", "z1"], [0.0, 0.0], [0.0, 0.0], lam_range=v),
+        "bifurcation.NonlinearFamily.from_sources(t_max)":
+            lambda v: bifurcation.NonlinearFamily.from_sources(
+                ["z2", "z1"], [0.0, 0.0], [0.0, 0.0], t_max=v),
+        "bifurcation.detect_bifurcation(branch_tol)":
+            lambda v: bifurcation.detect_bifurcation(nf, branch, samples=3,
+                                                     branch_tol=v),
+        "bifurcation.detect_bifurcation(eps_trans)":
+            lambda v: bifurcation.detect_bifurcation(nf, branch, samples=3,
+                                                     eps_trans=v),
+        "bifurcation.detect_bifurcation(lam_range)":
+            lambda v: bifurcation.detect_bifurcation(nf, branch, lam_range=v,
+                                                     samples=3),
+        "bifurcation.linearize_along(branch_tol)":
+            lambda v: bifurcation.linearize_along(nf, branch, branch_tol=v),
+        "bifurcation.validate_branch(branch_tol)":
+            lambda v: bifurcation.validate_branch(nf, branch, branch_tol=v),
+        "flow.LinearFamily(t_max)":
+            lambda v: flow.LinearFamily(n=2, k=1, t_max=v, _eval=fam._eval),
+        "flow.LinearFamily.from_callable(t_max)":
+            lambda v: flow.LinearFamily.from_callable(S, n=2, k=1, t_max=v),
+        "flow.LinearFamily.from_matrix_expr(t_max)":
+            lambda v: flow.LinearFamily.from_matrix_expr(
+                hetindex.parse_matrix([["-1", "0"], ["0", "1"]]), k=1,
+                t_max=v),
+        "flow.check_A1_A3(lam_range)":
+            lambda v: flow.check_A1_A3(fam, 5, lam_range=v),
+        "linalg.det_sign(eps_trans)":
+            lambda v: linalg.det_sign(np.eye(2), eps_trans=v),
+        "maslov.crossing_census(cross_tol)":
+            lambda v: maslov.crossing_census(A, B, (-1.0, 1.0), 11,
+                                             cross_tol=v),
+        "maslov.crossing_census(eps_trans)":
+            lambda v: maslov.crossing_census(A, B, (-1.0, 1.0), 11,
+                                             eps_trans=v),
+        "maslov.crossing_census(interval)":
+            lambda v: maslov.crossing_census(A, B, v, 11),
+        "maslov.maslov_index(cross_tol)":
+            lambda v: maslov.maslov_index(A, B, (-1.0, 1.0), 11, cross_tol=v),
+        "maslov.maslov_index(eps_trans)":
+            lambda v: maslov.maslov_index(A, B, (-1.0, 1.0), 11, eps_trans=v),
+        "maslov.maslov_index(interval)":
+            lambda v: maslov.maslov_index(A, B, v, 11),
+        "maslov.mod2_compare(cross_tol)":
+            lambda v: maslov.mod2_compare(A, B, (-1.0, 1.0), 11, cross_tol=v),
+        "maslov.mod2_compare(eps_trans)":
+            lambda v: maslov.mod2_compare(A, B, (-1.0, 1.0), 11, eps_trans=v),
+        "maslov.mod2_compare(interval)":
+            lambda v: maslov.mod2_compare(A, B, v, 11),
+        "parity.discretize(tau)": lambda v: parity.discretize(fam, 0.5, v, 10),
+        "parity.finite_parity(eps_trans)":
+            lambda v: parity.finite_parity(T, eps_trans=v),
+        "parity.operator_parity(tau)":
+            lambda v: parity.operator_parity(fam, lams, tau=v, N=10),
+        "parity.verify_index_theorem(tau)":
+            lambda v: parity.verify_index_theorem(fam, lams, tau=v, N=10),
+        "suites.poschl_teller_family(t_max)":
+            lambda v: suites.poschl_teller_family(t_max=v),
+        "z2index.bundle_orientability(eps_trans)":
+            lambda v: z2index.bundle_orientability(loop, eps_trans=v),
+        "z2index.close_loop(eps_trans)":
+            lambda v: z2index.close_loop(pair, eps_trans=v),
+        "z2index.geometric_parity(eps_trans)":
+            lambda v: z2index.geometric_parity(fam, 0.5, eps_trans=v),
+        "z2index.z2_index(eps_trans)":
+            lambda v: z2index.z2_index(pair, eps_trans=v),
+        "z2index.z2_index_unbounded(eps_trans)":
+            lambda v: z2index.z2_index_unbounded(pair, 1.0, eps_trans=v),
+        "z2index.z2_index_unbounded(tail_T)":
+            lambda v: z2index.z2_index_unbounded(pair, tail_T=v),
+    }
+
+
+def _named(names: set) -> list:
+    return sorted(key for key in public_parameters()
+                  if key.split("(")[1][:-1] in names
+                  and key not in NOT_CHECKED)
+
+
+def test_every_positive_and_range_parameter_has_refusal_cases(monkeypatch):
+    assert sorted(_checked_calls([], monkeypatch)) == _named(POSITIVE | RANGES)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+@pytest.mark.parametrize("key", _named(POSITIVE))
+def test_a_bad_positive_number_is_refused_first(key, value, monkeypatch):
+    # eps_trans is checked where a sign is read, after the paths are
+    calls = []
+    call = _checked_calls(calls, monkeypatch)[key]
+    name = key.split("(")[1][:-1]
+    with pytest.raises(hetindex.InvalidInput, match=name):
+        call(value)
+    assert calls == [] or name == "eps_trans"
+
+
+@pytest.mark.parametrize("value", [(1.0, 0.0), (0.5, 0.5), (0.0, 0.5, 1.0),
+                                   (0.0, np.inf), (-np.inf, np.inf),
+                                   (np.nan, 1.0)],
+                         ids=["reversed", "equal", "three", "inf-end",
+                              "infinite", "nan-end"])
+@pytest.mark.parametrize("key", _named(RANGES))
+def test_a_bad_range_is_refused_first(key, value, monkeypatch):
+    calls = []
+    call = _checked_calls(calls, monkeypatch)[key]
+    with pytest.raises(hetindex.InvalidInput, match=key.split("(")[1][:-1]):
+        call(value)
     assert calls == []

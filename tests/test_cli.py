@@ -214,6 +214,45 @@ def test_maslov_non_symmetric_matrix_exits_2_naming_the_instant(tmp_path):
     assert "A(-0.485) is not symmetric" in res.stderr
 
 
+@pytest.mark.parametrize("command, cfg, needle", [
+    ("index", {**SMALL_THEOREM, "S": [["0", "1", "0"], ["1", "0", "0"]]},
+     "square"),
+    ("index", {**SMALL_THEOREM, "k": 3}, "k=3 outside 0..2"),
+    ("index", {**ROTATING_LINE, "W": [["0"], ["1"], ["0"]]},
+     "ambient dimensions 2 != 3"),
+    ("index", {**ROTATING_LINE, "W": [["1", "0"], ["0", "1"]]},
+     "dims 1 + 2 != ambient 2"),
+    ("maslov", {**MASLOV, "A": [["t", "0"]]}, "square"),
+    ("maslov", {**MASLOV, "B": [["-t", "0"], ["0", "1"]]},
+     "ambient dimensions 2 != 4"),
+    ("bifurcate", {**CUBIC, "branch": ["0"]},
+     "branch has 1 components, family has 2"),
+], ids=["S-not-square", "k-outside", "V-W-rows", "V-W-columns",
+        "A-not-square", "A-B-sizes", "branch-length"])
+def test_a_shape_the_library_refuses_exits_2(command, cfg, needle, tmp_path,
+                                             capsys):
+    path = write_config(tmp_path, cfg)
+    assert climod.main([command, "--config", path,
+                        "--out", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("index", SMALL_THEOREM, "lam_range"),
+    ("verify-theorem", SMALL_THEOREM, "lam_range"),
+    ("bifurcate", CUBIC, "lam_range"),
+    ("index", ROTATING_LINE, "interval"),
+    ("maslov", MASLOV, "interval"),
+], ids=["index-lam_range", "verify-theorem-lam_range", "bifurcate-lam_range",
+        "index-interval", "maslov-interval"])
+def test_a_reversed_range_exits_2_naming_its_key(command, cfg, key, tmp_path,
+                                                 capsys):
+    path = write_config(tmp_path, {**cfg, key: [1.0, 0.0]})
+    assert climod.main([command, "--config", path,
+                        "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be two finite numbers a < b" in capsys.readouterr().err
+
+
 def test_schema_violation_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"kind": "subspace-paths", "V": "nope"})
     res = run_cli(["index", "--config", cfg], tmp_path)

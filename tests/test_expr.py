@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hetindex import (
+    DimensionMismatch,
     DomainError,
     ParseError,
     UnboundVariable,
@@ -339,3 +340,11 @@ def test_evaluate_overflowed_argument_is_nan_without_warnings():
         warnings.simplefilter("error")
         for func in ("sin", "cos", "tan"):
             assert np.isnan(evaluate(parse(f"{func}(exp(1000))"), {}))
+
+
+def test_matrix_expr_refuses_a_grid_of_the_wrong_shape():
+    one = Num(1.0)
+    with pytest.raises(DimensionMismatch, match="rows"):
+        MatrixExpr(2, 1, ((one,),))
+    with pytest.raises(DimensionMismatch, match="rectangular"):
+        MatrixExpr(2, 2, ((one, one), (one,)))

@@ -117,6 +117,16 @@ def test_spectral_split_rejects_rotation():
         spectral_split(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_split_refuses_a_non_finite_matrix(bad, monkeypatch):
+    eigensolves = []
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda S: eigensolves.append(S))
+    with pytest.raises(InvalidInput, match="non-finite"):
+        spectral_split(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert eigensolves == []
+
+
 def test_spectral_split_rejects_near_zero_eigenvalue():
     with pytest.raises(NotHyperbolic):
         spectral_split(np.diag([1e-12, 1.0]))
@@ -268,6 +278,18 @@ def test_frame_rejects_non_orthonormal_columns():
         Frame(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Frame(np.array([[1.0], [1e-4]]))
+
+
+def test_frame_raises_package_errors():
+    with pytest.raises(DimensionMismatch):
+        Frame(np.zeros((2, 2, 1)))
+    with pytest.raises(DimensionMismatch):
+        Frame(np.zeros((1, 2)))
+    for cols in (np.full((2, 1), np.nan), np.array([[1.0], [1e-4]])):
+        with pytest.raises(InvalidInput):
+            Frame(cols)
+    # bad input stays a ValueError for callers that catch that
+    assert issubclass(InvalidInput, ValueError)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

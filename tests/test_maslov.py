@@ -75,6 +75,12 @@ def test_graph_frame_of_a_stack_is_the_frames_of_its_members():
         assert np.abs(Fi - graph_frame(Ai).columns).max() <= 1e-14
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3), (1, 2)])
+def test_graph_frame_refuses_non_square_matrices(shape):
+    with pytest.raises(DimensionMismatch, match="square"):
+        graph_frame(np.zeros(shape))
+
+
 def test_graph_path_wraps_callable():
     path = graph_path(lambda ts: ts[:, None, None])
     F = path(np.array([3.0, -1.0]))
