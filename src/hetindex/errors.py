@@ -11,8 +11,9 @@ The split mirrors the CLI exit-code contract (2 vs 3).
 The checkers that refuse malformed input live here too, at the bottom
 of the import graph, so that every module applies one rule per kind of
 input: ``_check_samples`` for a count, ``_check_positive`` for a finite
-number > 0, ``_checked_grid`` for a sample grid and ``_checked_range``
-for an interval [a, b].  Each raises :class:`InvalidInput` naming the
+number > 0, ``_check_tolerances`` for an integrator's rtol and atol,
+``_checked_grid`` for a sample grid and ``_checked_range`` for an
+interval [a, b].  Each raises :class:`InvalidInput` naming the
 parameter (the grid checker excepted: it speaks of "grid").
 """
 
@@ -198,6 +199,17 @@ def _check_positive(value, name: str) -> None:
     """Refuse a ``name`` that is not a finite number > 0 (NaN included)."""
     if not 0 < value < np.inf:
         raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_tolerances(rtol: float, atol: float) -> None:
+    """Refuse a NaN or infinite ``rtol`` or ``atol``, and a negative
+    ``atol``; an rtol below the floor is raised to it later, as scipy
+    does."""
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not np.isfinite(tol):
+            raise InvalidInput(f"{name} must be finite, got {tol!r}")
+    if atol < 0:
+        raise InvalidInput(f"atol must not be negative, got {atol!r}")
 
 
 def _checked_grid(grid: Sequence[float]) -> np.ndarray:

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     GapTooLarge,
+    HetindexError,
     HypothesisFailure,
     IntegrationFailure,
     InvalidInput,
@@ -43,6 +44,7 @@ from .errors import (
     NotStabilized,
     _check_positive,
     _check_samples,
+    _check_tolerances,
     _checked_grid,
     _checked_range,
 )
@@ -618,17 +620,6 @@ class _Dense:
         return out
 
 
-def _check_tolerances(rtol: float, atol: float) -> None:
-    """Refuse a NaN or infinite ``rtol`` or ``atol``, and a negative
-    ``atol``; an rtol below the floor is raised to it later, as scipy
-    does."""
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not np.isfinite(tol):
-            raise InvalidInput(f"{name} must be finite, got {tol!r}")
-    if atol < 0:
-        raise InvalidInput(f"atol must not be negative, got {atol!r}")
-
-
 def _dopri(fam: LinearFamily, lams: np.ndarray, Y0: np.ndarray,
            t0: float, t1: float, rtol: float, atol: float,
            dense: bool = False, first_step: float | None = None,
@@ -838,17 +829,10 @@ def asymptotic_limits(fam: LinearFamily, lam: float) -> AsymptoticLimits:
     return _unwrap(_limits_over_lambda(fam, [lam])[0])
 
 
-class _Failure(NamedTuple):
-    """Why the limits at one lambda fail: the error to raise, and its message."""
-
-    error: type
-    message: str
-
-
 def _unwrap(limits):
-    """``limits``, unless it is a :class:`_Failure`, whose error is raised."""
-    if isinstance(limits, _Failure):
-        raise limits.error(limits.message)
+    """``limits``, unless it is the error that failed them, which is raised."""
+    if isinstance(limits, HetindexError):
+        raise limits
     return limits
 
 
@@ -860,8 +844,8 @@ _PROBES = np.array([-1.0, 1.0, -0.5, 0.5])
 def _limits_over_lambda(fam: LinearFamily, lams: Sequence[float]) -> list:
     """:func:`asymptotic_limits` at every lambda, as one entry per lambda.
 
-    An entry is the lambda's AsymptoticLimits, or the :class:`_Failure`
-    that :func:`asymptotic_limits` raises for it; a caller raises the
+    An entry is the lambda's AsymptoticLimits, or the error that
+    :func:`asymptotic_limits` raises for it, unraised; a caller raises the
     first failure in grid order to act as a loop over lambda would.
     The finite lambdas are evaluated at all four probe instants in one
     call per horizon, and only the ones still drifting go on to the
@@ -870,8 +854,7 @@ def _limits_over_lambda(fam: LinearFamily, lams: Sequence[float]) -> list:
     """
     keys = np.array([float(lam) for lam in lams])
     finite = np.isfinite(keys)
-    out = [None if ok else _Failure(InvalidInput,
-                                    f"lambda must be finite, got {lam!r}")
+    out = [None if ok else InvalidInput(f"lambda must be finite, got {lam!r}")
            for lam, ok in zip(lams, finite)]
     todo = np.flatnonzero(finite)
     T = fam.t_max
@@ -896,13 +879,12 @@ def _limits_over_lambda(fam: LinearFamily, lams: Sequence[float]) -> list:
                     split_minus=_split(fam, s_minus),
                     split_plus=_split(fam, s_plus), horizon=T)
             except NotHyperbolic as exc:
-                out[todo[j]] = _Failure(NotHyperbolic, str(exc))
+                out[todo[j]] = exc
         todo, drift = todo[~settled], drift[~settled]
         T *= 2.0
     for i, d in zip(todo, drift):
-        out[i] = _Failure(
-            NotStabilized, f"family still drifting {d:.2e} at "
-                           f"t = +-{T / 2:.0f} (lambda={lams[i]})")
+        out[i] = NotStabilized(f"family still drifting {d:.2e} at "
+                               f"t = +-{T / 2:.0f} (lambda={lams[i]})")
     return out
 
 
@@ -1011,7 +993,7 @@ def _dense_paths(fam: LinearFamily, lam: float, limits: AsymptoticLimits,
     _, dense = _transport_batched(
         fam, np.array([float(lam)]), sides[0].columns[None], t0, t_end,
         rtol, atol, dense=True,
-        mirror=(sides[1].columns[None], -t_end) if pair else None)
+        mirror=(sides[1].columns[None], 0.0) if pair else None)
     lo, hi = sorted((float(t0), float(t_end)))
     n, ks = fam.n, [side.k for side in sides]
 
@@ -1089,15 +1071,14 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
     """Carry one frame per lambda under the flow, all lambdas at once.
 
     seeds has shape (m, n, k), carried from t_from to t_to.  ``mirror``,
-    when given, is a pair (seeds_s, t_end): a second (m, n, j) stack
-    carried in the same solves in mirrored time, from the instant
-    t_end + (t_to - t_from) to t_end (``_dopri``'s ``mirrored`` block,
-    with c = t_end + t_to).  All blocks ride in one solve per leg of at
-    most 2 time units, under one step control, and each solve evaluates
-    S once per step attempt for all of them.  Between legs every block
-    restarts on its QR factor, signed so that R has a positive diagonal:
-    the restarted frame spans what was transported, keeps its
-    orientation, and is continuous in lambda.  The step size is carried
+    when given, is ``_dopri``'s ``mirrored`` pair (seeds_s, c): a second
+    (m, n, j) stack carried in the same solves at the instants c - t.
+    All blocks ride in one solve per leg of at most 2 time units, under
+    one step control, and each solve evaluates S once per step attempt
+    for all of them.  Between legs every block restarts on its QR
+    factor, signed so that R has a positive diagonal: the restarted
+    frame spans what was transported, keeps its orientation, and is
+    continuous in lambda.  The step size is carried
     across legs: each leg after the first starts at the step the
     controller proposed at the end of the one before, capped at the
     leg's length, so only the first leg runs the initial-step rule.
@@ -1111,14 +1092,13 @@ def _transport_batched(fam: LinearFamily, lams: np.ndarray, seeds: np.ndarray,
     steps: list = []
     if any(Y.shape[2] for Y in Ys) and t_from != t_to:
         pts = _leg_points(t_from, t_to)
-        c = None if mirror is None else mirror[1] + t_to
         h_abs = None
         for a, b in zip(pts, pts[1:]):
             first_step = None if h_abs is None else min(h_abs, abs(b - a))
             leg = (fam, lams, Ys[0], float(a), float(b), rtol, atol, dense,
                    first_step)
-            y, sol, h_abs = (_dopri(*leg) if c is None
-                             else _dopri(*leg, mirrored=(Ys[1], c)))
+            y, sol, h_abs = (_dopri(*leg) if mirror is None
+                             else _dopri(*leg, mirrored=(Ys[1], mirror[1])))
             steps += sol
             parts = np.split(y, np.cumsum([Y.size for Y in Ys[:-1]]))
             Ys = [_signed_qr(p.reshape(Y.shape))[0] if Y.shape[2] else Y
@@ -1209,7 +1189,7 @@ def _subspace_stacks(fam: LinearFamily, lams: Sequence[float],
     # the longer span sets the start of both
     t_from = min(-_reach(horizon, t_u), t_u - (a_s - t_s))
     return _transport_batched(fam, lams, seeds_u, t_from, t_u, rtol, atol,
-                              mirror=(seeds_s, t_s))[0]
+                              mirror=(seeds_s, t_u + t_s))[0]
 
 
 # -- hypothesis checks -------------------------------------------------
@@ -1235,9 +1215,8 @@ def check_A1_A3(fam: LinearFamily, samples: int = 101,
     min_gap = np.inf
     lams = np.linspace(*lam_range, samples)
     for lam, limits in zip(lams, _limits_over_lambda(fam, lams)):
-        if (isinstance(limits, _Failure)
-                and issubclass(limits.error, (NotStabilized, NotHyperbolic))):
-            violations.append((lam, "A1", limits.message))
+        if isinstance(limits, (NotStabilized, NotHyperbolic)):
+            violations.append((lam, "A1", str(limits)))
             continue
         limits = _unwrap(limits)
         min_gap = min(min_gap, limits.split_minus.gap, limits.split_plus.gap)

@@ -217,6 +217,59 @@ def _refine_pair(pair: SubspacePathPair, eps_trans: float):
     return ts, dets, signs, int(depths.max())
 
 
+def _refuse_degenerate_ends(ends: np.ndarray, eps_trans: float) -> None:
+    """The end rule: refuse a DEGENERATE sign among the (left, right)
+    ``ends`` of a pair with DegenerateEndpoint, naming the end."""
+    for sign, name in zip(ends, ("left", "right")):
+        if sign == DEGENERATE:
+            raise DegenerateEndpoint(f"{name} endpoint pair matrix "
+                                     f"numerically singular "
+                                     f"(eps_trans={eps_trans})")
+
+
+def _core_ends(ts: np.ndarray, tail_T: float) -> np.ndarray:
+    """Indices of the first and last samples with |t| <= tail_T."""
+    inside = np.flatnonzero(np.abs(ts) <= tail_T + 1e-12)
+    if len(inside) < 2:
+        raise TailNotTransversal(
+            f"fewer than two samples inside |t| <= {tail_T}")
+    return inside[[0, -1]]
+
+
+def _read_index(pair: SubspacePathPair, eps_trans: float,
+                tail_T: float | None) -> IndexReport:
+    """The index of ``pair`` read off the ends of its core.
+
+    The core is the whole refined grid when ``tail_T`` is None, else
+    the samples with |t| <= tail_T; then the tail samples beyond must
+    be transversal with one det sign per side, and the value read at
+    the ends of the core at 2 * tail_T (clamped to the grid) must be
+    the same.
+    """
+    ts, dets, signs, depth = _refine_pair(pair, eps_trans)
+    ends = [0, -1]
+    if tail_T is not None:
+        for side, mask in (("left", ts <= -tail_T), ("right", ts >= tail_T)):
+            tail = signs[mask]
+            if (tail == DEGENERATE).any():
+                bad = ts[mask][(tail == DEGENERATE).argmax()]
+                raise TailNotTransversal(
+                    f"{side} tail sample at t={bad:.6g} is degenerate")
+            if len(np.unique(tail)) > 1:
+                raise TailNotTransversal(
+                    f"det sign flips on the {side} tail (|t| >= {tail_T})")
+        ends = _core_ends(ts, tail_T)
+    _refuse_degenerate_ends(signs[ends], eps_trans)
+    value = int(signs[ends].prod() < 0)
+    if tail_T is not None and value != int(
+            signs[_core_ends(ts, 2.0 * tail_T)].prod() < 0):
+        raise TailNotTransversal(
+            f"det sign flips where a tail meets the core (|t| = {tail_T})")
+    return IndexReport(value=value, grid=ts, det_trace=dets,
+                       crossings=_sign_crossings(ts, signs),
+                       eps_trans=eps_trans, refinement_depth=depth)
+
+
 def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6) -> IndexReport:
     """Z2-index of a subspace path pair with transversal ends.
 
@@ -234,31 +287,7 @@ def z2_index(pair: SubspacePathPair, eps_trans: float = 1e-6) -> IndexReport:
         floating-point resolution), as at a discontinuity; the error
         names the interval.
     """
-    ts, dets, signs, depth = _refine_pair(pair, eps_trans)
-    if signs[0] == DEGENERATE or signs[-1] == DEGENERATE:
-        which = "left" if signs[0] == DEGENERATE else "right"
-        raise DegenerateEndpoint(
-            f"{which} endpoint pair matrix numerically singular "
-            f"(eps_trans={eps_trans})"
-        )
-    value = 0 if signs[0] * signs[-1] > 0 else 1
-    return IndexReport(
-        value=value,
-        grid=ts,
-        det_trace=dets,
-        crossings=_sign_crossings(ts, signs),
-        eps_trans=eps_trans,
-        refinement_depth=depth,
-    )
-
-
-def _core_indices(ts: np.ndarray, tail_T: float) -> tuple[int, int]:
-    inside = np.nonzero(np.abs(ts) <= tail_T + 1e-12)[0]
-    if len(inside) < 2:
-        raise TailNotTransversal(
-            f"fewer than two samples inside |t| <= {tail_T}"
-        )
-    return int(inside[0]), int(inside[-1])
+    return _read_index(pair, eps_trans, None)
 
 
 def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
@@ -269,46 +298,23 @@ def z2_index_unbounded(pair: SubspacePathPair, tail_T: float,
     pair stays transversal on the tails; the computation checks the
     tail samples, evaluates the core restriction, and re-evaluates at
     2 * tail_T (clamped to the grid) to confirm the value has settled.
+    With tail_T at or beyond max |t| the core is the whole grid and the
+    report is that of :func:`z2_index`.
 
     Raises
     ------
     InvalidInput
         Unless tail_T is finite and > 0; nothing is refined then.
     TailNotTransversal
-        If a tail sample is degenerate or the tail det sign flips.
+        If a tail sample is degenerate, the tail det sign flips, or the
+        value read at 2 * tail_T differs: the sign flips where a tail
+        meets the core.
+    DegenerateEndpoint
+        If det M at either end of the core is within eps_trans
+        (relative) of zero, as at a half line's finite end.
     """
     _check_positive(tail_T, "tail_T")
-    ts, dets, signs, depth = _refine_pair(pair, eps_trans)
-
-    for side, mask in (("left", ts <= -tail_T), ("right", ts >= tail_T)):
-        tail = signs[mask]
-        if (tail == DEGENERATE).any():
-            bad = ts[mask][(tail == DEGENERATE).argmax()]
-            raise TailNotTransversal(
-                f"{side} tail sample at t={bad:.6g} is degenerate"
-            )
-        if len(np.unique(tail)) > 1:
-            raise TailNotTransversal(
-                f"det sign flips on the {side} tail (|t| >= {tail_T})"
-            )
-
-    lo, hi = _core_indices(ts, tail_T)
-    lo2, hi2 = _core_indices(ts, 2.0 * tail_T)
-    value = 0 if signs[lo] * signs[hi] > 0 else 1
-    value2 = 0 if signs[lo2] * signs[hi2] > 0 else 1
-    if value != value2:
-        raise InternalMismatch(
-            "index changed when the tail horizon doubled despite "
-            "constant tail signs"
-        )
-    return IndexReport(
-        value=value,
-        grid=ts,
-        det_trace=dets,
-        crossings=_sign_crossings(ts, signs),
-        eps_trans=eps_trans,
-        refinement_depth=depth,
-    )
+    return _read_index(pair, eps_trans, tail_T)
 
 
 def geometric_parity(fam: LinearFamily, lam: float, samples: int = 201,
@@ -422,9 +428,7 @@ def close_loop(pair: SubspacePathPair,
     span = b - a
     V, W = pair.V, pair.W
     ends = _pair_dets(V.stack[[0, -1]], W.stack[[0, -1]], eps_trans)[1]
-    for sign, name in zip(ends, ("left", "right")):
-        if sign == DEGENERATE:
-            raise DegenerateEndpoint(f"{name} endpoint pair degenerate")
+    _refuse_degenerate_ends(ends, eps_trans)
 
     norm_grid = (grid - a) / span
     v0, v1 = V.stack[0], V.stack[-1]

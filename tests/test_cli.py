@@ -396,6 +396,26 @@ def test_degenerate_endpoint_exits_3(tmp_path):
     assert res.returncode == 3, res.stderr
 
 
+@pytest.mark.parametrize("cfg, needle", [
+    # a half line whose finite end has V on top of W: no tail covers it
+    ({"V": [["cos(0.3*t)"], ["sin(0.3*t)"]], "interval": [0.0, 3.0],
+      "samples": 13, "tail_T": 1.0},
+     "left endpoint pair matrix numerically singular"),
+    # V passes W at t = -1.1, between the last left-tail sample and the
+    # first core sample
+    ({"V": [["cos(atan(50*(t+1.1)))"], ["sin(atan(50*(t+1.1)))"]],
+      "interval": [-3.0, 3.0], "samples": 7, "tail_T": 1.1},
+     "det sign flips where a tail meets the core"),
+], ids=["degenerate-core-end", "flip-at-tail-boundary"])
+def test_unbounded_index_degeneracy_exits_3(tmp_path, cfg, needle):
+    cfg = write_config(tmp_path, {"kind": "subspace-paths", "unbounded": True,
+                                  "W": [["1"], ["0"]], **cfg})
+    res = run_cli(["index", "--config", cfg], tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "degeneracy:" in res.stderr
+    assert needle in res.stderr
+
+
 def test_demo_list(tmp_path):
     res = run_cli(["demo", "--list"], tmp_path)
     assert res.returncode == 0, res.stderr

@@ -112,6 +112,10 @@ def test_concatenation_adds_mod2():
 def test_degenerate_endpoint_raises():
     with pytest.raises(DegenerateEndpoint):
         z2_index(make_pair(rotating, fixed_vertical, np.pi / 2, np.pi))
+    # loop closure refuses its input's ends by the index's end rule
+    with pytest.raises(DegenerateEndpoint,
+                       match="left endpoint pair matrix numerically singular"):
+        close_loop(make_pair(rotating, fixed_vertical, np.pi / 2, np.pi))
 
 
 def test_pair_merges_different_grids():
@@ -151,6 +155,36 @@ def test_unbounded_index_settles():
     rep = z2_index_unbounded(pair, tail_T=5.0)
     assert rep.value == 1
     assert rep.value == z2_index(pair).value
+    # with the tail horizon at or beyond max |t| the core is the whole
+    # grid, and the report is the bounded one
+    whole = z2_index(pair)
+    for tail_T in (10.0, 40.0):
+        rep = z2_index_unbounded(pair, tail_T=tail_T)
+        assert rep.value == whole.value
+        assert np.array_equal(rep.grid, whole.grid)
+        assert np.array_equal(rep.det_trace, whole.det_trace)
+        assert rep.crossings == whole.crossings
+        assert rep.refinement_depth == whole.refinement_depth
+
+
+@pytest.mark.parametrize("theta, a, points, tail_T, error, needle", [
+    # a half line whose finite end t = 0 has V on top of W; the right
+    # tail is transversal and no tail covers t = 0
+    (lambda ts: 0.3 * ts, 0.0, 13, 1.0, DegenerateEndpoint,
+     "left endpoint"),
+    # V passes W at t = -1.1, between the last left-tail sample and the
+    # first core sample: both tails keep one sign, but the core's value
+    # changes when the tail horizon doubles
+    (lambda ts: np.arctan(50.0 * (ts + 1.1)), -3.0, 7, 1.1,
+     TailNotTransversal, "where a tail meets the core"),
+], ids=["degenerate-core-end", "flip-at-tail-boundary"])
+def test_unbounded_refuses_a_core_end_it_cannot_read(theta, a, points, tail_T,
+                                                     error, needle):
+    # V is the line at angle theta(t), W the horizontal line
+    pair = make_pair(lambda ts: line(theta(ts)),
+                     lambda ts: line(np.zeros(len(ts))), a, 3.0, points)
+    with pytest.raises(error, match=needle):
+        z2_index_unbounded(pair, tail_T=tail_T)
 
 
 def test_unbounded_rejects_degenerate_tail():
